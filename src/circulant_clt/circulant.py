@@ -10,13 +10,17 @@ computed in O(n log n) as n * ifft(x).  Because x is real the spectrum is
 conjugate-symmetric, so traces of real polynomials are real up to
 transform noise; every spectral-route operation checks that residual.
 
-Traces of matrix powers are offered by two independent routes: the
-eigenvalue power sum (production path) and the defining index sum
+The production statistic is the linear eigenvalue statistic
+
+    Tr P(C) = sum_t P(lambda_t),
+
+with P evaluated once per eigenvalue by Horner's rule.  Traces of single
+matrix powers are offered by two independent oracle routes: the
+eigenvalue power sum and the defining index sum
 
     Tr(C^p) = n * sum x_{i_1} ... x_{i_p}   over i_1 + ... + i_p = 0 (mod n),
 
-by explicit enumeration of the n^(p-1) free indices (budget-guarded
-oracle).
+by explicit enumeration of the n^(p-1) free indices (budget-guarded).
 
 The gradient of X -> Tr P(C(X)) is exact matrix calculus: P'(C) is itself
 circulant with first-row symbol d = fft(P'(lambda)) / n, and each X_m
@@ -38,6 +42,14 @@ from .errors import BudgetExceededError, ImaginaryResidualError
 
 IMAG_RESIDUAL_TOL = 1e-8
 DEFAULT_TRACE_BUDGET = 10**8
+
+
+def _horner(coeffs: Sequence[float], z):
+    """sum_j coeffs[j] * z^j by Horner's rule; coefficients from degree 0 up."""
+    acc = coeffs[-1]
+    for a in reversed(coeffs[:-1]):
+        acc = acc * z + a
+    return acc
 
 
 @dataclass(frozen=True)
@@ -94,24 +106,16 @@ class TestPolynomial:
         return [0.0, 0.0, *self.coefficients]
 
     def evaluate(self, z):
-        acc = np.zeros_like(np.asarray(z))
-        for k, a in self.terms():
-            if a != 0.0:
-                acc = acc + a * np.asarray(z) ** k
-        return acc
+        return _horner(self.dense(), z)
 
     def derivative_values(self, z):
-        acc = np.zeros_like(np.asarray(z))
-        for k, a in self.terms():
-            if a != 0.0:
-                acc = acc + k * a * np.asarray(z) ** (k - 1)
-        return acc
+        return _horner([0.0, *(k * a for k, a in self.terms())], z)
 
     def second_derivative_majorant(self, z: float) -> float:
         """m2(z) = sum_k k (k-1) |a_k| z^(k-2), nondecreasing for z >= 0."""
         if z < 0:
             raise ValueError("the majorant is defined for z >= 0")
-        return float(sum(k * (k - 1) * abs(a) * z ** (k - 2) for k, a in self.terms()))
+        return float(_horner([k * (k - 1) * abs(a) for k, a in self.terms()], z))
 
 
 @dataclass(frozen=True)
@@ -156,10 +160,6 @@ def build_sample(spec: EnsembleSpec, n: int, stream: RandomStream) -> CirculantS
     """Draw raw inputs from the ensemble and scale the first row by 1/sqrt(n)."""
     raw = sample_sequence(spec, n, stream)
     return CirculantSample(n=n, raw_inputs=raw, scaled_row=raw / math.sqrt(n))
-
-
-def spectrum(sample: CirculantSample) -> np.ndarray:
-    return sample.spectrum()
 
 
 def _check_real(value: complex, what: str) -> float:
@@ -211,10 +211,8 @@ def trace_power_direct(
 
 
 def trace_polynomial(sample: CirculantSample, poly: TestPolynomial) -> float:
-    """Tr P(C) = sum_k a_k Tr(C^k) along the spectral route."""
-    return float(
-        sum(a * trace_power_spectral(sample, k) for k, a in poly.terms() if a != 0.0)
-    )
+    """Tr P(C) = sum_t P(lambda_t) along the spectral route."""
+    return _check_real(complex(np.sum(poly.evaluate(sample.spectrum()))), "Tr P(C)")
 
 
 def spectral_norm(sample: CirculantSample) -> float:

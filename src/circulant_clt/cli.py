@@ -20,25 +20,24 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
 from .circulant import TestPolynomial
 from .combinatorics import (
-    count_slice_exact,
     euler_frobenius_density,
     gaussian_central_moment,
     limiting_variance,
+    slice_table,
 )
 from .ensembles import from_family
 from .errors import ConfigError
 from .harness import (
     ExperimentConfig,
     ExperimentSummary,
-    chatterjee_tv_bound,
     empirical_moments,
+    estimate_kappas,
     norm_scaling_study,
     run_clt_experiment,
     standardized_moments,
@@ -108,7 +107,7 @@ def config_echo(config: ExperimentConfig) -> dict:
         "poly": config.poly.dense(),
         "family": config.ensemble.family,
         "seed": config.master_seed,
-        "centering": config.centering,
+        "centering": "sample_mean",
     }
 
 
@@ -251,14 +250,11 @@ def _cmd_density_table(spec: CommandSpec) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["p", "s", "n", "count", "density", "f_density", "gap"])
-    scale = n ** (p - 1)
-    for s in range(p):
-        count = count_slice_exact(p, s, n)
-        density = Fraction(count, scale)
-        f_val = euler_frobenius_density(p, s)
+    for row in slice_table(p, n):
+        f_val = euler_frobenius_density(p, row.s)
         writer.writerow(
-            [p, s, n, count, repr(float(density)), repr(float(f_val)),
-             repr(float(abs(density - f_val)))]
+            [p, row.s, n, row.count, repr(float(row.density)), repr(float(f_val)),
+             repr(float(abs(row.density - f_val)))]
         )
     text = buf.getvalue()
     _write(spec.output_dir / "table.csv", text)
@@ -279,7 +275,7 @@ def _cmd_simulate(spec: CommandSpec) -> int:
 
 def _cmd_tv_bound(spec: CommandSpec) -> int:
     config = _config_from_options(spec.options)
-    stein = chatterjee_tv_bound(config)
+    stein = estimate_kappas(config)
     _write(spec.output_dir / "summary.json",
            emit_summary_json(config, stein=stein))
     for name in ("kappa0_hat", "kappa1_hat", "kappa2_hat", "sigma2_hat", "tv_bound"):

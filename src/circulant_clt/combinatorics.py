@@ -59,19 +59,6 @@ class LatticeSliceCount:
             raise ValueError("count must be nonnegative")
 
 
-@dataclass(frozen=True)
-class DensityValue:
-    """One exact Euler-Frobenius density value f_p(s)."""
-
-    p: int
-    s: int
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("density values are nonnegative")
-
-
 def euler_frobenius_density(p: int, s: int) -> Fraction:
     """Exact rational f_p(s) = (1/(p-1)!) sum_k (-1)^k C(p,k) (s-k)^(p-1).
 
@@ -180,10 +167,6 @@ def slice_table(p: int, n: int) -> list[LatticeSliceCount]:
         cnt = count_slice_exact(p, s, n)
         rows.append(LatticeSliceCount(p, s, n, cnt, Fraction(cnt, scale)))
     return rows
-
-
-def density_table(p: int) -> list[DensityValue]:
-    return [DensityValue(p, s, euler_frobenius_density(p, s)) for s in range(p)]
 
 
 def limiting_variance(poly: TestPolynomial) -> Fraction:

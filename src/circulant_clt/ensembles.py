@@ -148,9 +148,6 @@ class RandomStream:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.replica_index,))
         return np.random.Generator(np.random.Philox(seq))
 
-    def child(self, replica_index: int) -> "RandomStream":
-        return RandomStream(self.master_seed, replica_index)
-
 
 def sample_sequence(spec: EnsembleSpec, n: int, stream: RandomStream) -> np.ndarray:
     """Draw n independent standardized values from the spec's law.

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -63,7 +64,6 @@ class ExperimentConfig:
     poly: TestPolynomial
     ensemble: EnsembleSpec
     master_seed: int
-    centering: str = "sample_mean"
     worker_count: int = 1
 
     def __post_init__(self) -> None:
@@ -71,8 +71,6 @@ class ExperimentConfig:
             raise ValueError("n must be at least 2")
         if self.m < 2:
             raise ValueError("need at least 2 replicas")
-        if self.centering != "sample_mean":
-            raise ValueError("only sample_mean centering is supported")
         if self.worker_count < 1:
             raise ValueError("worker_count must be positive")
 
@@ -139,7 +137,8 @@ def _map_replicas(
     """Evaluate fn on every replica sample, filling rows by replica index.
 
     Rows are written into disjoint slots and reductions happen later in
-    index order, so the result is independent of worker_count.
+    index order, so the result is independent of worker_count.  The thread
+    count is capped by the replica count and the available CPUs.
     """
     out = np.empty((config.m, width))
 
@@ -151,7 +150,7 @@ def _map_replicas(
             )
             out[r, :] = fn(sample)
 
-    workers = min(config.worker_count, config.m)
+    workers = min(config.worker_count, config.m, os.cpu_count() or 1)
     if workers <= 1:
         run_range((0, config.m))
     else:
@@ -276,12 +275,6 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
         c2=c2,
         tv_bound=assemble_tv_bound(c1, c2, kappa0, kappa1, kappa2, sigma2),
     )
-
-
-def chatterjee_tv_bound(config: ExperimentConfig) -> SteinEstimate:
-    """Total-variation bound on d(W, normal) via the second-order
-    Poincare inequality, assembled from the kappa estimates."""
-    return estimate_kappas(config)
 
 
 @dataclass(frozen=True)

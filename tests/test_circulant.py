@@ -18,7 +18,6 @@ from circulant_clt import (
     rademacher,
     RandomStream,
     spectral_norm,
-    spectrum,
     trace_polynomial,
     trace_power_direct,
     trace_power_spectral,
@@ -100,7 +99,7 @@ class TestBuildSample:
     def test_n_one_spectrum_is_the_entry(self):
         s = build_sample(gaussian(), 1, RandomStream(1, 0))
         assert s.scaled_row[0] == s.raw_inputs[0]
-        assert np.allclose(spectrum(s), [s.scaled_row[0]])
+        assert np.allclose(s.spectrum(), [s.scaled_row[0]])
 
     def test_rademacher_scaling(self):
         s = build_sample(rademacher(), 4, RandomStream(2, 0))
@@ -121,12 +120,12 @@ class TestBuildSample:
 
 class TestSpectrum:
     def test_two_by_two(self):
-        lam = spectrum(sample_from_scaled([1.5, -0.25]))
+        lam = sample_from_scaled([1.5, -0.25]).spectrum()
         assert np.allclose(sorted(lam.real), sorted([1.5 - 0.25, 1.5 + 0.25]))
         assert np.allclose(lam.imag, 0.0, atol=1e-15)
 
     def test_identity_like(self):
-        lam = spectrum(sample_from_scaled([1.0, 0.0, 0.0]))
+        lam = sample_from_scaled([1.0, 0.0, 0.0]).spectrum()
         assert np.allclose(lam, np.ones(3))
 
     def test_matches_dense_eigenvalues(self):
@@ -138,25 +137,25 @@ class TestSpectrum:
             order = np.lexsort((keys[:, 1], keys[:, 0]))
             return values[order]
 
-        lam = canonical(spectrum(s))
+        lam = canonical(s.spectrum())
         ev = canonical(np.linalg.eigvals(s.dense_matrix()))
         assert np.allclose(lam, ev, atol=1e-10)
 
     def test_trace_identity(self):
         s = build_sample(gaussian(), 16, RandomStream(4, 0))
-        total = np.sum(spectrum(s))
+        total = np.sum(s.spectrum())
         expected = 16 * s.scaled_row[0]
         assert abs(total - expected) <= 1e-12 * (1 + abs(expected))
 
     def test_conjugate_symmetry(self):
         s = build_sample(gaussian(), 12, RandomStream(5, 0))
-        lam = spectrum(s)
+        lam = s.spectrum()
         for t in range(12):
             assert lam[(12 - t) % 12] == pytest.approx(np.conj(lam[t]), abs=1e-12)
 
     def test_cache_returns_same_object(self):
         s = build_sample(gaussian(), 8, RandomStream(6, 0))
-        assert spectrum(s) is spectrum(s)
+        assert s.spectrum() is s.spectrum()
 
 
 class TestTracePowers:
@@ -213,6 +212,11 @@ class TestTracePowers:
         object.__setattr__(s, "_spectrum", corrupted)
         with pytest.raises(ImaginaryResidualError):
             trace_power_spectral(s, 3)
+        for poly in (POLY_X2, POLY_X2_X3, TestPolynomial((0.0, 0.0, 1.0))):
+            with pytest.raises(ImaginaryResidualError):
+                trace_polynomial(s, poly)
+            with pytest.raises(ImaginaryResidualError):
+                gradient_trace_polynomial(s, poly)
 
 
 class TestTracePolynomial:
@@ -232,18 +236,25 @@ class TestTracePolynomial:
         slow = dense_trace_polynomial(s, poly)
         assert abs(fast - slow) <= 1e-8 * max(1.0, abs(slow))
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", range(12))
     def test_dense_oracle_random(self, seed):
+        # seeds cycle through the three builtin ensembles, both parities of n
+        # and degrees 2..6; interior coefficients of degree k vanish when
+        # k + seed is even, so every degree >= 4 case has zero interior terms
         rng = np.random.default_rng(seed)
-        coeffs = tuple(rng.normal(size=rng.integers(1, 4)))
-        if coeffs[-1] == 0.0:
-            coeffs = coeffs[:-1] + (1.0,)
-        poly = TestPolynomial(coeffs)
-        n = int(rng.integers(2, 65))
-        s = build_sample(uniform_symmetric(), n, RandomStream(14, seed))
+        spec = (gaussian(), rademacher(), uniform_symmetric())[seed % 3]
+        n = 2 * int(rng.integers(1, 32)) + seed % 2
+        degree = 2 + seed % 5
+        coeffs = rng.normal(size=degree - 1)
+        coeffs[(np.arange(2, degree + 1) + seed) % 2 == 0] = 0.0
+        coeffs[-1] = rng.choice([-1.0, 1.0]) * (0.5 + rng.random())
+        poly = TestPolynomial(tuple(coeffs))
+        s = build_sample(spec, n, RandomStream(14, seed))
         fast = trace_polynomial(s, poly)
         slow = dense_trace_polynomial(s, poly)
         assert abs(fast - slow) <= 1e-8 * max(1.0, abs(slow))
+        per_term = sum(a * trace_power_spectral(s, k) for k, a in poly.terms())
+        assert abs(fast - per_term) <= 1e-12 * max(1.0, abs(per_term))
 
 
 class TestSpectralNorm:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from circulant_clt import (
     BudgetExceededError,
-    DensityValue,
     LatticeSliceCount,
     TestPolynomial,
     count_slice_bruteforce,
@@ -220,5 +219,3 @@ class TestRecordTypes:
             LatticeSliceCount(p=3, s=3, n=5, count=1, density=Fraction(0))
         with pytest.raises(ValueError):
             LatticeSliceCount(p=3, s=1, n=5, count=-1, density=Fraction(0))
-        with pytest.raises(ValueError):
-            DensityValue(p=3, s=1, value=Fraction(-1, 2))

@@ -65,9 +65,6 @@ class TestRandomStream:
             RandomStream(0, -1)
         RandomStream(2**64 - 1, 10**9)  # extremes are fine
 
-    def test_child(self):
-        assert RandomStream(5).child(3) == RandomStream(5, 3)
-
 
 class TestSampling:
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)

@@ -11,7 +11,6 @@ from circulant_clt import (
     SmoothnessRequiredError,
     SteinEstimate,
     TestPolynomial,
-    chatterjee_tv_bound,
     empirical_moments,
     estimate_kappas,
     gaussian,
@@ -23,6 +22,7 @@ from circulant_clt import (
     uniform_symmetric,
     variance_convergence_study,
 )
+from circulant_clt import harness
 
 POLY_X2 = TestPolynomial((1.0,))
 POLY_X2_X3 = TestPolynomial((1.0, 1.0))
@@ -49,8 +49,6 @@ class TestConfigValidation:
             make_config(m=1)
         with pytest.raises(ValueError):
             make_config(worker_count=0)
-        with pytest.raises(ValueError):
-            make_config(centering="exact_mean")
 
     def test_degree_one_polynomials_unrepresentable(self):
         # the harness refuses degree-one statistics at the type level:
@@ -72,6 +70,33 @@ class TestRunExperiment:
             assert results[0].variance_w == other.variance_w
             assert results[0].standardized_moments == other.standardized_moments
             assert results[0].ks_distance == other.ks_distance
+
+    def test_thread_count_capped_by_cpus(self, monkeypatch):
+        # records the pool size and runs the ranges inline: no thread starts
+        pool_sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        reference = run_clt_experiment(make_config())
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        capped = run_clt_experiment(make_config(worker_count=100000))
+        assert pool_sizes == [3]
+        assert np.array_equal(capped.raw_traces, reference.raw_traces)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        run_clt_experiment(make_config(worker_count=100000))
+        assert pool_sizes == [3]  # unknown CPU count: one worker, no pool
 
     def test_w_is_centered_and_scaled(self):
         summary = run_clt_experiment(make_config())
@@ -154,7 +179,7 @@ class TestSteinMachinery:
         assert est.tv_bound == pytest.approx(expected)
 
     def test_components_well_posed_for_uniform(self):
-        est = chatterjee_tv_bound(
+        est = estimate_kappas(
             make_config(ensemble=uniform_symmetric(), poly=POLY_X2_X3, n=128, m=60)
         )
         assert est.kappa0_hat > 0 and est.kappa1_hat > 0 and est.kappa2_hat > 0
