@@ -19,9 +19,8 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import __version__
 from .circulant import TestPolynomial
@@ -50,13 +49,6 @@ DEFAULT_REPLICAS = 2000
 EXIT_OK = 0
 EXIT_REFUSED = 2
 EXIT_IO = 3
-
-
-@dataclass(frozen=True)
-class CommandSpec:
-    subcommand: str
-    options: Mapping[str, object]
-    output_dir: Path
 
 
 def parse_config(doc) -> ExperimentConfig:
@@ -111,30 +103,21 @@ def config_echo(config: ExperimentConfig) -> dict:
     }
 
 
-def emit_samples_csv(raw_traces, w_values) -> str:
+def _csv(header, rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writerow(["replica", "raw_trace", "W"])
-    for r, (t, w) in enumerate(zip(raw_traces, w_values)):
-        writer.writerow([r, repr(float(t)), repr(float(w))])
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def _experiment_fields(summary: ExperimentSummary) -> dict:
-    return {
-        "n": summary.n,
-        "m": summary.m,
-        "raw_trace_mean": summary.raw_trace_mean,
-        "variance_w": summary.variance_w,
-        "standardized_moments": list(summary.standardized_moments),
-        "ks_distance": summary.ks_distance,
-        "target_variance": summary.target_variance,
-        "low_confidence": summary.low_confidence,
-        "wall_time_s": summary.wall_time_s,
-    }
+def emit_samples_csv(raw_traces, w_values) -> str:
+    return _csv(["replica", "raw_trace", "W"],
+                ([r, repr(float(t)), repr(float(w))]
+                 for r, (t, w) in enumerate(zip(raw_traces, w_values))))
 
 
-def summary_document(config: ExperimentConfig, summary=None, stein=None) -> dict:
+def emit_summary_json(config: ExperimentConfig, summary=None, stein=None) -> str:
     doc = {
         "config": config_echo(config),
         "version": __version__,
@@ -142,10 +125,18 @@ def summary_document(config: ExperimentConfig, summary=None, stein=None) -> dict
         "stein": None,
     }
     if summary is not None:
-        doc["experiment"] = _experiment_fields(summary)
-        doc["experiment"]["target_variance_exact"] = str(
-            limiting_variance(config.poly)
-        )
+        doc["experiment"] = {
+            "n": summary.n,
+            "m": summary.m,
+            "raw_trace_mean": summary.raw_trace_mean,
+            "variance_w": summary.variance_w,
+            "standardized_moments": list(summary.standardized_moments),
+            "ks_distance": summary.ks_distance,
+            "target_variance": summary.target_variance,
+            "low_confidence": summary.low_confidence,
+            "wall_time_s": summary.wall_time_s,
+            "target_variance_exact": str(limiting_variance(config.poly)),
+        }
     if stein is not None:
         doc["stein"] = {
             "kappa0_hat": stein.kappa0_hat,
@@ -159,11 +150,6 @@ def summary_document(config: ExperimentConfig, summary=None, stein=None) -> dict
             # limiting variance n * sigma2 is reported alongside for context
             "sigma2_target_scaled": config.n * float(limiting_variance(config.poly)),
         }
-    return doc
-
-
-def emit_summary_json(config: ExperimentConfig, summary=None, stein=None) -> str:
-    doc = summary_document(config, summary=summary, stein=stein)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -188,36 +174,23 @@ def _text_report(summary: ExperimentSummary) -> str:
     ) + "\n"
 
 
-def emit_report(summary: ExperimentSummary, format: str) -> str:
-    """Serialize a summary as csv (per-replica samples), json, or text."""
-    if format == "csv":
-        return emit_samples_csv(summary.raw_traces, summary.w_values)
-    if format == "json":
-        fields = _experiment_fields(summary)
-        return json.dumps(fields, sort_keys=True, indent=2) + "\n"
-    if format == "text":
-        return _text_report(summary)
-    raise ConfigError(f"unknown report format {format!r}")
-
-
 def _write(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(content, encoding="utf-8")
 
 
-def _config_from_options(options: Mapping[str, object]) -> ExperimentConfig:
-    if options.get("config"):
-        text = Path(str(options["config"])).read_text(encoding="utf-8")
-        return parse_config(text)
-    data: dict = {}
-    for key, opt in (
-        ("n", "n"), ("poly", "poly"), ("family", "family"),
-        ("seed", "seed"), ("m", "m"), ("worker_count", "workers"),
-    ):
-        value = options.get(opt)
-        if value is not None:
-            data[key] = value
-    if isinstance(data.get("poly"), str):
+def _write_table(out: Path, header, rows) -> None:
+    text = _csv(header, rows)
+    _write(out / "table.csv", text)
+    sys.stdout.write(text)
+
+
+def _config_from_options(args: argparse.Namespace) -> ExperimentConfig:
+    if args.config:
+        return parse_config(Path(args.config).read_text(encoding="utf-8"))
+    data = {key: getattr(args, key) for key in CONFIG_KEYS
+            if getattr(args, key) is not None}
+    if "poly" in data:
         data["poly"] = _parse_poly_flag(data["poly"])
     return parse_config(data)
 
@@ -236,116 +209,63 @@ def _parse_sizes_flag(text: str) -> list[int]:
         raise ConfigError(f"could not parse sizes {text!r}") from exc
 
 
-def _cmd_variance(spec: CommandSpec) -> int:
-    poly = TestPolynomial.from_dense(_parse_poly_flag(str(spec.options["poly"])))
-    exact = limiting_variance(poly)
+def _cmd_variance(args: argparse.Namespace, out: Path) -> None:
+    exact = limiting_variance(TestPolynomial.from_dense(_parse_poly_flag(args.poly)))
     print(exact)
     print(float(exact))
-    return EXIT_OK
 
 
-def _cmd_density_table(spec: CommandSpec) -> int:
-    p = int(spec.options["p"])
-    n = int(spec.options["n"])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["p", "s", "n", "count", "density", "f_density", "gap"])
+def _cmd_density_table(args: argparse.Namespace, out: Path) -> None:
+    p, n = args.p, args.n
+    rows = []
     for row in slice_table(p, n):
         f_val = euler_frobenius_density(p, row.s)
-        writer.writerow(
-            [p, row.s, n, row.count, repr(float(row.density)), repr(float(f_val)),
-             repr(float(abs(row.density - f_val)))]
-        )
-    text = buf.getvalue()
-    _write(spec.output_dir / "table.csv", text)
-    sys.stdout.write(text)
-    return EXIT_OK
+        rows.append([p, row.s, n, row.count, repr(float(row.density)),
+                     repr(float(f_val)), repr(float(abs(row.density - f_val)))])
+    _write_table(out, ["p", "s", "n", "count", "density", "f_density", "gap"], rows)
 
 
-def _cmd_simulate(spec: CommandSpec) -> int:
-    config = _config_from_options(spec.options)
+def _cmd_simulate(args: argparse.Namespace, out: Path) -> None:
+    config = _config_from_options(args)
     summary = run_clt_experiment(config)
-    _write(spec.output_dir / "samples.csv",
-           emit_samples_csv(summary.raw_traces, summary.w_values))
-    _write(spec.output_dir / "summary.json",
-           emit_summary_json(config, summary=summary))
+    _write(out / "samples.csv", emit_samples_csv(summary.raw_traces, summary.w_values))
+    _write(out / "summary.json", emit_summary_json(config, summary=summary))
     sys.stdout.write(_text_report(summary))
-    return EXIT_OK
 
 
-def _cmd_tv_bound(spec: CommandSpec) -> int:
-    config = _config_from_options(spec.options)
+def _cmd_tv_bound(args: argparse.Namespace, out: Path) -> None:
+    config = _config_from_options(args)
     stein = estimate_kappas(config)
-    _write(spec.output_dir / "summary.json",
-           emit_summary_json(config, stein=stein))
+    _write(out / "summary.json", emit_summary_json(config, stein=stein))
     for name in ("kappa0_hat", "kappa1_hat", "kappa2_hat", "sigma2_hat", "tv_bound"):
         print(f"{name} {repr(getattr(stein, name))}")
-    return EXIT_OK
 
 
-def _cmd_norm_scaling(spec: CommandSpec) -> int:
-    ensemble = from_family(str(spec.options.get("family") or "gaussian"))
-    sizes = _parse_sizes_flag(str(spec.options["sizes"]))
-    trials = int(spec.options.get("trials") or 50)
-    seed = int(spec.options.get("seed") or 0)
-    rows = norm_scaling_study(ensemble, sizes, trials, master_seed=seed)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "trials", "max_ratio", "mean_ratio"])
-    for row in rows:
-        writer.writerow([row.n, row.trials, repr(row.max_ratio), repr(row.mean_ratio)])
-    text = buf.getvalue()
-    _write(spec.output_dir / "table.csv", text)
-    sys.stdout.write(text)
-    return EXIT_OK
+def _cmd_norm_scaling(args: argparse.Namespace, out: Path) -> None:
+    ensemble = from_family(args.family)
+    sizes = _parse_sizes_flag(args.sizes)
+    rows = norm_scaling_study(ensemble, sizes, args.trials, master_seed=args.seed)
+    _write_table(out, ["n", "trials", "max_ratio", "mean_ratio"],
+                 ([row.n, row.trials, repr(row.max_ratio), repr(row.mean_ratio)]
+                  for row in rows))
 
 
-def _cmd_moments(spec: CommandSpec) -> int:
-    config = _config_from_options(spec.options)
-    max_order = int(spec.options.get("max_order") or 8)
+def _cmd_moments(args: argparse.Namespace, out: Path) -> None:
+    config = _config_from_options(args)
     summary = run_clt_experiment(config)
-    central = empirical_moments(summary.w_values, max_order)
-    standardized = standardized_moments(summary.w_values, max_order)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    central = empirical_moments(summary.w_values, args.max_order)
+    standardized = standardized_moments(summary.w_values, args.max_order)
+    _write_table(
+        out,
         ["order", "central_moment", "gaussian_target",
-         "standardized_moment", "standardized_target"]
+         "standardized_moment", "standardized_target"],
+        ([order,
+          repr(float(central[order - 1])),
+          repr(gaussian_central_moment(order, summary.target_variance)),
+          repr(float(standardized[order - 1])),
+          repr(gaussian_central_moment(order, 1.0))]
+         for order in range(1, args.max_order + 1)),
     )
-    for order in range(1, max_order + 1):
-        writer.writerow([
-            order,
-            repr(float(central[order - 1])),
-            repr(gaussian_central_moment(order, summary.target_variance)),
-            repr(float(standardized[order - 1])),
-            repr(gaussian_central_moment(order, 1.0)),
-        ])
-    text = buf.getvalue()
-    _write(spec.output_dir / "table.csv", text)
-    sys.stdout.write(text)
-    return EXIT_OK
-
-
-_DISPATCH = {
-    "variance": _cmd_variance,
-    "density-table": _cmd_density_table,
-    "simulate": _cmd_simulate,
-    "tv-bound": _cmd_tv_bound,
-    "norm-scaling": _cmd_norm_scaling,
-    "moments": _cmd_moments,
-}
-
-
-def run_command(spec: CommandSpec) -> int:
-    """Dispatch one parsed command; refusals and I/O failures map to exit codes."""
-    try:
-        return _DISPATCH[spec.subcommand](spec)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -361,50 +281,61 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_experiment_flags(p: argparse.ArgumentParser) -> None:
+        # dest is the config key, so the flags map onto parse_config unchanged
         p.add_argument("--config", help="path to a JSON config document")
         p.add_argument("--n", type=int, help="matrix size")
         p.add_argument("--poly", help="dense coefficients from degree 0, e.g. 0,0,1")
         p.add_argument("--family", help="ensemble family")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--m", type=int, help="replica count")
-        p.add_argument("--workers", type=int, help="worker count")
+        p.add_argument("--workers", type=int, dest="worker_count", metavar="WORKERS",
+                       help="worker count")
 
     p = sub.add_parser("variance", help="print the exact limiting variance")
+    p.set_defaults(run=_cmd_variance)
     p.add_argument("--poly", required=True)
 
     p = sub.add_parser("density-table", help="slice counts and densities as CSV")
+    p.set_defaults(run=_cmd_density_table)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("simulate", help="run the Monte Carlo CLT experiment")
+    p.set_defaults(run=_cmd_simulate)
     add_experiment_flags(p)
 
     p = sub.add_parser("tv-bound", help="assemble the total-variation bound")
+    p.set_defaults(run=_cmd_tv_bound)
     add_experiment_flags(p)
 
     p = sub.add_parser("norm-scaling", help="spectral norm vs sqrt(log n)")
+    p.set_defaults(run=_cmd_norm_scaling)
     p.add_argument("--family", default="gaussian")
     p.add_argument("--sizes", required=True, help="comma-separated sizes")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("moments", help="standardized moments of the statistic")
+    p.set_defaults(run=_cmd_moments)
     add_experiment_flags(p)
-    p.add_argument("--max-order", type=int, default=8, dest="max_order")
+    p.add_argument("--max-order", type=int, default=8)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand; refusals and I/O failures map to exit codes."""
     args = _build_parser().parse_args(argv)
-    options = {k.replace("-", "_"): v for k, v in vars(args).items()}
-    out = options.pop("out", None) or os.environ.get(OUTPUT_DIR_ENV) or "."
-    spec = CommandSpec(
-        subcommand=str(options.pop("subcommand")),
-        options=options,
-        output_dir=Path(out),
-    )
-    return run_command(spec)
+    out = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or ".")
+    try:
+        args.run(args, out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ import pytest
 
 from circulant_clt import ConfigError, run_clt_experiment
 from circulant_clt.cli import (
-    emit_report,
+    _text_report,
     emit_samples_csv,
+    emit_summary_json,
     main,
     parse_config,
 )
@@ -20,9 +21,9 @@ from circulant_clt.harness import ExperimentConfig
 MINIMAL = {"n": 512, "poly": [0, 0, 1], "family": "gaussian", "seed": 7}
 
 
-def small_summary():
+def small_run():
     config = parse_config({**MINIMAL, "n": 32, "m": 40})
-    return run_clt_experiment(config)
+    return config, run_clt_experiment(config)
 
 
 class TestParseConfig:
@@ -70,30 +71,27 @@ class TestEmitters:
         assert emit_samples_csv([], []) == "replica,raw_trace,W\n"
 
     def test_csv_round_trip(self):
-        summary = small_summary()
-        text = emit_report(summary, "csv")
+        _, summary = small_run()
+        text = emit_samples_csv(summary.raw_traces, summary.w_values)
         rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == summary.m
+        assert [r["replica"] for r in rows] == [str(r) for r in range(summary.m)]
         got = np.array([float(r["raw_trace"]) for r in rows])
         assert np.array_equal(got, summary.raw_traces)
+        assert np.array_equal(np.array([float(r["W"]) for r in rows]), summary.w_values)
 
     def test_json_round_trip_bit_exact(self):
-        summary = small_summary()
-        fields = json.loads(emit_report(summary, "json"))
+        config, summary = small_run()
+        fields = json.loads(emit_summary_json(config, summary=summary))["experiment"]
         assert fields["variance_w"] == summary.variance_w
         assert fields["ks_distance"] == summary.ks_distance
         assert fields["raw_trace_mean"] == summary.raw_trace_mean
         assert tuple(fields["standardized_moments"]) == summary.standardized_moments
 
     def test_text_shows_target_next_to_variance(self):
-        summary = small_summary()
-        text = emit_report(summary, "text")
+        _, summary = small_run()
+        text = _text_report(summary)
         (variance_line,) = [l for l in text.splitlines() if "variance_w" in l]
         assert "target" in variance_line and "2.0" in variance_line
-
-    def test_unknown_format(self):
-        with pytest.raises(ConfigError):
-            emit_report(small_summary(), "yaml")
 
 
 class TestVarianceCommand:
@@ -182,6 +180,12 @@ class TestSimulateCommand:
         assert main(["--out", str(tmp_path), "simulate", "--poly", "0,0,1"]) == 2
         assert "n" in capsys.readouterr().err
 
+    def test_workers_flag_is_worker_count(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "simulate", "--n", "16",
+                     "--poly", "0,0,1", "--m", "10", "--workers", "0"]) == 2
+        assert "worker_count must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
 
 class TestTvBoundCommand:
     def test_smoothness_refusal_exit_code(self, tmp_path, capsys):
@@ -241,3 +245,43 @@ class TestOtherCommands:
         monkeypatch.setenv("CIRCULANT_CLT_OUT", str(tmp_path / "from-env"))
         assert main(["density-table", "--p", "2", "--n", "10"]) == 0
         assert (tmp_path / "from-env" / "table.csv").exists()
+
+
+def table_for(tmp_path, name, argv):
+    out = tmp_path / name
+    assert main(["--out", str(out), *argv]) == 0
+    return (out / "table.csv").read_text()
+
+
+class TestDefaults:
+    """The argparse defaults are the only defaults: an omitted flag runs as
+    its stated default, and an invalid value is refused, not replaced."""
+
+    def test_norm_scaling_defaults(self, tmp_path, capsys):
+        implicit = table_for(tmp_path, "implicit", ["norm-scaling", "--sizes", "16,32"])
+        explicit = table_for(tmp_path, "explicit", [
+            "norm-scaling", "--sizes", "16,32", "--family", "gaussian",
+            "--trials", "50", "--seed", "0"])
+        assert implicit == explicit
+
+    def test_moments_default_max_order(self, tmp_path, capsys):
+        flags = ["moments", "--n", "32", "--poly", "0,0,1", "--seed", "1", "--m", "40"]
+        implicit = table_for(tmp_path, "implicit", flags)
+        explicit = table_for(tmp_path, "explicit", [*flags, "--max-order", "8"])
+        assert implicit == explicit
+        assert len(implicit.splitlines()) == 9
+
+    @pytest.mark.parametrize("argv, message", [
+        (["norm-scaling", "--sizes", "16", "--trials", "0"],
+         "need at least one trial per size"),
+        (["norm-scaling", "--sizes", "16", "--family", ""],
+         "unknown ensemble family"),
+        (["moments", "--n", "16", "--poly", "0,0,1", "--m", "10", "--max-order", "0"],
+         "max_order must lie in [1, 8]"),
+    ])
+    def test_invalid_value_refused(self, tmp_path, capsys, argv, message):
+        assert main(["--out", str(tmp_path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "table.csv").exists()
