@@ -1,44 +1,20 @@
 """Verification toolkit for the Gaussian CLT of circulant-matrix trace
 statistics: exact lattice-slice combinatorics, dual-route trace
 computation, Monte Carlo experiments, and the Stein-method
-total-variation bound."""
+total-variation bound.  ``__all__`` is the supported API; per-replica
+building blocks and test oracles are imported from their modules."""
 
 __version__ = "0.1.0"
 
-from .circulant import (
-    CirculantSample,
-    TestPolynomial,
-    build_sample,
-    gradient_trace_polynomial,
-    hessian_norm_bound,
-    spectral_norm,
-    trace_polynomial,
-    trace_power_direct,
-    trace_power_spectral,
-)
+from .circulant import TestPolynomial
 from .combinatorics import (
     LatticeSliceCount,
-    count_slice_bruteforce,
-    count_slice_distinct,
-    count_slice_exact,
     euler_frobenius_density,
     gaussian_central_moment,
     limiting_variance,
     slice_table,
 )
-from .ensembles import (
-    EnsembleSpec,
-    MomentReport,
-    RandomStream,
-    custom_smooth,
-    from_family,
-    gaussian,
-    rademacher,
-    sample_sequence,
-    smooth_transform_value,
-    uniform_symmetric,
-    verify_standardization,
-)
+from .ensembles import EnsembleSpec, from_family, gaussian, rademacher, uniform_symmetric
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -50,60 +26,37 @@ from .harness import (
     ExperimentSummary,
     NormScalingRow,
     SteinEstimate,
-    VarianceConvergenceRow,
     empirical_moments,
     estimate_kappas,
-    ks_distance,
     norm_scaling_study,
     run_clt_experiment,
     standardized_moments,
-    variance_convergence_study,
 )
 
 __all__ = [
     "__version__",
     "BudgetExceededError",
-    "CirculantSample",
     "ConfigError",
     "EnsembleSpec",
     "ExperimentConfig",
     "ExperimentSummary",
     "ImaginaryResidualError",
     "LatticeSliceCount",
-    "MomentReport",
     "NormScalingRow",
-    "RandomStream",
     "SmoothnessRequiredError",
     "SteinEstimate",
     "TestPolynomial",
-    "VarianceConvergenceRow",
-    "build_sample",
-    "count_slice_bruteforce",
-    "count_slice_distinct",
-    "count_slice_exact",
-    "custom_smooth",
     "empirical_moments",
     "estimate_kappas",
     "euler_frobenius_density",
     "from_family",
     "gaussian",
     "gaussian_central_moment",
-    "gradient_trace_polynomial",
-    "hessian_norm_bound",
-    "ks_distance",
     "limiting_variance",
     "norm_scaling_study",
     "rademacher",
     "run_clt_experiment",
-    "sample_sequence",
     "slice_table",
-    "smooth_transform_value",
-    "spectral_norm",
     "standardized_moments",
-    "trace_polynomial",
-    "trace_power_direct",
-    "trace_power_spectral",
     "uniform_symmetric",
-    "variance_convergence_study",
-    "verify_standardization",
 ]

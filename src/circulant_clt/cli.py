@@ -35,6 +35,7 @@ from .errors import ConfigError
 from .harness import (
     ExperimentConfig,
     ExperimentSummary,
+    check_max_order,
     empirical_moments,
     estimate_kappas,
     norm_scaling_study,
@@ -168,7 +169,8 @@ def _text_report(summary: ExperimentSummary) -> str:
     if summary.low_confidence:
         rows.append(("low_confidence", "true", "fewer than 30 replicas"))
     width = max(len(r[0]) for r in rows)
-    vwidth = max(len(r[1]) for r in rows)
+    # the wall time varies run to run, so it does not set the padding
+    vwidth = max(len(value) for name, value, _ in rows if name != "wall_time_s")
     return "\n".join(
         f"{name:<{width}}  {value:>{vwidth}}  {note}".rstrip() for name, value, note in rows
     ) + "\n"
@@ -186,10 +188,14 @@ def _write_table(out: Path, header, rows) -> None:
 
 
 def _config_from_options(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config:
-        return parse_config(Path(args.config).read_text(encoding="utf-8"))
-    data = {key: getattr(args, key) for key in CONFIG_KEYS
+    data = {key: getattr(args, key) for key in sorted(CONFIG_KEYS)
             if getattr(args, key) is not None}
+    if args.config:
+        if data:
+            flags = ", ".join("--workers" if key == "worker_count" else f"--{key}"
+                              for key in data)
+            raise ConfigError(f"--config cannot be combined with {flags}")
+        return parse_config(Path(args.config).read_text(encoding="utf-8"))
     if "poly" in data:
         data["poly"] = _parse_poly_flag(data["poly"])
     return parse_config(data)
@@ -252,6 +258,7 @@ def _cmd_norm_scaling(args: argparse.Namespace, out: Path) -> None:
 
 def _cmd_moments(args: argparse.Namespace, out: Path) -> None:
     config = _config_from_options(args)
+    check_max_order(args.max_order)
     summary = run_clt_experiment(config)
     central = empirical_moments(summary.w_values, args.max_order)
     standardized = standardized_moments(summary.w_values, args.max_order)

@@ -134,15 +134,17 @@ def count_slice_distinct(
     Counts unordered p-subsets of {0..n-1} with sum s*n by an exact
     subset-sum recursion over the values 0..n-1, then multiplies by p!
     for the orderings.  The difference to the unrestricted count is
-    o(n^(p-1)), which the tests verify.
+    o(n^(p-1)), which the tests verify.  The budget bounds the recursion's
+    pure-Python steps, at most p*n*(s*n + 1).
     """
     if p < 1 or n < 1:
         raise ValueError("p and n must be positive")
     if not 0 <= s <= p - 1:
         raise ValueError(f"s={s} out of range [0, {p - 1}]")
-    if n**p > budget:
+    steps = p * n * (s * n + 1)
+    if steps > budget:
         raise BudgetExceededError(
-            f"visiting {n}^{p} = {n**p} tuples exceeds the budget of {budget}"
+            f"the subset-sum recursion's {steps} steps exceed the budget of {budget}"
         )
     if p > n:
         return 0

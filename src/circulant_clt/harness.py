@@ -27,7 +27,6 @@ worker_count.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import time
@@ -161,13 +160,17 @@ def _map_replicas(
     return out
 
 
-def empirical_moments(samples, max_order: int) -> np.ndarray:
-    """Central sample moments of orders 1..max_order (max_order <= 8)."""
+def check_max_order(max_order: int) -> None:
     if not 1 <= max_order <= MAX_MOMENT_ORDER:
         raise ValueError(
             f"max_order must lie in [1, {MAX_MOMENT_ORDER}]; higher orders are "
             "too noisy to estimate at Monte Carlo scale"
         )
+
+
+def empirical_moments(samples, max_order: int) -> np.ndarray:
+    """Central sample moments of orders 1..max_order (max_order <= 8)."""
+    check_max_order(max_order)
     xs = np.asarray(samples, dtype=np.float64)
     if xs.size == 0:
         raise ValueError("need at least one sample")
@@ -231,7 +234,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentSummary:
 
 
 def _require_smooth_symmetric(spec: EnsembleSpec) -> tuple[float, float]:
-    if not spec.is_smooth or not spec.symmetric:
+    if not spec.is_smooth:
         raise SmoothnessRequiredError(
             f"the total-variation bound requires a symmetric smooth ensemble "
             f"(a law u(Z) of a standard normal with |u'| <= c1, |u''| <= c2); "
@@ -293,11 +296,8 @@ def norm_scaling_study(
 ) -> list[NormScalingRow]:
     """Spectral norm against sqrt(log n): max and mean ratio per size.
 
-    Requires a symmetric ensemble (any subgaussian family qualifies;
-    smoothness is not needed here).
+    Every builtin ensemble qualifies; smoothness is not needed here.
     """
-    if not spec.symmetric:
-        raise ValueError("norm scaling requires a symmetric ensemble")
     if trials < 1:
         raise ValueError("need at least one trial per size")
     rows = []
@@ -316,42 +316,6 @@ def norm_scaling_study(
                 trials=trials,
                 max_ratio=float(ratios.max()),
                 mean_ratio=float(ratios.mean()),
-            )
-        )
-    return rows
-
-
-@dataclass(frozen=True)
-class VarianceConvergenceRow:
-    n: int
-    variance_w: float
-    gap: float
-    raw_trace_mean: float
-    raw_trace_mean_se: float
-
-
-def variance_convergence_study(
-    config: ExperimentConfig, sizes: Sequence[int]
-) -> list[VarianceConvergenceRow]:
-    """Empirical Var(W) against the limiting variance across matrix sizes.
-
-    Also reports the raw-trace mean (which stays bounded as n grows) with
-    its standard error.
-    """
-    if len(sizes) < 1:
-        raise ValueError("need at least one size")
-    target = float(limiting_variance(config.poly))
-    rows = []
-    for n in sizes:
-        summary = run_clt_experiment(dataclasses.replace(config, n=n))
-        se = float(summary.raw_traces.std(ddof=1)) / math.sqrt(config.m)
-        rows.append(
-            VarianceConvergenceRow(
-                n=n,
-                variance_w=summary.variance_w,
-                gap=abs(summary.variance_w - target),
-                raw_trace_mean=summary.raw_trace_mean,
-                raw_trace_mean_se=se,
             )
         )
     return rows

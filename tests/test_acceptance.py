@@ -37,28 +37,29 @@ import numpy as np
 import pytest
 
 from circulant_clt import (
-    RandomStream,
+    ExperimentConfig,
     TestPolynomial,
-    build_sample,
-    count_slice_bruteforce,
-    count_slice_exact,
     estimate_kappas,
     euler_frobenius_density,
     from_family,
     gaussian,
-    gradient_trace_polynomial,
-    hessian_norm_bound,
     norm_scaling_study,
     rademacher,
     run_clt_experiment,
+    uniform_symmetric,
+)
+from circulant_clt.circulant import (
+    CirculantSample,
+    build_sample,
+    gradient_trace_polynomial,
+    hessian_norm_bound,
     trace_polynomial,
     trace_power_direct,
     trace_power_spectral,
-    uniform_symmetric,
 )
-from circulant_clt import CirculantSample
 from circulant_clt.cli import main as cli_main
-from circulant_clt.harness import ExperimentConfig
+from circulant_clt.combinatorics import count_slice_bruteforce, count_slice_exact
+from circulant_clt.ensembles import RandomStream
 
 POLY_X2 = TestPolynomial((1.0,))
 POLY_X3 = TestPolynomial((0.0, 1.0))

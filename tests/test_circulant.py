@@ -8,21 +8,23 @@ import pytest
 
 from circulant_clt import (
     BudgetExceededError,
-    CirculantSample,
     ImaginaryResidualError,
     TestPolynomial,
-    build_sample,
     gaussian,
+    rademacher,
+    uniform_symmetric,
+)
+from circulant_clt.circulant import (
+    CirculantSample,
+    build_sample,
     gradient_trace_polynomial,
     hessian_norm_bound,
-    rademacher,
-    RandomStream,
     spectral_norm,
     trace_polynomial,
     trace_power_direct,
     trace_power_spectral,
-    uniform_symmetric,
 )
+from circulant_clt.ensembles import RandomStream
 
 POLY_X2 = TestPolynomial((1.0,))
 POLY_X2_X3 = TestPolynomial((1.0, 1.0))

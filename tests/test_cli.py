@@ -2,13 +2,14 @@
 exit-code discipline, and reproducibility of emitted files."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
-from circulant_clt import ConfigError, run_clt_experiment
+from circulant_clt import ConfigError, cli, run_clt_experiment
 from circulant_clt.cli import (
     _text_report,
     emit_samples_csv,
@@ -92,6 +93,21 @@ class TestEmitters:
         text = _text_report(summary)
         (variance_line,) = [l for l in text.splitlines() if "variance_w" in l]
         assert "target" in variance_line and "2.0" in variance_line
+
+    def test_text_padding_independent_of_wall_time(self):
+        _, summary = small_run()
+        # short statistics, so that only the wall time could widen the column
+        summary = dataclasses.replace(
+            summary, variance_w=1.5, raw_trace_mean=2.25, ks_distance=0.125,
+            standardized_moments=(0.0, 1.0, 0.5, 3.0, 0.0, 15.0, 0.0, 105.0),
+        )
+        short, long = (
+            _text_report(dataclasses.replace(summary, wall_time_s=t)).splitlines()
+            for t in (1.5, 0.12345678901234567)
+        )
+        assert len(short) == len(long)
+        changed = [a.split()[0] for a, b in zip(short, long) if a != b]
+        assert changed == ["wall_time_s"]
 
 
 class TestVarianceCommand:
@@ -184,6 +200,17 @@ class TestSimulateCommand:
         assert main(["--out", str(tmp_path), "simulate", "--n", "16",
                      "--poly", "0,0,1", "--m", "10", "--workers", "0"]) == 2
         assert "worker_count must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "tv-bound"])
+    def test_config_with_inline_flags_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**MINIMAL, "n": 32, "m": 20}))
+        code = main(["--out", str(tmp_path), command, "--config", str(path),
+                     "--n", "4096", "--m", "500", "--workers", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--config cannot be combined with --m, --n, --workers" in err
         assert not (tmp_path / "summary.json").exists()
 
 
@@ -285,3 +312,13 @@ class TestDefaults:
         assert message in captured.err
         assert captured.out == ""
         assert not (tmp_path / "table.csv").exists()
+
+    def test_max_order_checked_before_any_replica(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_experiment(config):
+            raise AssertionError("the experiment ran before the order was checked")
+
+        monkeypatch.setattr(cli, "run_clt_experiment", no_experiment)
+        assert main(["--out", str(tmp_path), "moments", "--n", "16",
+                     "--poly", "0,0,1", "--m", "10", "--max-order", "9"]) == 2
+        assert "max_order must lie in [1, 8]" in capsys.readouterr().err

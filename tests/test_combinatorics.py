@@ -12,13 +12,15 @@ from circulant_clt import (
     BudgetExceededError,
     LatticeSliceCount,
     TestPolynomial,
-    count_slice_bruteforce,
-    count_slice_distinct,
-    count_slice_exact,
     euler_frobenius_density,
     gaussian_central_moment,
     limiting_variance,
     slice_table,
+)
+from circulant_clt.combinatorics import (
+    count_slice_bruteforce,
+    count_slice_distinct,
+    count_slice_exact,
 )
 
 
@@ -126,8 +128,19 @@ class TestDistinctCounts:
             )
 
     def test_budget_refusal(self):
+        # 2 * 10^4 * (10^4 + 1) recursion steps exceed the default 10^8
         with pytest.raises(BudgetExceededError, match="budget"):
-            count_slice_distinct(4, 1, 200)
+            count_slice_distinct(2, 1, 10_000)
+
+    def test_budget_counts_recursion_steps(self):
+        # the guard bounds p*n*(s*n + 1) steps, not the n^p tuples of a
+        # full enumeration: 2*1000*1001 = 2_002_000
+        with pytest.raises(BudgetExceededError, match="budget"):
+            count_slice_distinct(2, 1, 1000, budget=1_500_000)
+        assert count_slice_distinct(2, 1, 1000, budget=2_002_000) == 998
+        # 22^6 tuples exceed 10^8, but the recursion takes 8844 steps
+        count = count_slice_distinct(6, 3, 22)
+        assert 0 < count <= count_slice_exact(6, 3, 22)
 
     def test_negligible_in_the_limit(self):
         # The repeated-coordinate excess is Theta(n^(p-2)), so the

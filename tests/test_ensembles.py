@@ -8,31 +8,33 @@ import pytest
 
 from circulant_clt import (
     EnsembleSpec,
-    RandomStream,
     SmoothnessRequiredError,
-    custom_smooth,
     from_family,
     gaussian,
     rademacher,
+    uniform_symmetric,
+)
+from circulant_clt.ensembles import (
+    RandomStream,
     sample_sequence,
     smooth_transform_value,
-    uniform_symmetric,
-    verify_standardization,
 )
 
 SQRT3 = math.sqrt(3.0)
 ALL_FAMILIES = [gaussian(), rademacher(), uniform_symmetric()]
+# E X^4 of each standardized law: 3 (normal), 1 (signs), 9/5 (uniform)
+FOURTH_MOMENTS = {"gaussian": 3.0, "rademacher": 1.0, "uniform_symmetric": 9.0 / 5.0}
 
 
 class TestSpecConstruction:
     def test_builtin_constants(self):
         g = gaussian()
         assert (g.c1, g.c2) == (1.0, 0.0)
-        assert g.subgaussian_sigma == 1.0 and g.symmetric
+        assert g.subgaussian_sigma == 1.0
 
         r = rademacher()
         assert r.c1 is None and r.c2 is None and not r.is_smooth
-        assert r.subgaussian_sigma == 1.0 and r.symmetric
+        assert r.subgaussian_sigma == 1.0
 
         u = uniform_symmetric()
         assert u.c1 == pytest.approx(2 * SQRT3 / math.sqrt(2 * math.pi))
@@ -51,7 +53,7 @@ class TestSpecConstruction:
             EnsembleSpec("rademacher", subgaussian_sigma=1.0, c1=1.0, c2=0.0)
         with pytest.raises(ValueError):
             EnsembleSpec("gaussian", subgaussian_sigma=0.0, c1=1.0, c2=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown family"):
             EnsembleSpec("custom_smooth", subgaussian_sigma=1.0, c1=1.0, c2=1.0)
 
 
@@ -104,6 +106,11 @@ class TestSampling:
         mu4 = np.mean((xs - xs.mean()) ** 4)
         se_var = math.sqrt(max(mu4 - xs.var() ** 2, 0.0) / m)
         assert abs(xs.var(ddof=1) - 1.0) <= 5 * max(se_var, 1e-12)
+        fourth = xs**4
+        se_fourth = fourth.std(ddof=1) / math.sqrt(m)
+        assert abs(fourth.mean() - FOURTH_MOMENTS[spec.family]) <= 5 * max(
+            se_fourth, 1e-12
+        )
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     def test_subgaussian_tail_proxy(self, spec):
@@ -159,49 +166,3 @@ class TestSmoothTransform:
     def test_rejects_rademacher(self):
         with pytest.raises(SmoothnessRequiredError):
             smooth_transform_value(rademacher(), 0.0)
-
-
-class TestCustomSmooth:
-    def test_matches_uniform_when_given_its_transform(self):
-        from scipy.special import ndtr
-
-        spec = custom_smooth(
-            transform=lambda z: 2 * SQRT3 * (ndtr(z) - 0.5),
-            c1=uniform_symmetric().c1,
-            c2=uniform_symmetric().c2,
-            subgaussian_sigma=SQRT3,
-        )
-        stream = RandomStream(21, 2)
-        a = sample_sequence(spec, 500, stream)
-        b = sample_sequence(uniform_symmetric(), 500, stream)
-        assert np.allclose(a, b)
-
-
-class TestVerifyStandardization:
-    def test_rademacher_even_abs_moments_exact(self):
-        report = verify_standardization(rademacher(), 1000, RandomStream(5, 0), 6)
-        for k in (2, 4, 6):
-            assert report.abs_moments[k - 1] == 1.0
-
-    def test_gaussian_fourth_moment(self):
-        report = verify_standardization(gaussian(), 10**5, RandomStream(6, 0), 4)
-        assert abs(report.abs_moments[3] - 3.0) <= 0.2
-
-    def test_uniform_fourth_moment(self):
-        report = verify_standardization(
-            uniform_symmetric(), 10**5, RandomStream(7, 0), 4
-        )
-        assert abs(report.abs_moments[3] - 9.0 / 5.0) <= 0.1
-
-    def test_report_consistency(self):
-        report = verify_standardization(gaussian(), 5000, RandomStream(8, 0), 5)
-        assert report.m == 5000
-        assert len(report.abs_moments) == 5
-        assert all(se >= 0 for se in report.abs_moment_ses)
-        assert abs(report.mean) <= 5 * report.mean_se
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            verify_standardization(gaussian(), 99, RandomStream(0, 0), 4)
-        with pytest.raises(ValueError):
-            verify_standardization(gaussian(), 1000, RandomStream(0, 0), 2)

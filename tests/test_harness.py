@@ -14,15 +14,14 @@ from circulant_clt import (
     empirical_moments,
     estimate_kappas,
     gaussian,
-    ks_distance,
     norm_scaling_study,
     rademacher,
     run_clt_experiment,
     standardized_moments,
     uniform_symmetric,
-    variance_convergence_study,
 )
 from circulant_clt import harness
+from circulant_clt.harness import ks_distance
 
 POLY_X2 = TestPolynomial((1.0,))
 POLY_X2_X3 = TestPolynomial((1.0, 1.0))
@@ -115,6 +114,14 @@ class TestRunExperiment:
     def test_variance_near_target_at_moderate_scale(self):
         summary = run_clt_experiment(make_config(n=256, m=800, master_seed=7))
         assert abs(summary.variance_w - 2.0) <= 0.3
+
+    @pytest.mark.parametrize("n, expected", [(63, 1.0), (64, 2.0)])
+    def test_raw_trace_mean_odd_even(self, n, expected):
+        # E Tr C^2 is 1 for odd n, 2 for even n
+        summary = run_clt_experiment(make_config(n=n, m=2000, master_seed=17))
+        se = summary.raw_traces.std(ddof=1) / math.sqrt(summary.m)
+        assert summary.raw_trace_mean == float(summary.raw_traces.mean())
+        assert abs(summary.raw_trace_mean - expected) <= 3 * se
 
 
 class TestKsDistance:
@@ -228,19 +235,3 @@ class TestNormScaling:
             norm_scaling_study(gaussian(), [1], trials=3)
         with pytest.raises(ValueError):
             norm_scaling_study(gaussian(), [16], trials=0)
-
-
-class TestVarianceConvergence:
-    def test_rows_and_mean_boundedness(self):
-        config = make_config(m=2000, master_seed=17)
-        rows = variance_convergence_study(config, [63, 64])
-        by_n = {row.n: row for row in rows}
-        # E Tr C^2 is 1 for odd n, 2 for even n
-        assert abs(by_n[63].raw_trace_mean - 1.0) <= 3 * by_n[63].raw_trace_mean_se
-        assert abs(by_n[64].raw_trace_mean - 2.0) <= 3 * by_n[64].raw_trace_mean_se
-        for row in rows:
-            assert row.gap == pytest.approx(abs(row.variance_w - 2.0))
-
-    def test_requires_sizes(self):
-        with pytest.raises(ValueError):
-            variance_convergence_study(make_config(), [])
