@@ -1,12 +1,15 @@
 """Circulant realizations: spectra, traces, gradients, norm bounds.
 
 A circulant matrix here has entry (i, j) equal to x[(j - i) mod n], where
-x = X / sqrt(n) is the scaled first row built from raw inputs X.  Its
-eigenvalues are
+x = X / sqrt(n) is the scaled first row built from raw inputs X.  A
+replica is just its array X.  Its eigenvalues are
 
     lambda_t = sum_k x_k * w^(t k),   w = exp(2 pi i / n),
 
-computed in O(n log n) as n * ifft(x).  Because x is real the spectrum is
+computed in O(n log n) by :func:`spectrum` as n * ifft(x).  The trace,
+norm, gradient and Hessian-majorant kernels are plain functions of that
+spectrum array lam; only the oracles :func:`trace_power_direct` and
+:func:`dense_matrix` take X itself.  Because x is real the spectrum is
 conjugate-symmetric, so traces of real polynomials are real up to
 transform noise; every spectral-route operation checks that residual.
 
@@ -32,7 +35,7 @@ appears in the n positions of one diagonal class, giving
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -118,48 +121,22 @@ class TestPolynomial:
         return float(_horner([k * (k - 1) * abs(a) for k, a in self.terms()], z))
 
 
-@dataclass(frozen=True)
-class CirculantSample:
-    """One realization: raw inputs, scaled first row, cached spectrum.
-
-    Immutable after construction; the spectrum cache is single-assignment
-    (recomputation under a race yields the identical array, so publication
-    is idempotent and thread-safe).
-    """
-
-    n: int
-    raw_inputs: np.ndarray
-    scaled_row: np.ndarray
-    _spectrum: np.ndarray | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.raw_inputs.shape != (self.n,) or self.scaled_row.shape != (self.n,):
-            raise ValueError("input vectors must have length n")
-        self.raw_inputs.setflags(write=False)
-        self.scaled_row.setflags(write=False)
-
-    def spectrum(self) -> np.ndarray:
-        """Eigenvalues lambda_t = sum_k x_k w^(t k), computed once and cached."""
-        if self._spectrum is None:
-            lam = self.n * np.fft.ifft(self.scaled_row)
-            lam.setflags(write=False)
-            object.__setattr__(self, "_spectrum", lam)
-        return self._spectrum
-
-    def dense_matrix(self) -> np.ndarray:
-        """Materialize the full matrix; intended for small-n oracle checks."""
-        idx = (np.arange(self.n)[None, :] - np.arange(self.n)[:, None]) % self.n
-        return self.scaled_row[idx]
+def spectrum(raw: np.ndarray) -> np.ndarray:
+    """Eigenvalues lambda_t = sum_k x_k w^(t k) of the circulant of raw inputs X."""
+    n = len(raw)
+    return n * np.fft.ifft(raw / math.sqrt(n))
 
 
-def build_sample(spec: EnsembleSpec, n: int, stream: RandomStream) -> CirculantSample:
-    """Draw raw inputs from the ensemble and scale the first row by 1/sqrt(n)."""
-    raw = sample_sequence(spec, n, stream)
-    return CirculantSample(n=n, raw_inputs=raw, scaled_row=raw / math.sqrt(n))
+def build_sample(spec: EnsembleSpec, n: int, stream: RandomStream) -> np.ndarray:
+    """Draw one replica's raw inputs from the ensemble and return its spectrum."""
+    return spectrum(sample_sequence(spec, n, stream))
+
+
+def dense_matrix(raw: np.ndarray) -> np.ndarray:
+    """Materialize the full matrix of raw inputs X; for small-n oracle checks."""
+    n = len(raw)
+    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    return (raw / math.sqrt(n))[idx]
 
 
 def _check_real(value: complex, what: str) -> float:
@@ -171,18 +148,18 @@ def _check_real(value: complex, what: str) -> float:
     return float(value.real)
 
 
-def trace_power_spectral(sample: CirculantSample, p: int) -> float:
+def trace_power_spectral(lam: np.ndarray, p: int) -> float:
     """Tr(C^p) as the eigenvalue power sum Re(sum_t lambda_t^p)."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    total = complex(np.sum(sample.spectrum() ** p))
+    total = complex(np.sum(lam**p))
     return _check_real(total, f"Tr(C^{p})")
 
 
 def trace_power_direct(
-    sample: CirculantSample, p: int, budget: int = DEFAULT_TRACE_BUDGET
+    raw: np.ndarray, p: int, budget: int = DEFAULT_TRACE_BUDGET
 ) -> float:
-    """Tr(C^p) by explicit enumeration of the defining index sum.
+    """Tr(C^p) of the circulant of raw inputs X by the defining index sum.
 
     Visits all n^(p-1) free index tuples (the last index is determined
     modulo n); refuses when that exceeds the budget.  Exists as an
@@ -190,14 +167,14 @@ def trace_power_direct(
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    n = sample.n
+    n = len(raw)
     tuples = n ** (p - 1)
     if tuples > budget:
         raise BudgetExceededError(
             f"direct trace would visit {n}^{p - 1} = {tuples} tuples, "
             f"exceeding the budget of {budget}"
         )
-    x = sample.scaled_row
+    x = raw / math.sqrt(n)
     if p == 1:
         return n * float(x[0])
     idx = np.arange(n)
@@ -210,27 +187,24 @@ def trace_power_direct(
     return n * float(np.sum(prods * x[closing]))
 
 
-def trace_polynomial(sample: CirculantSample, poly: TestPolynomial) -> float:
+def trace_polynomial(lam: np.ndarray, poly: TestPolynomial) -> float:
     """Tr P(C) = sum_t P(lambda_t) along the spectral route."""
-    return _check_real(complex(np.sum(poly.evaluate(sample.spectrum()))), "Tr P(C)")
+    return _check_real(complex(np.sum(poly.evaluate(lam))), "Tr P(C)")
 
 
-def spectral_norm(sample: CirculantSample) -> float:
+def spectral_norm(lam: np.ndarray) -> float:
     """Operator norm max_t |lambda_t|; circulant matrices are normal."""
-    return float(np.max(np.abs(sample.spectrum())))
+    return float(np.max(np.abs(lam)))
 
 
-def gradient_trace_polynomial(
-    sample: CirculantSample, poly: TestPolynomial
-) -> np.ndarray:
+def gradient_trace_polynomial(lam: np.ndarray, poly: TestPolynomial) -> np.ndarray:
     """Gradient of X -> Tr P(C(X)) with respect to the raw inputs.
 
     P'(C) is circulant with first-row symbol d = fft(P'(lambda)) / n; the
     chain rule through x = X / sqrt(n) and the n occurrences of each x_m
     give d/dX_m = sqrt(n) * d[(n - m) mod n].
     """
-    n = sample.n
-    lam = sample.spectrum()
+    n = len(lam)
     d_row = np.fft.fft(poly.derivative_values(lam)) / n
     scale = 1.0 + float(np.max(np.abs(d_row.real)))
     residual = float(np.max(np.abs(d_row.imag)))
@@ -243,13 +217,14 @@ def gradient_trace_polynomial(
     return math.sqrt(n) * d_row.real[(n - m) % n]
 
 
-def hessian_norm_bound(sample: CirculantSample, poly: TestPolynomial) -> float:
-    """Majorant m2(||C||) / n for the Hessian norm of the normalized statistic.
+def hessian_norm_bound(lam: np.ndarray, poly: TestPolynomial) -> float:
+    """Majorant m2(||C||) for the Hessian norm of g(X) = Tr P(C(X)).
 
-    Bounds the operator norm of the Hessian of X -> Tr P(C(X)) / n: the map
-    from X to the matrix entries is an isometry, the entrywise Hessian of
-    Tr P is bounded by m2 of the operator norm, and the 1/n normalization
-    passes through.  Used as the conservative kappa_2 surrogate; the dense
-    Hessian is never materialized outside small-n tests.
+    The map from X to the matrix entries is an isometry and the entrywise
+    Hessian of Tr P is bounded by m2 of the operator norm, so this bounds
+    the operator norm of the Hessian of g, the function whose gradient and
+    variance the other kappa estimates use.  Serves as the conservative
+    kappa_2 surrogate; the dense Hessian is never materialized outside
+    small-n tests.
     """
-    return poly.second_derivative_majorant(spectral_norm(sample)) / sample.n
+    return poly.second_derivative_majorant(spectral_norm(lam))

@@ -57,7 +57,8 @@ def parse_config(doc) -> ExperimentConfig:
 
     Accepts a JSON string or a mapping.  Unknown keys are rejected;
     n and poly are required; m defaults to 2000 and worker_count to the
-    available parallelism.
+    available parallelism.  n, m, seed and worker_count must be integers
+    and poly a list of numbers; nothing is rounded or split into digits.
     """
     if isinstance(doc, (str, bytes)):
         try:
@@ -74,16 +75,26 @@ def parse_config(doc) -> ExperimentConfig:
     for key in ("n", "poly"):
         if key not in data:
             raise ConfigError(f"missing required config key: {key}")
+    data = {"m": DEFAULT_REPLICAS, "seed": 0, "worker_count": os.cpu_count() or 1,
+            **data}
+    for key in ("n", "m", "seed", "worker_count"):
+        if type(data[key]) is not int:  # bool and float are refused, not cast
+            raise ConfigError(f"config key {key} must be an integer, "
+                              f"not {data[key]!r}")
+    if not (isinstance(data["poly"], list)
+            and all(type(a) in (int, float) for a in data["poly"])):
+        raise ConfigError(f"config key poly must be a list of numbers, "
+                          f"not {data['poly']!r}")
     try:
         poly = TestPolynomial.from_dense(data["poly"])
         ensemble = from_family(str(data.get("family", "gaussian")))
         return ExperimentConfig(
-            n=int(data["n"]),
-            m=int(data.get("m", DEFAULT_REPLICAS)),
+            n=data["n"],
+            m=data["m"],
             poly=poly,
             ensemble=ensemble,
-            master_seed=int(data.get("seed", 0)),
-            worker_count=int(data.get("worker_count", os.cpu_count() or 1)),
+            master_seed=data["seed"],
+            worker_count=data["worker_count"],
         )
     except ConfigError:
         raise

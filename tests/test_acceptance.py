@@ -49,17 +49,17 @@ from circulant_clt import (
     uniform_symmetric,
 )
 from circulant_clt.circulant import (
-    CirculantSample,
-    build_sample,
+    dense_matrix,
     gradient_trace_polynomial,
     hessian_norm_bound,
+    spectrum,
     trace_polynomial,
     trace_power_direct,
     trace_power_spectral,
 )
 from circulant_clt.cli import main as cli_main
 from circulant_clt.combinatorics import count_slice_bruteforce, count_slice_exact
-from circulant_clt.ensembles import RandomStream
+from circulant_clt.ensembles import RandomStream, sample_sequence
 
 POLY_X2 = TestPolynomial((1.0,))
 POLY_X3 = TestPolynomial((0.0, 1.0))
@@ -76,11 +76,6 @@ def random_poly(rng: np.random.Generator, max_degree: int = 5) -> TestPolynomial
     if coeffs[-1] == 0.0:
         coeffs[-1] = 1.0
     return TestPolynomial(tuple(coeffs))
-
-
-def build_from_raw(X: np.ndarray) -> CirculantSample:
-    n = len(X)
-    return CirculantSample(n=n, raw_inputs=X.copy(), scaled_row=X / math.sqrt(n))
 
 
 def test_criterion_01_combinatorial_oracle_equivalence():
@@ -142,23 +137,23 @@ def test_criterion_03_trace_route_equivalence():
         n = int(rng.integers(2, 33))
         p = int(rng.integers(1, 5))
         spec = families[case % 3]
-        sample = build_sample(spec, n, RandomStream(1003, case))
-        a = trace_power_spectral(sample, p)
-        b = trace_power_direct(sample, p)
+        raw = sample_sequence(spec, n, RandomStream(1003, case))
+        a = trace_power_spectral(spectrum(raw), p)
+        b = trace_power_direct(raw, p)
         gap = abs(a - b) / max(1.0, abs(a), abs(b))
         worst = max(worst, gap)
         assert gap <= 1e-10
     for case in range(20):
         n = int(rng.integers(2, 65))
         poly = random_poly(rng)
-        sample = build_sample(families[case % 3], n, RandomStream(1004, case))
-        C = sample.dense_matrix()
+        raw = sample_sequence(families[case % 3], n, RandomStream(1004, case))
+        C = dense_matrix(raw)
         power = C.copy()
         dense = 0.0
         for k in range(2, poly.degree + 1):
             power = power @ C
             dense += dict(poly.terms()).get(k, 0.0) * np.trace(power)
-        fast = trace_polynomial(sample, poly)
+        fast = trace_polynomial(spectrum(raw), poly)
         assert abs(fast - dense) <= 1e-8 * max(1.0, abs(dense))
     report("criterion-03 trace-routes", True,
            f"200 spectral/direct cases (worst rel gap {worst:.2e}); "
@@ -212,9 +207,9 @@ def test_criterion_06_degree_one_identity():
     families = [gaussian(), rademacher(), uniform_symmetric()]
     for case in range(100):
         n = int(rng.integers(1, 2049))
-        sample = build_sample(families[case % 3], n, RandomStream(606, case))
-        lhs = trace_power_spectral(sample, 1) / math.sqrt(n)
-        x0 = sample.raw_inputs[0]
+        raw = sample_sequence(families[case % 3], n, RandomStream(606, case))
+        lhs = trace_power_spectral(spectrum(raw), 1) / math.sqrt(n)
+        x0 = raw[0]
         assert abs(lhs - x0) <= 1e-12 * (1 + abs(x0))
     report("criterion-06 degree-one identity", True,
            "Tr(C)/sqrt(n) == X_0 to 1e-12 in 100 random samples")
@@ -245,19 +240,16 @@ def test_criterion_08_gradient_vs_finite_differences():
     for case in range(50):
         n = int(rng.integers(2, 129))
         poly = random_poly(rng)
-        sample = build_sample(families[case % 3], n, RandomStream(808, case))
-        grad = gradient_trace_polynomial(sample, poly)
+        raw = sample_sequence(families[case % 3], n, RandomStream(808, case))
+        grad = gradient_trace_polynomial(spectrum(raw), poly)
         fd = np.empty(n)
         for k in range(n):
-            Xp = sample.raw_inputs.copy()
-            Xm = sample.raw_inputs.copy()
+            Xp = raw.copy()
+            Xm = raw.copy()
             Xp[k] += step
             Xm[k] -= step
-            sp = build_from_raw(Xp)
-            sm = build_from_raw(Xm)
-            fd[k] = (trace_polynomial(sp, poly) - trace_polynomial(sm, poly)) / (
-                2 * step
-            )
+            fd[k] = (trace_polynomial(spectrum(Xp), poly)
+                     - trace_polynomial(spectrum(Xm), poly)) / (2 * step)
         rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-9)
         worst = max(worst, rel)
         assert rel <= 1e-6
@@ -273,22 +265,22 @@ def test_criterion_09_hessian_majorant():
         n = int(rng.integers(2, 33))
         # the pure quadratic attains the bound exactly; keep it in the mix
         poly = POLY_X2 if trial % 10 == 0 else random_poly(rng)
-        sample = build_sample(families[trial % 3], n, RandomStream(909, trial))
+        raw = sample_sequence(families[trial % 3], n, RandomStream(909, trial))
         H = np.empty((n, n))
         for k in range(n):
-            Xp = sample.raw_inputs.copy()
-            Xm = sample.raw_inputs.copy()
+            Xp = raw.copy()
+            Xm = raw.copy()
             Xp[k] += step
             Xm[k] -= step
-            gp = gradient_trace_polynomial(build_from_raw(Xp), poly)
-            gm = gradient_trace_polynomial(build_from_raw(Xm), poly)
-            # Hessian of the normalized statistic Tr P(C)/n
-            H[:, k] = (gp - gm) / (2 * step) / n
+            gp = gradient_trace_polynomial(spectrum(Xp), poly)
+            gm = gradient_trace_polynomial(spectrum(Xm), poly)
+            # Hessian of the statistic g = Tr P(C) itself
+            H[:, k] = (gp - gm) / (2 * step)
         opnorm = float(np.linalg.norm(H, 2))
-        bound = hessian_norm_bound(sample, poly)
+        bound = hessian_norm_bound(spectrum(raw), poly)
         assert opnorm <= bound * (1 + 1e-8)
     report("criterion-09 hessian-majorant", True,
-           "100 FD Hessians (n<=32) all within m2(||C||)/n")
+           "100 FD Hessians of Tr P(C) (n<=32) all within m2(||C||)")
 
 
 def test_criterion_10_tv_bound_machinery():
@@ -307,16 +299,16 @@ def test_criterion_10_tv_bound_machinery():
     band_ns = (256, 1024, 4096)
     ests = {n: estimate(n) for n in band_ns}
     k0_ratios = [ests[n].kappa0_hat / math.sqrt(n) for n in band_ns]
-    # degree 2: (sqrt(log n))^(d-2) == 1
-    k2_ratios = [ests[n].kappa2_hat * n for n in band_ns]
     band0_ok = max(k0_ratios) <= 2 * min(k0_ratios)
-    band2_ok = max(k2_ratios) <= 2 * min(k2_ratios)
+    # degree 2: the Hessian of Tr C^2 has operator norm exactly m2 = 2
+    k2_values = [ests[n].kappa2_hat for n in band_ns]
+    kappa2_ok = k2_values == [2.0] * len(band_ns)
 
-    ok = decay_ok and band0_ok and band2_ok
+    ok = decay_ok and band0_ok and kappa2_ok
     report("criterion-10 tv-machinery", ok,
            f"tv(4096)/tv(256) = {est_large.tv_bound / est_small.tv_bound:.4f} "
-           f"(<= 0.6); kappa0/sqrt(n) band {max(k0_ratios)/min(k0_ratios):.3f}, "
-           f"kappa2*n band {max(k2_ratios)/min(k2_ratios):.3f} (each <= 2)")
+           f"(<= 0.6); kappa0/sqrt(n) band {max(k0_ratios)/min(k0_ratios):.3f} "
+           f"(<= 2); kappa2 = {k2_values} (== 2)")
     assert ok
 
 

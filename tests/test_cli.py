@@ -202,6 +202,22 @@ class TestSimulateCommand:
         assert "worker_count must be positive" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 64.9, "config key n must be an integer"),
+        ("seed", 1.7, "config key seed must be an integer"),
+        ("worker_count", 2.5, "config key worker_count must be an integer"),
+        ("m", True, "config key m must be an integer"),
+        ("poly", "0012", "config key poly must be a list of numbers"),
+    ])
+    def test_config_refuses_non_integers_and_non_lists(self, tmp_path, capsys,
+                                                       key, value, message):
+        # each value used to be cast (64.9 -> 64) or read digit by digit
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**MINIMAL, "n": 32, "m": 20, key: value}))
+        assert main(["--out", str(tmp_path), "simulate", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "tv-bound"])
     def test_config_with_inline_flags_refused(self, tmp_path, capsys, command):
         path = tmp_path / "config.json"

@@ -9,7 +9,6 @@ import pytest
 from circulant_clt import (
     ExperimentConfig,
     SmoothnessRequiredError,
-    SteinEstimate,
     TestPolynomial,
     empirical_moments,
     estimate_kappas,
@@ -21,6 +20,8 @@ from circulant_clt import (
     uniform_symmetric,
 )
 from circulant_clt import harness
+from circulant_clt.circulant import dense_matrix, gradient_trace_polynomial, spectrum
+from circulant_clt.ensembles import RandomStream, sample_sequence
 from circulant_clt.harness import ks_distance
 
 POLY_X2 = TestPolynomial((1.0,))
@@ -115,6 +116,17 @@ class TestRunExperiment:
         summary = run_clt_experiment(make_config(n=256, m=800, master_seed=7))
         assert abs(summary.variance_w - 2.0) <= 0.3
 
+    @pytest.mark.parametrize("spec", [gaussian(), rademacher(), uniform_symmetric()],
+                             ids=lambda s: s.family)
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_replica_r_draw_lands_in_slot_r(self, spec, n):
+        config = make_config(n=n, m=6, poly=POLY_X2_X3, ensemble=spec, worker_count=2)
+        traces = run_clt_experiment(config).raw_traces
+        for r in range(config.m):
+            C = dense_matrix(sample_sequence(spec, n, RandomStream(config.master_seed, r)))
+            dense = np.trace(C @ C) + np.trace(C @ C @ C)
+            assert traces[r] == pytest.approx(dense, rel=1e-10)
+
     @pytest.mark.parametrize("n, expected", [(63, 1.0), (64, 2.0)])
     def test_raw_trace_mean_odd_even(self, n, expected):
         # E Tr C^2 is 1 for odd n, 2 for even n
@@ -175,9 +187,28 @@ class TestSteinMachinery:
             estimate_kappas(make_config(ensemble=rademacher()))
 
     def test_kappa2_exact_for_square(self):
-        # m2 is the constant 2|a_2|, so the surrogate is exactly 2/n
+        # m2 is the constant 2|a_2|, so the surrogate is exactly 2
         est = estimate_kappas(make_config(m=50))
-        assert est.kappa2_hat == pytest.approx(2.0 / 64)
+        assert est.kappa2_hat == pytest.approx(2.0)
+
+    def test_kappa2_majorizes_fd_hessian_of_trace(self):
+        # kappa2 must bound (E ||Hess g||^4)^(1/4) for the same g = Tr P(C)
+        # whose gradient and variance enter the bound
+        config = make_config(n=16, m=8, poly=POLY_X2_X3, master_seed=1)
+        step = 1e-5
+        norms = []
+        for r in range(config.m):
+            X = sample_sequence(config.ensemble, 16, RandomStream(1, r))
+            H = np.empty((16, 16))
+            for k in range(16):
+                e = np.zeros(16)
+                e[k] = step
+                gp = gradient_trace_polynomial(spectrum(X + e), POLY_X2_X3)
+                gm = gradient_trace_polynomial(spectrum(X - e), POLY_X2_X3)
+                H[:, k] = (gp - gm) / (2 * step)
+            norms.append(np.linalg.norm(H, 2))
+        floor = float(np.mean(np.array(norms) ** 4)) ** 0.25
+        assert estimate_kappas(config).kappa2_hat >= floor
 
     def test_gaussian_kills_kappa0_term(self):
         est = estimate_kappas(make_config(m=50))
@@ -207,18 +238,6 @@ class TestSteinMachinery:
             r_large = getattr(large, field) / math.sqrt(256)
             assert 0.5 <= r_small / r_large <= 2.0
 
-    def test_estimate_invariant_enforced(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            SteinEstimate(
-                kappa0_hat=1.0,
-                kappa1_hat=1.0,
-                kappa2_hat=1.0,
-                sigma2_hat=1.0,
-                c1=1.0,
-                c2=0.0,
-                tv_bound=1.0,
-            )
-
 
 class TestNormScaling:
     def test_rademacher_accepted(self):
@@ -229,6 +248,19 @@ class TestNormScaling:
     def test_smallest_size_well_posed(self):
         (row,) = norm_scaling_study(gaussian(), [2], trials=3, master_seed=4)
         assert math.isfinite(row.max_ratio) and row.max_ratio > 0
+
+    def test_rows_are_dense_norms_of_their_streams(self):
+        sizes, trials = [7, 8, 16], 4
+        rows = norm_scaling_study(uniform_symmetric(), sizes, trials, master_seed=9)
+        for i, (n, row) in enumerate(zip(sizes, rows)):
+            ratios = [
+                np.linalg.norm(dense_matrix(sample_sequence(
+                    uniform_symmetric(), n, RandomStream(9, i * trials + t))), 2)
+                / math.sqrt(math.log(n))
+                for t in range(trials)
+            ]
+            assert row.max_ratio == pytest.approx(max(ratios), rel=1e-10)
+            assert row.mean_ratio == pytest.approx(np.mean(ratios), rel=1e-10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
