@@ -6,20 +6,20 @@ replica is just its array X.  Its eigenvalues are
 
     lambda_t = sum_k x_k * w^(t k),   w = exp(2 pi i / n),
 
-computed in O(n log n) by :func:`spectrum` as n * ifft(x).  The trace,
-norm, gradient and Hessian-majorant kernels are plain functions of that
-spectrum array lam; only the oracles :func:`trace_power_direct` and
-:func:`dense_matrix` take X itself.  Because x is real the spectrum is
-conjugate-symmetric, so traces of real polynomials are real up to
-transform noise; every spectral-route operation checks that residual.
+computed in O(n log n) by :func:`spectrum` as n * ifft(x).  As x is real,
+lambda_(n-t) = conj(lambda_t), so the production route keeps only the
+half spectrum 0 <= t <= n/2 of each row of a block of replicas
+(:func:`half_spectrum`, one rfft per block) and reduces
 
-The production statistic is the linear eigenvalue statistic
+    Tr P(C) = sum_t P(lambda_t)
 
-    Tr P(C) = sum_t P(lambda_t),
-
-with P evaluated once per eigenvalue by Horner's rule.  Traces of single
-matrix powers are offered by two independent oracle routes: the
-eigenvalue power sum and the defining index sum
+with the Hermitian weights 1 at t = 0 and t = n/2 (n even), 2 elsewhere
+(:func:`trace_block`), P evaluated by Horner's rule.  Those two bins are
+real by symmetry; the imaginary part the reduction drops there is checked
+against IMAG_RESIDUAL_TOL.  The per-replica kernels of a full spectrum
+(:func:`trace_polynomial`, :func:`gradient_trace_polynomial`,
+:func:`hessian_norm_bound`) are test oracles for the block route, as are
+:func:`trace_power_direct` and :func:`dense_matrix`, which take X itself:
 
     Tr(C^p) = n * sum x_{i_1} ... x_{i_p}   over i_1 + ... + i_p = 0 (mod n),
 
@@ -29,7 +29,9 @@ The gradient of X -> Tr P(C(X)) is exact matrix calculus: P'(C) is itself
 circulant with first-row symbol d = fft(P'(lambda)) / n, and each X_m
 appears in the n positions of one diagonal class, giving
 
-    d/dX_m Tr P(C) = sqrt(n) * d[(n - m) mod n].
+    d/dX_m Tr P(C) = sqrt(n) * d[(n - m) mod n] = sqrt(n) * ifft(P'(lambda))[m],
+
+which :func:`gradient_block` computes as sqrt(n) * irfft of the half spectrum.
 """
 
 from __future__ import annotations
@@ -114,17 +116,28 @@ class TestPolynomial:
     def derivative_values(self, z):
         return _horner([0.0, *(k * a for k, a in self.terms())], z)
 
-    def second_derivative_majorant(self, z: float) -> float:
+    def second_derivative_majorant(self, z):
         """m2(z) = sum_k k (k-1) |a_k| z^(k-2), nondecreasing for z >= 0."""
-        if z < 0:
+        if np.any(np.asarray(z) < 0):
             raise ValueError("the majorant is defined for z >= 0")
-        return float(_horner([k * (k - 1) * abs(a) for k, a in self.terms()], z))
+        return _horner([k * (k - 1) * abs(a) for k, a in self.terms()], z)
 
 
 def spectrum(raw: np.ndarray) -> np.ndarray:
     """Eigenvalues lambda_t = sum_k x_k w^(t k) of the circulant of raw inputs X."""
     n = len(raw)
     return n * np.fft.ifft(raw / math.sqrt(n))
+
+
+def half_spectrum(raw: np.ndarray) -> np.ndarray:
+    """lambda_t for 0 <= t <= n/2 of each row of raw inputs X, by one rfft.
+
+    The remaining eigenvalues are the conjugates lambda_(n-t) = conj(lambda_t).
+    """
+    lam = np.fft.rfft(raw, axis=-1)
+    np.conjugate(lam, out=lam)
+    lam /= math.sqrt(raw.shape[-1])
+    return lam
 
 
 def build_sample(spec: EnsembleSpec, n: int, stream: RandomStream) -> np.ndarray:
@@ -139,13 +152,30 @@ def dense_matrix(raw: np.ndarray) -> np.ndarray:
     return (raw / math.sqrt(n))[idx]
 
 
-def _check_real(value: complex, what: str) -> float:
-    if abs(value.imag) > IMAG_RESIDUAL_TOL * (1.0 + abs(value.real)):
+def _check_imag(residual, scale, what: str) -> None:
+    """Refuse an imaginary residual above IMAG_RESIDUAL_TOL * (1 + scale).
+
+    residual and scale are scalars or arrays of one entry per replica.
+    """
+    excess = np.asarray(residual) > IMAG_RESIDUAL_TOL * (1.0 + np.asarray(scale))
+    if np.any(excess):
         raise ImaginaryResidualError(
-            f"{what} should be real; imaginary residual {value.imag:.3e} "
+            f"{what} should be real; imaginary residual "
+            f"{float(np.max(np.asarray(residual)[excess])):.3e} "
             f"exceeds tolerance {IMAG_RESIDUAL_TOL:.0e}"
         )
+
+
+def _check_real(value: complex, what: str) -> float:
+    _check_imag(abs(value.imag), abs(value.real), what)
     return float(value.real)
+
+
+def _self_conjugate_imag(vals: np.ndarray, n: int) -> np.ndarray:
+    """Per row, |Im| summed over the half-spectrum bins t = 0 and t = n/2
+    (n even): the imaginary part a Hermitian reduction drops."""
+    bins = [0, n // 2] if n % 2 == 0 else [0]
+    return np.abs(vals[:, bins].imag).sum(axis=1)
 
 
 def trace_power_spectral(lam: np.ndarray, p: int) -> float:
@@ -192,9 +222,10 @@ def trace_polynomial(lam: np.ndarray, poly: TestPolynomial) -> float:
     return _check_real(complex(np.sum(poly.evaluate(lam))), "Tr P(C)")
 
 
-def spectral_norm(lam: np.ndarray) -> float:
-    """Operator norm max_t |lambda_t|; circulant matrices are normal."""
-    return float(np.max(np.abs(lam)))
+def spectral_norm(lam: np.ndarray):
+    """Operator norm max_t |lambda_t| along the last axis; circulant matrices
+    are normal, and a half spectrum holds every modulus."""
+    return np.abs(lam).max(axis=-1)
 
 
 def gradient_trace_polynomial(lam: np.ndarray, poly: TestPolynomial) -> np.ndarray:
@@ -206,13 +237,8 @@ def gradient_trace_polynomial(lam: np.ndarray, poly: TestPolynomial) -> np.ndarr
     """
     n = len(lam)
     d_row = np.fft.fft(poly.derivative_values(lam)) / n
-    scale = 1.0 + float(np.max(np.abs(d_row.real)))
-    residual = float(np.max(np.abs(d_row.imag)))
-    if residual > IMAG_RESIDUAL_TOL * scale:
-        raise ImaginaryResidualError(
-            f"derivative symbol should be real; imaginary residual "
-            f"{residual:.3e} exceeds tolerance {IMAG_RESIDUAL_TOL:.0e}"
-        )
+    _check_imag(np.max(np.abs(d_row.imag)), np.max(np.abs(d_row.real)),
+                "derivative symbol")
     m = np.arange(n)
     return math.sqrt(n) * d_row.real[(n - m) % n]
 
@@ -227,4 +253,28 @@ def hessian_norm_bound(lam: np.ndarray, poly: TestPolynomial) -> float:
     kappa_2 surrogate; the dense Hessian is never materialized outside
     small-n tests.
     """
-    return poly.second_derivative_majorant(spectral_norm(lam))
+    return float(poly.second_derivative_majorant(spectral_norm(lam)))
+
+
+def trace_block(lam: np.ndarray, n: int, poly: TestPolynomial) -> np.ndarray:
+    """Tr P(C) of each row of half spectra: P(lambda_t) reduced with the
+    Hermitian weights 1 at t = 0 and t = n/2 (n even), 2 elsewhere."""
+    vals = poly.evaluate(lam)
+    weights = np.full(lam.shape[-1], 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    traces = (vals.real * weights).sum(axis=1)
+    _check_imag(_self_conjugate_imag(vals, n), np.abs(traces), "Tr P(C)")
+    return traces
+
+
+def gradient_block(lam: np.ndarray, n: int, poly: TestPolynomial) -> np.ndarray:
+    """Gradient of X -> Tr P(C(X)) for each row of half spectra:
+    sqrt(n) * irfft(P'(lambda)), the rows of :func:`gradient_trace_polynomial`."""
+    dvals = poly.derivative_values(lam)
+    grads = np.fft.irfft(dvals, n=n, axis=-1)
+    grads *= math.sqrt(n)
+    _check_imag(_self_conjugate_imag(dvals, n) / n,
+                np.abs(grads).max(axis=1) / math.sqrt(n), "derivative symbol")
+    return grads

@@ -16,7 +16,13 @@ so c1 = 2*sqrt(3)/sqrt(2*pi) and c2 = 2*sqrt(3)/sqrt(2*pi*e).
 
 Randomness is externalized: a :class:`RandomStream` names a substream as
 a pure function of (master_seed, replica_index), so concurrent replicas
-draw identical values regardless of scheduling.
+draw identical values regardless of scheduling.  Every substream of one
+master seed is a Philox generator with the same key and its own counter
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11):
+counter word 2 holds the replica index and words 0-1 advance within a
+draw, so substreams never overlap.  :func:`draw_rows` fills a block of
+consecutive replicas by re-setting one generator's counter per row, and
+:func:`sample_sequence` is its one-row case.
 """
 
 from __future__ import annotations
@@ -116,30 +122,54 @@ class RandomStream:
     def __post_init__(self) -> None:
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if self.replica_index < 0:
-            raise ValueError("replica_index must be nonnegative")
+        if not 0 <= self.replica_index < 2**64:
+            raise ValueError("replica_index must be a 64-bit unsigned integer")
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.replica_index,))
-        return np.random.Generator(np.random.Philox(seq))
+        """Philox keyed by the master seed, at counter [0, 0, replica_index, 0]."""
+        key = np.random.SeedSequence(self.master_seed).generate_state(2, np.uint64)
+        return np.random.Generator(
+            np.random.Philox(key=key, counter=[0, 0, self.replica_index, 0])
+        )
+
+
+def draw_rows(spec: EnsembleSpec, stream: RandomStream, out: np.ndarray) -> np.ndarray:
+    """Fill row i of out with the draw of replica stream.replica_index + i.
+
+    Each row is what a fresh :meth:`RandomStream.generator` of its replica
+    draws: one generator is reused, and only its counter word 2 and its
+    output buffer are reset per row.  Smooth families are sampled as u(Z)
+    of standard-normal draws, so identical streams yield coupled samples
+    across smooth families.
+    """
+    rng = stream.generator()
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    for i, row in enumerate(out):
+        counter[2] = stream.replica_index + i
+        bitgen.state = state
+        if spec.family == "rademacher":
+            row[:] = rng.integers(0, 2, size=row.size)
+        else:
+            rng.standard_normal(out=row)
+    if spec.family == "rademacher":
+        out *= 2.0
+        out -= 1.0
+    elif spec.family != "gaussian":
+        out[:] = smooth_transform_value(spec, out)
+    return out
 
 
 def sample_sequence(spec: EnsembleSpec, n: int, stream: RandomStream) -> np.ndarray:
     """Draw n independent standardized values from the spec's law.
 
-    Deterministic given (spec, n, stream).  Smooth families are sampled
-    as u(Z) of standard-normal draws, so identical streams yield coupled
-    samples across smooth families.
+    Deterministic given (spec, n, stream): the one-row case of
+    :func:`draw_rows`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = stream.generator()
-    if spec.family == "rademacher":
-        return rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
-    z = rng.standard_normal(n)
-    if spec.family == "gaussian":
-        return z
-    return smooth_transform_value(spec, z)
+    return draw_rows(spec, stream, np.empty((1, n)))[0]
 
 
 def smooth_transform_value(spec: EnsembleSpec, z):

@@ -20,10 +20,14 @@ the Hessian majorant surrogate for kappa2, and the empirical variance, all
 of the one function g(X) = Tr P(C(X)).  The bound requires a smooth
 symmetric ensemble.
 
-Replicas are embarrassingly parallel: each uses the substream named by
-(master_seed, replica_index) and writes into its own slot, and reductions
-run in fixed replica order, so results are bit-identical for any
-worker_count.
+Replicas run in fixed blocks of consecutive indices, BLOCK_VALUES input
+values per block (at least one and at most MAX_BLOCK_ROWS replicas),
+whatever the worker count.  A block is drawn row by row, each replica
+from the substream named by (master_seed, replica_index), into a buffer
+its worker thread reuses; one rfft gives the block's half spectra, and
+the statistics are reduced from those.  Each block writes into its own
+slots and reductions run in fixed replica order, so results are
+bit-identical for any worker_count.
 """
 
 from __future__ import annotations
@@ -40,18 +44,21 @@ from scipy.special import ndtr
 
 from .circulant import (
     TestPolynomial,
-    build_sample,
-    gradient_trace_polynomial,
-    hessian_norm_bound,
+    gradient_block,
+    half_spectrum,
     spectral_norm,
-    trace_polynomial,
+    trace_block,
 )
 from .combinatorics import limiting_variance
-from .ensembles import EnsembleSpec, RandomStream
+from .ensembles import EnsembleSpec, RandomStream, draw_rows
 from .errors import SmoothnessRequiredError
 
 MAX_MOMENT_ORDER = 8
 LOW_CONFIDENCE_REPLICAS = 30
+# Input values per replica block; with the block's spectra and Horner
+# temporaries this keeps a worker's arrays to a few hundred KiB.
+BLOCK_VALUES = 2**13
+MAX_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,7 @@ class ExperimentConfig:
             raise ValueError("need at least 2 replicas")
         if self.worker_count < 1:
             raise ValueError("worker_count must be positive")
+        RandomStream(self.master_seed)  # refuses a seed outside [0, 2**64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,34 +131,45 @@ class SteinEstimate:
         ) / self.sigma2_hat
 
 
-def _map_replicas(
-    config: ExperimentConfig,
-    fn: Callable[[np.ndarray], Sequence[float]],
-    width: int,
+def block_rows(n: int) -> int:
+    """Replicas per block: BLOCK_VALUES // n, clamped to [1, MAX_BLOCK_ROWS]."""
+    return min(max(BLOCK_VALUES // n, 1), MAX_BLOCK_ROWS)
+
+
+def _replica_blocks(
+    spec: EnsembleSpec,
+    n: int,
+    master_seed: int,
+    replicas: range,
+    worker_count: int,
+    fn: Callable[[np.ndarray], np.ndarray],
+    width: int = 1,
 ) -> np.ndarray:
-    """Evaluate fn on every replica's spectrum, filling rows by replica index.
+    """Evaluate fn on the half spectra of every block of replicas.
 
-    Rows are written into disjoint slots and reductions happen later in
-    index order, so the result is independent of worker_count.  The thread
-    count is capped by the replica count and the available CPUs.
+    fn maps a (rows, n//2 + 1) block of half spectra to a (width, rows)
+    array; column r - replicas.start of the (width, len(replicas)) result
+    holds replica r.  Blocks start every block_rows(n) replicas from
+    replicas.start, and the thread count is capped by the block count and
+    the available CPUs.
     """
-    out = np.empty((config.m, width))
+    rows = block_rows(n)
+    starts = range(replicas.start, replicas.stop, rows)
+    out = np.empty((width, len(replicas)))
 
-    def run_range(bounds: tuple[int, int]) -> None:
-        lo, hi = bounds
-        for r in range(lo, hi):
-            out[r, :] = fn(build_sample(
-                config.ensemble, config.n, RandomStream(config.master_seed, r)
-            ))
+    def run_blocks(mine: range) -> None:
+        buf = np.empty((min(rows, len(replicas)), n))
+        for lo in mine:
+            hi = min(lo + rows, replicas.stop)
+            block = draw_rows(spec, RandomStream(master_seed, lo), buf[: hi - lo])
+            out[:, lo - replicas.start : hi - replicas.start] = fn(half_spectrum(block))
 
-    workers = min(config.worker_count, config.m, os.cpu_count() or 1)
+    workers = min(worker_count, len(starts), os.cpu_count() or 1)
     if workers <= 1:
-        run_range((0, config.m))
+        run_blocks(starts)
     else:
-        step = -(-config.m // workers)
-        ranges = [(lo, min(lo + step, config.m)) for lo in range(0, config.m, step)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_range, ranges))
+            list(pool.map(run_blocks, [starts[w::workers] for w in range(workers)]))
     return out
 
 
@@ -203,9 +222,10 @@ def ks_distance(samples, variance: float) -> float:
 def run_clt_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run the replica experiment and summarize the normalized statistic W."""
     t0 = time.perf_counter()
-    traces = _map_replicas(
-        config, lambda lam: (trace_polynomial(lam, config.poly),), 1
-    )[:, 0]
+    traces = _replica_blocks(
+        config.ensemble, config.n, config.master_seed, range(config.m),
+        config.worker_count, lambda lam: trace_block(lam, config.n, config.poly),
+    )[0]
     t_bar = float(traces.mean())
     w = (traces - t_bar) / math.sqrt(config.n)
     target = float(limiting_variance(config.poly))
@@ -242,29 +262,34 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
 
     kappa0 = (E sum_k |dg/dX_k|^4)^(1/2) and kappa1 = (E ||grad g||^4)^(1/4)
     use the exact analytic gradient of g = Tr P(C); kappa2 =
-    (E ||Hess g||^4)^(1/4) uses the conservative majorant m2(||C||) from
-    :func:`hessian_norm_bound` instead of materializing any Hessian.
+    (E ||Hess g||^4)^(1/4) uses the conservative majorant m2(||C||) of
+    :func:`.circulant.hessian_norm_bound` instead of materializing any
+    Hessian.
     sigma2_hat is the empirical variance of g itself, so all four describe
     the same function.
     """
     c1, c2 = _require_smooth_symmetric(config.ensemble)
+    n, poly = config.n, config.poly
 
-    def per_replica(lam: np.ndarray) -> tuple[float, float, float, float]:
-        grad = gradient_trace_polynomial(lam, config.poly)
-        sq = grad * grad
+    def per_block(lam: np.ndarray) -> tuple[np.ndarray, ...]:
+        sq = gradient_block(lam, n, poly) ** 2
+        hess = poly.second_derivative_majorant(spectral_norm(lam))
         return (
-            float(np.sum(sq * sq)),
-            float(np.sum(sq)) ** 2,
-            hessian_norm_bound(lam, config.poly) ** 4,
-            trace_polynomial(lam, config.poly),
+            (sq * sq).sum(axis=1),
+            sq.sum(axis=1) ** 2,
+            np.broadcast_to(hess**4, len(lam)),
+            trace_block(lam, n, poly),
         )
 
-    rows = _map_replicas(config, per_replica, 4)
+    quartic, squared, hess4, traces = _replica_blocks(
+        config.ensemble, n, config.master_seed, range(config.m),
+        config.worker_count, per_block, width=4,
+    )
     return SteinEstimate(
-        kappa0_hat=math.sqrt(float(rows[:, 0].mean())),
-        kappa1_hat=float(rows[:, 1].mean()) ** 0.25,
-        kappa2_hat=float(rows[:, 2].mean()) ** 0.25,
-        sigma2_hat=float(rows[:, 3].var(ddof=1)),
+        kappa0_hat=math.sqrt(float(quartic.mean())),
+        kappa1_hat=float(squared.mean()) ** 0.25,
+        kappa2_hat=float(hess4.mean()) ** 0.25,
+        sigma2_hat=float(traces.var(ddof=1)),
         c1=c1,
         c2=c2,
     )
@@ -290,14 +315,16 @@ def norm_scaling_study(
     """
     if trials < 1:
         raise ValueError("need at least one trial per size")
+    RandomStream(master_seed)  # refuses a seed outside [0, 2**64)
+    if any(n < 2 for n in sizes):
+        raise ValueError("sizes must be at least 2")
     rows = []
     for i, n in enumerate(sizes):
-        if n < 2:
-            raise ValueError("sizes must be at least 2")
-        ratios = np.empty(trials)
-        for t in range(trials):
-            lam = build_sample(spec, n, RandomStream(master_seed, i * trials + t))
-            ratios[t] = spectral_norm(lam) / math.sqrt(math.log(n))
+        norms = _replica_blocks(
+            spec, n, master_seed, range(i * trials, (i + 1) * trials), 1,
+            spectral_norm,
+        )[0]
+        ratios = norms / math.sqrt(math.log(n))
         rows.append(NormScalingRow(n, trials, float(ratios.max()),
                                    float(ratios.mean())))
     return rows

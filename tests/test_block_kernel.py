@@ -1,0 +1,158 @@
+"""Block replica kernel tests: agreement with the per-replica and dense
+oracles across block boundaries, the imaginary-residual check on the
+self-conjugate bins, and the memory held per block."""
+
+import math
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from circulant_clt import (
+    ExperimentConfig,
+    ImaginaryResidualError,
+    TestPolynomial,
+    estimate_kappas,
+    gaussian,
+    rademacher,
+    run_clt_experiment,
+    uniform_symmetric,
+)
+from circulant_clt import harness
+from circulant_clt.circulant import (
+    build_sample,
+    gradient_block,
+    gradient_trace_polynomial,
+    hessian_norm_bound,
+    trace_polynomial,
+)
+from circulant_clt.ensembles import RandomStream, sample_sequence
+from test_circulant import dense_trace_polynomial
+
+FAMILIES = (gaussian(), rademacher(), uniform_symmetric())
+POLY_X2_X3 = TestPolynomial((1.0, 1.0))
+TOL = 1e-12
+
+
+def close(fast, slow, scale) -> bool:
+    """|fast - slow| within TOL relative to the magnitude the value is a sum of."""
+    return abs(fast - slow) <= TOL * scale
+
+
+polynomials = st.lists(
+    st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=4
+).filter(lambda c: abs(c[-1]) > 0.1).map(lambda c: TestPolynomial(tuple(c)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    poly=polynomials,
+    family=st.integers(0, 2),
+    extra=st.integers(1, 5),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_block_kernel_matches_per_replica_oracles(n, poly, family, extra, seed):
+    spec = FAMILIES[family]
+    rows = harness.block_rows(n)
+    m = rows + extra  # the second block is a short one
+    config = ExperimentConfig(n=n, m=m, poly=poly, ensemble=spec, master_seed=seed)
+    traces = run_clt_experiment(config).raw_traces
+    grads = harness._replica_blocks(
+        spec, n, seed, range(m), 1, lambda lam: gradient_block(lam, n, poly).T, width=n
+    )
+    quartic, squared, hess4, oracle_traces = [], [], [], []
+    for r in range(m):
+        lam = build_sample(spec, n, RandomStream(seed, r))
+        scale = 1.0 + float(np.sum(np.abs(poly.evaluate(lam))))
+        oracle = trace_polynomial(lam, poly)
+        assert close(traces[r], oracle, scale)
+        grad = gradient_trace_polynomial(lam, poly)
+        grad_scale = 1.0 + math.sqrt(n) * float(np.max(np.abs(poly.derivative_values(lam))))
+        assert np.all(np.abs(grads[:, r] - grad) <= TOL * grad_scale)
+        if r in (0, rows - 1, rows, m - 1):  # both sides of the block boundary
+            raw = sample_sequence(spec, n, RandomStream(seed, r))
+            assert close(traces[r], dense_trace_polynomial(raw, poly), scale)
+        sq = grad * grad
+        quartic.append(np.sum(sq * sq))
+        squared.append(np.sum(sq) ** 2)
+        hess4.append(hessian_norm_bound(lam, poly) ** 4)
+        oracle_traces.append(oracle)
+    if spec.is_smooth:
+        est = estimate_kappas(config)
+        assert est.kappa0_hat == pytest.approx(math.sqrt(np.mean(quartic)), rel=TOL)
+        assert est.kappa1_hat == pytest.approx(np.mean(squared) ** 0.25, rel=TOL)
+        assert est.kappa2_hat == pytest.approx(np.mean(hess4) ** 0.25, rel=TOL)
+        assert est.sigma2_hat == pytest.approx(np.var(oracle_traces, ddof=1), rel=TOL)
+
+
+def inject_imaginary(monkeypatch, bin_of_n):
+    """Add imaginary content to one half-spectrum bin of every block."""
+    half_spectrum = harness.half_spectrum
+
+    def corrupted(raw):
+        lam = half_spectrum(raw)
+        lam[:, bin_of_n(raw.shape[-1])] += 1e-3j
+        return lam
+
+    monkeypatch.setattr(harness, "half_spectrum", corrupted)
+
+
+@pytest.mark.parametrize("bin_of_n", [lambda n: 0, lambda n: n // 2],
+                         ids=["t=0", "t=n/2"])
+def test_imaginary_residual_at_self_conjugate_bins(bin_of_n, monkeypatch):
+    config = ExperimentConfig(n=64, m=40, poly=POLY_X2_X3, ensemble=gaussian(),
+                              master_seed=5)
+    run_clt_experiment(config)
+    estimate_kappas(config)
+    inject_imaginary(monkeypatch, bin_of_n)
+    with pytest.raises(ImaginaryResidualError, match="Tr P"):
+        run_clt_experiment(config)
+    with pytest.raises(ImaginaryResidualError):
+        estimate_kappas(config)
+
+
+def test_gradient_residual_at_self_conjugate_bins():
+    lam = np.fft.rfft(np.ones((2, 8)), axis=1)
+    gradient_block(lam, 8, POLY_X2_X3)
+    for t in (0, 4):
+        corrupted = lam.copy()
+        corrupted[:, t] += 1e-3j
+        with pytest.raises(ImaginaryResidualError, match="derivative"):
+            gradient_block(corrupted, 8, POLY_X2_X3)
+
+
+def test_block_rows_bound_the_values_per_block():
+    for n in (2, 3, 31, 32, 33, 64, 1000, 4096, 8191):
+        assert 1 <= harness.block_rows(n) * n <= harness.BLOCK_VALUES
+    assert harness.block_rows(2) == harness.MAX_BLOCK_ROWS
+    for n in (harness.BLOCK_VALUES, harness.BLOCK_VALUES + 1, 2**17):
+        assert harness.block_rows(n) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_peak_memory_per_worker_independent_of_m(workers):
+    # a worker holds one block's inputs, half spectra and Horner temporaries:
+    # about 2 * n * 16 bytes at n = 2**15, where a block is one replica
+    n = 2**15
+    threads = min(workers, os.cpu_count() or 1)
+
+    def peak(m):
+        config = ExperimentConfig(n=n, m=m, poly=TestPolynomial((1.0, 1.0, 0.0, 0.5)),
+                                  ensemble=rademacher(), master_seed=3,
+                                  worker_count=workers)
+        tracemalloc.start()
+        try:
+            run_clt_experiment(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(16), peak(64)
+    assert small <= 3 * n * 16 * threads
+    assert large <= 3 * n * 16 * threads
+    if threads == 1:
+        assert abs(large - small) <= 64 * 8 * 4  # only per-replica outputs grow

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from circulant_clt import ConfigError, cli, run_clt_experiment
+from circulant_clt import ConfigError, cli, harness, run_clt_experiment
 from circulant_clt.cli import (
     _text_report,
     emit_samples_csv,
@@ -338,3 +338,18 @@ class TestDefaults:
         assert main(["--out", str(tmp_path), "moments", "--n", "16",
                      "--poly", "0,0,1", "--m", "10", "--max-order", "9"]) == 2
         assert "max_order must lie in [1, 8]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "16", "--poly", "0,0,1", "--m", "10", "--seed", "-1"],
+        ["norm-scaling", "--sizes", "16", "--seed", "18446744073709551616"],
+    ], ids=["simulate", "norm-scaling"])
+    def test_seed_range_checked_before_any_replica(self, tmp_path, capsys,
+                                                   monkeypatch, argv):
+        def no_replicas(*args):
+            raise AssertionError("a replica ran before the seed was checked")
+
+        monkeypatch.setattr(harness, "_replica_blocks", no_replicas)
+        assert main(["--out", str(tmp_path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert "master_seed must be a 64-bit unsigned integer" in captured.err
+        assert captured.out == ""

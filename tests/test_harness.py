@@ -28,6 +28,25 @@ POLY_X2 = TestPolynomial((1.0,))
 POLY_X2_X3 = TestPolynomial((1.0, 1.0))
 
 
+def inline_pool(pool_sizes):
+    """A ThreadPoolExecutor stand-in that records its size and maps inline."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    return InlinePool
+
+
 def make_config(**overrides) -> ExperimentConfig:
     base = dict(
         n=64,
@@ -72,31 +91,41 @@ class TestRunExperiment:
             assert results[0].ks_distance == other.ks_distance
 
     def test_thread_count_capped_by_cpus(self, monkeypatch):
-        # records the pool size and runs the ranges inline: no thread starts
+        # at n=64 a block holds 128 replicas, so m=600 spans 5 blocks and
+        # m=300 spans 3; the pool records its size and runs inline
         pool_sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pool_sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        reference = run_clt_experiment(make_config())
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", inline_pool(pool_sizes))
+        reference = run_clt_experiment(make_config(m=600))
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
-        capped = run_clt_experiment(make_config(worker_count=100000))
-        assert pool_sizes == [3]
+        capped = run_clt_experiment(make_config(m=600, worker_count=100000))
+        assert pool_sizes == [3]  # capped by the CPUs
         assert np.array_equal(capped.raw_traces, reference.raw_traces)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        run_clt_experiment(make_config(m=300, worker_count=100000))
+        assert pool_sizes == [3, 3]  # capped by the blocks
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-        run_clt_experiment(make_config(worker_count=100000))
-        assert pool_sizes == [3]  # unknown CPU count: one worker, no pool
+        run_clt_experiment(make_config(m=600, worker_count=100000))
+        assert pool_sizes == [3, 3]  # unknown CPU count: one worker, no pool
+
+    @pytest.mark.parametrize("n, m", [(63, 300), (64, 300), (1001, 30), (1000, 30)])
+    def test_worker_invariance_with_ragged_last_block(self, n, m, monkeypatch):
+        # n=63/64 give blocks of 130/128 rows, n=1000/1001 blocks of 8, so
+        # every last block is short; threads stay capped at os.cpu_count()
+        assert m % harness.block_rows(n) != 0 and m > 2 * harness.block_rows(n)
+        configs = [make_config(n=n, m=m, poly=POLY_X2_X3, ensemble=uniform_symmetric(),
+                               worker_count=w) for w in (1, 2, 3, 7)]
+        threaded = [(run_clt_experiment(c).raw_traces, estimate_kappas(c))
+                    for c in configs]
+        # the same partitions of the blocks over 1, 2, 3 and 7 workers,
+        # run inline so that no thread starts
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", inline_pool([]))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        inline = [(run_clt_experiment(c).raw_traces, estimate_kappas(c))
+                  for c in configs]
+        traces, kappas = threaded[0]
+        for other_traces, other_kappas in threaded[1:] + inline:
+            assert np.array_equal(other_traces, traces)
+            assert other_kappas == kappas
 
     def test_w_is_centered_and_scaled(self):
         summary = run_clt_experiment(make_config())
