@@ -50,10 +50,17 @@ DEFAULT_TRACE_BUDGET = 10**8
 
 
 def _horner(coeffs: Sequence[float], z):
-    """sum_j coeffs[j] * z^j by Horner's rule; coefficients from degree 0 up."""
-    acc = coeffs[-1]
-    for a in reversed(coeffs[:-1]):
-        acc = acc * z + a
+    """sum_j coeffs[j] * z^j by Horner's rule; coefficients from degree 0 up.
+
+    For an array z every step after the first updates one accumulator in
+    place; a scalar z gives a scalar.
+    """
+    *rest, acc = coeffs
+    if rest:
+        acc = acc * z + rest.pop()
+    for a in reversed(rest):
+        acc *= z
+        acc += a
     return acc
 
 

@@ -22,6 +22,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .circulant import TestPolynomial
 from .combinatorics import (
@@ -124,9 +126,11 @@ def _csv(header, rows) -> str:
 
 
 def emit_samples_csv(raw_traces, w_values) -> str:
-    return _csv(["replica", "raw_trace", "W"],
-                ([r, repr(float(t)), repr(float(w))]
-                 for r, (t, w) in enumerate(zip(raw_traces, w_values))))
+    # the repr of a float never needs CSV quoting, so rows are joined directly
+    traces = np.asarray(raw_traces, dtype=np.float64).tolist()
+    ws = np.asarray(w_values, dtype=np.float64).tolist()
+    return "replica,raw_trace,W\n" + "".join(
+        f"{r},{t!r},{w!r}\n" for r, (t, w) in enumerate(zip(traces, ws)))
 
 
 def emit_summary_json(config: ExperimentConfig, summary=None, stein=None) -> str:

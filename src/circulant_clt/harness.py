@@ -24,10 +24,13 @@ Replicas run in fixed blocks of consecutive indices, BLOCK_VALUES input
 values per block (at least one and at most MAX_BLOCK_ROWS replicas),
 whatever the worker count.  A block is drawn row by row, each replica
 from the substream named by (master_seed, replica_index), into a buffer
-its worker thread reuses; one rfft gives the block's half spectra, and
-the statistics are reduced from those.  Each block writes into its own
-slots and reductions run in fixed replica order, so results are
-bit-identical for any worker_count.
+its worker reuses; one rfft gives the block's half spectra, and the
+statistics are reduced from those.  worker_count is an upper bound:
+blocks run on threads only from n = THREAD_MIN_N, below which the
+per-row draws hold the GIL and a second thread adds CPU without speed.
+Each block writes into its own slots and reductions run in fixed replica
+order, so results are bit-identical for any worker_count, BLOCK_VALUES
+or THREAD_MIN_N.
 """
 
 from __future__ import annotations
@@ -55,10 +58,13 @@ from .errors import SmoothnessRequiredError
 
 MAX_MOMENT_ORDER = 8
 LOW_CONFIDENCE_REPLICAS = 30
-# Input values per replica block; with the block's spectra and Horner
-# temporaries this keeps a worker's arrays to a few hundred KiB.
-BLOCK_VALUES = 2**13
+# Both layout constants come from a measured sweep of block size, n and
+# worker count (see CHANGES.md).  Input values per replica block: with the
+# block's spectra and temporaries a worker's arrays peak near 1.3 MB.
+BLOCK_VALUES = 2**15
 MAX_BLOCK_ROWS = 256
+# Smallest n at which a second thread shortened a run.
+THREAD_MIN_N = 512
 
 
 @dataclass(frozen=True)
@@ -150,8 +156,9 @@ def _replica_blocks(
     fn maps a (rows, n//2 + 1) block of half spectra to a (width, rows)
     array; column r - replicas.start of the (width, len(replicas)) result
     holds replica r.  Blocks start every block_rows(n) replicas from
-    replicas.start, and the thread count is capped by the block count and
-    the available CPUs.
+    replicas.start.  From n = THREAD_MIN_N the thread count is
+    worker_count capped by the block count and the available CPUs;
+    below it the blocks run inline.
     """
     rows = block_rows(n)
     starts = range(replicas.start, replicas.stop, rows)
@@ -164,7 +171,9 @@ def _replica_blocks(
             block = draw_rows(spec, RandomStream(master_seed, lo), buf[: hi - lo])
             out[:, lo - replicas.start : hi - replicas.start] = fn(half_spectrum(block))
 
-    workers = min(worker_count, len(starts), os.cpu_count() or 1)
+    workers = 1
+    if n >= THREAD_MIN_N:
+        workers = min(worker_count, len(starts), os.cpu_count() or 1)
     if workers <= 1:
         run_blocks(starts)
     else:

@@ -133,6 +133,16 @@ def test_block_rows_bound_the_values_per_block():
         assert harness.block_rows(n) == 1
 
 
+def traced_peak(kernel, config) -> int:
+    """Peak bytes allocated while kernel(config) runs, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        kernel(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_peak_memory_per_worker_independent_of_m(workers):
     # a worker holds one block's inputs, half spectra and Horner temporaries:
@@ -141,18 +151,35 @@ def test_peak_memory_per_worker_independent_of_m(workers):
     threads = min(workers, os.cpu_count() or 1)
 
     def peak(m):
-        config = ExperimentConfig(n=n, m=m, poly=TestPolynomial((1.0, 1.0, 0.0, 0.5)),
-                                  ensemble=rademacher(), master_seed=3,
-                                  worker_count=workers)
-        tracemalloc.start()
-        try:
-            run_clt_experiment(config)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(run_clt_experiment, ExperimentConfig(
+            n=n, m=m, poly=TestPolynomial((1.0, 1.0, 0.0, 0.5)), ensemble=rademacher(),
+            master_seed=3, worker_count=workers))
 
     small, large = peak(16), peak(64)
     assert small <= 3 * n * 16 * threads
     assert large <= 3 * n * 16 * threads
     if threads == 1:
         assert abs(large - small) <= 64 * 8 * 4  # only per-replica outputs grow
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kernel", [run_clt_experiment, estimate_kappas],
+                         ids=lambda f: f.__name__)
+def test_peak_memory_of_multi_row_blocks_independent_of_m(kernel, workers):
+    # at n = 4096 a block holds 8 replicas; a worker holds one block's
+    # inputs, half spectra and Horner or gradient temporaries, measured at
+    # about 1.9 (traces) and 2.5 (kappas) times BLOCK_VALUES * 16 bytes
+    n = 4096
+    assert harness.block_rows(n) == 8
+    threads = min(workers, os.cpu_count() or 1)
+
+    def peak(m):
+        return traced_peak(kernel, ExperimentConfig(
+            n=n, m=m, poly=POLY_X2_X3, ensemble=uniform_symmetric(), master_seed=3,
+            worker_count=workers))
+
+    small, large = peak(64), peak(640)
+    assert small <= 3 * harness.BLOCK_VALUES * 16 * threads
+    assert large <= 3 * harness.BLOCK_VALUES * 16 * threads
+    if threads == 1:  # only per-replica outputs grow, at most 8 floats each
+        assert abs(large - small) <= (640 - 64) * 8 * 8

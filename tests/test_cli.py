@@ -71,6 +71,17 @@ class TestEmitters:
     def test_empty_samples_csv_has_header_only(self):
         assert emit_samples_csv([], []) == "replica,raw_trace,W\n"
 
+    def test_samples_csv_matches_csv_writer(self):
+        awkward = np.array([-0.0, 1e-300, 1e16, 0.1, 5e-324, -2.5, float("inf")])
+        traces, ws = awkward, awkward[::-1].copy()
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["replica", "raw_trace", "W"])
+        writer.writerows([r, repr(float(t)), repr(float(w))]
+                         for r, (t, w) in enumerate(zip(traces, ws)))
+        assert emit_samples_csv(traces, ws) == buf.getvalue()
+        assert emit_samples_csv(list(traces), list(ws)) == buf.getvalue()
+
     def test_csv_round_trip(self):
         _, summary = small_run()
         text = emit_samples_csv(summary.raw_traces, summary.w_values)

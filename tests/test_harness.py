@@ -91,26 +91,48 @@ class TestRunExperiment:
             assert results[0].ks_distance == other.ks_distance
 
     def test_thread_count_capped_by_cpus(self, monkeypatch):
-        # at n=64 a block holds 128 replicas, so m=600 spans 5 blocks and
-        # m=300 spans 3; the pool records its size and runs inline
+        # at n = THREAD_MIN_N, 5 * rows - 1 replicas span 5 blocks and
+        # 3 * rows - 1 span 3; the pool records its size and runs inline
+        n = harness.THREAD_MIN_N
+        rows = harness.block_rows(n)
         pool_sizes = []
         monkeypatch.setattr(harness, "ThreadPoolExecutor", inline_pool(pool_sizes))
-        reference = run_clt_experiment(make_config(m=600))
+        reference = run_clt_experiment(make_config(n=n, m=5 * rows - 1))
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
-        capped = run_clt_experiment(make_config(m=600, worker_count=100000))
+        capped = run_clt_experiment(make_config(n=n, m=5 * rows - 1,
+                                                worker_count=100000))
         assert pool_sizes == [3]  # capped by the CPUs
         assert np.array_equal(capped.raw_traces, reference.raw_traces)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-        run_clt_experiment(make_config(m=300, worker_count=100000))
+        run_clt_experiment(make_config(n=n, m=3 * rows - 1, worker_count=100000))
         assert pool_sizes == [3, 3]  # capped by the blocks
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-        run_clt_experiment(make_config(m=600, worker_count=100000))
+        run_clt_experiment(make_config(n=n, m=5 * rows - 1, worker_count=100000))
         assert pool_sizes == [3, 3]  # unknown CPU count: one worker, no pool
 
-    @pytest.mark.parametrize("n, m", [(63, 300), (64, 300), (1001, 30), (1000, 30)])
-    def test_worker_invariance_with_ragged_last_block(self, n, m, monkeypatch):
-        # n=63/64 give blocks of 130/128 rows, n=1000/1001 blocks of 8, so
-        # every last block is short; threads stay capped at os.cpu_count()
+    def test_no_threads_below_thread_min_n(self, monkeypatch):
+        pool_sizes = []
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", inline_pool(pool_sizes))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        for n in (2, 64, harness.THREAD_MIN_N - 1):
+            m = 3 * harness.block_rows(n) - 1
+            threaded = make_config(n=n, m=m, worker_count=100000)
+            traces = run_clt_experiment(threaded).raw_traces
+            assert pool_sizes == []  # three blocks, still run inline
+            serial = run_clt_experiment(make_config(n=n, m=m)).raw_traces
+            assert np.array_equal(traces, serial)
+        n = harness.THREAD_MIN_N
+        run_clt_experiment(make_config(n=n, m=3 * harness.block_rows(n) - 1,
+                                       worker_count=100000))
+        assert pool_sizes == [3]
+
+    @pytest.mark.parametrize("n", [513, 512, 4097, 4096])
+    def test_worker_invariance_with_ragged_last_block(self, n, monkeypatch):
+        # n=513/512 give blocks of 63/64 rows, n=4097/4096 blocks of 7/8,
+        # and m = 3 * rows - 1 makes every last block short; threads stay
+        # capped at os.cpu_count()
+        m = 3 * harness.block_rows(n) - 1
+        assert n >= harness.THREAD_MIN_N
         assert m % harness.block_rows(n) != 0 and m > 2 * harness.block_rows(n)
         configs = [make_config(n=n, m=m, poly=POLY_X2_X3, ensemble=uniform_symmetric(),
                                worker_count=w) for w in (1, 2, 3, 7)]
@@ -124,6 +146,27 @@ class TestRunExperiment:
                   for c in configs]
         traces, kappas = threaded[0]
         for other_traces, other_kappas in threaded[1:] + inline:
+            assert np.array_equal(other_traces, traces)
+            assert other_kappas == kappas
+
+    @pytest.mark.parametrize("spec", [gaussian(), rademacher(), uniform_symmetric()],
+                             ids=lambda s: s.family)
+    @pytest.mark.parametrize("n, m", [(63, 300), (64, 300), (8191, 40), (8192, 40)])
+    def test_block_layout_never_changes_a_result(self, spec, n, m, monkeypatch):
+        # 2**13 values make blocks of 128-130 rows at n=63/64 and of one
+        # row at n=8191/8192; 2**15 make 256 and 4 rows, 2**17 256 and 16
+        config = make_config(n=n, m=m, poly=POLY_X2_X3, ensemble=spec, worker_count=2)
+        results, rows, default_min_n = [], set(), harness.THREAD_MIN_N
+        for block_values in (2**13, 2**15, 2**17):
+            for thread_min_n in (2, default_min_n):
+                monkeypatch.setattr(harness, "BLOCK_VALUES", block_values)
+                monkeypatch.setattr(harness, "THREAD_MIN_N", thread_min_n)
+                rows.add(harness.block_rows(n))
+                kappas = estimate_kappas(config) if spec.is_smooth else None
+                results.append((run_clt_experiment(config).raw_traces, kappas))
+        assert len(rows) > 1  # the layouts differ
+        traces, kappas = results[0]
+        for other_traces, other_kappas in results[1:]:
             assert np.array_equal(other_traces, traces)
             assert other_kappas == kappas
 
