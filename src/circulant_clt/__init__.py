@@ -1,8 +1,8 @@
 """Verification toolkit for the Gaussian CLT of circulant-matrix trace
-statistics: exact lattice-slice combinatorics, dual-route trace
-computation, Monte Carlo experiments, and the Stein-method
-total-variation bound.  ``__all__`` is the supported API; per-replica
-building blocks and test oracles are imported from their modules."""
+statistics: exact lattice-slice combinatorics, a block-batched spectral
+trace kernel, Monte Carlo experiments, and the Stein-method
+total-variation bound.  ``__all__`` is the supported API; the kernel's
+building blocks are imported from their modules."""
 
 __version__ = "0.1.0"
 
@@ -16,7 +16,6 @@ from .combinatorics import (
 )
 from .ensembles import EnsembleSpec, from_family, gaussian, rademacher, uniform_symmetric
 from .errors import (
-    BudgetExceededError,
     ConfigError,
     ImaginaryResidualError,
     SmoothnessRequiredError,
@@ -35,7 +34,6 @@ from .harness import (
 
 __all__ = [
     "__version__",
-    "BudgetExceededError",
     "ConfigError",
     "EnsembleSpec",
     "ExperimentConfig",

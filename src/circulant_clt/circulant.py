@@ -1,29 +1,21 @@
-"""Circulant realizations: spectra, traces, gradients, norm bounds.
+"""Circulant realizations: half spectra, traces, gradients, norms.
 
 A circulant matrix here has entry (i, j) equal to x[(j - i) mod n], where
 x = X / sqrt(n) is the scaled first row built from raw inputs X.  A
 replica is just its array X.  Its eigenvalues are
 
-    lambda_t = sum_k x_k * w^(t k),   w = exp(2 pi i / n),
+    lambda_t = sum_k x_k * w^(t k),   w = exp(2 pi i / n).
 
-computed in O(n log n) by :func:`spectrum` as n * ifft(x).  As x is real,
-lambda_(n-t) = conj(lambda_t), so the production route keeps only the
-half spectrum 0 <= t <= n/2 of each row of a block of replicas
-(:func:`half_spectrum`, one rfft per block) and reduces
+As x is real, lambda_(n-t) = conj(lambda_t), so only the half spectrum
+0 <= t <= n/2 of each row of a block of replicas is kept
+(:func:`half_spectrum`, one rfft per block), and
 
     Tr P(C) = sum_t P(lambda_t)
 
-with the Hermitian weights 1 at t = 0 and t = n/2 (n even), 2 elsewhere
-(:func:`trace_block`), P evaluated by Horner's rule.  Those two bins are
-real by symmetry; the imaginary part the reduction drops there is checked
-against IMAG_RESIDUAL_TOL.  The per-replica kernels of a full spectrum
-(:func:`trace_polynomial`, :func:`gradient_trace_polynomial`,
-:func:`hessian_norm_bound`) are test oracles for the block route, as are
-:func:`trace_power_direct` and :func:`dense_matrix`, which take X itself:
-
-    Tr(C^p) = n * sum x_{i_1} ... x_{i_p}   over i_1 + ... + i_p = 0 (mod n),
-
-by explicit enumeration of the n^(p-1) free indices (budget-guarded).
+is reduced with the Hermitian weights 1 at t = 0 and t = n/2 (n even),
+2 elsewhere (:func:`trace_block`), P evaluated by Horner's rule.  Those
+two bins are real by symmetry; the imaginary part the reduction drops
+there is checked against IMAG_RESIDUAL_TOL.
 
 The gradient of X -> Tr P(C(X)) is exact matrix calculus: P'(C) is itself
 circulant with first-row symbol d = fft(P'(lambda)) / n, and each X_m
@@ -42,11 +34,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, RandomStream, sample_sequence
-from .errors import BudgetExceededError, ImaginaryResidualError
+from .errors import ImaginaryResidualError
 
 IMAG_RESIDUAL_TOL = 1e-8
-DEFAULT_TRACE_BUDGET = 10**8
 
 
 def _horner(coeffs: Sequence[float], z):
@@ -130,12 +120,6 @@ class TestPolynomial:
         return _horner([k * (k - 1) * abs(a) for k, a in self.terms()], z)
 
 
-def spectrum(raw: np.ndarray) -> np.ndarray:
-    """Eigenvalues lambda_t = sum_k x_k w^(t k) of the circulant of raw inputs X."""
-    n = len(raw)
-    return n * np.fft.ifft(raw / math.sqrt(n))
-
-
 def half_spectrum(raw: np.ndarray) -> np.ndarray:
     """lambda_t for 0 <= t <= n/2 of each row of raw inputs X, by one rfft.
 
@@ -145,18 +129,6 @@ def half_spectrum(raw: np.ndarray) -> np.ndarray:
     np.conjugate(lam, out=lam)
     lam /= math.sqrt(raw.shape[-1])
     return lam
-
-
-def build_sample(spec: EnsembleSpec, n: int, stream: RandomStream) -> np.ndarray:
-    """Draw one replica's raw inputs from the ensemble and return its spectrum."""
-    return spectrum(sample_sequence(spec, n, stream))
-
-
-def dense_matrix(raw: np.ndarray) -> np.ndarray:
-    """Materialize the full matrix of raw inputs X; for small-n oracle checks."""
-    n = len(raw)
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return (raw / math.sqrt(n))[idx]
 
 
 def _check_imag(residual, scale, what: str) -> None:
@@ -173,11 +145,6 @@ def _check_imag(residual, scale, what: str) -> None:
         )
 
 
-def _check_real(value: complex, what: str) -> float:
-    _check_imag(abs(value.imag), abs(value.real), what)
-    return float(value.real)
-
-
 def _self_conjugate_imag(vals: np.ndarray, n: int) -> np.ndarray:
     """Per row, |Im| summed over the half-spectrum bins t = 0 and t = n/2
     (n even): the imaginary part a Hermitian reduction drops."""
@@ -185,82 +152,10 @@ def _self_conjugate_imag(vals: np.ndarray, n: int) -> np.ndarray:
     return np.abs(vals[:, bins].imag).sum(axis=1)
 
 
-def trace_power_spectral(lam: np.ndarray, p: int) -> float:
-    """Tr(C^p) as the eigenvalue power sum Re(sum_t lambda_t^p)."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    total = complex(np.sum(lam**p))
-    return _check_real(total, f"Tr(C^{p})")
-
-
-def trace_power_direct(
-    raw: np.ndarray, p: int, budget: int = DEFAULT_TRACE_BUDGET
-) -> float:
-    """Tr(C^p) of the circulant of raw inputs X by the defining index sum.
-
-    Visits all n^(p-1) free index tuples (the last index is determined
-    modulo n); refuses when that exceeds the budget.  Exists as an
-    FFT-independent cross-check of :func:`trace_power_spectral`.
-    """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    n = len(raw)
-    tuples = n ** (p - 1)
-    if tuples > budget:
-        raise BudgetExceededError(
-            f"direct trace would visit {n}^{p - 1} = {tuples} tuples, "
-            f"exceeding the budget of {budget}"
-        )
-    x = raw / math.sqrt(n)
-    if p == 1:
-        return n * float(x[0])
-    idx = np.arange(n)
-    sums = idx.copy()
-    prods = x.copy()
-    for _ in range(p - 2):
-        sums = (sums[:, None] + idx[None, :]).ravel()
-        prods = (prods[:, None] * x[None, :]).ravel()
-    closing = (-sums) % n
-    return n * float(np.sum(prods * x[closing]))
-
-
-def trace_polynomial(lam: np.ndarray, poly: TestPolynomial) -> float:
-    """Tr P(C) = sum_t P(lambda_t) along the spectral route."""
-    return _check_real(complex(np.sum(poly.evaluate(lam))), "Tr P(C)")
-
-
 def spectral_norm(lam: np.ndarray):
     """Operator norm max_t |lambda_t| along the last axis; circulant matrices
     are normal, and a half spectrum holds every modulus."""
     return np.abs(lam).max(axis=-1)
-
-
-def gradient_trace_polynomial(lam: np.ndarray, poly: TestPolynomial) -> np.ndarray:
-    """Gradient of X -> Tr P(C(X)) with respect to the raw inputs.
-
-    P'(C) is circulant with first-row symbol d = fft(P'(lambda)) / n; the
-    chain rule through x = X / sqrt(n) and the n occurrences of each x_m
-    give d/dX_m = sqrt(n) * d[(n - m) mod n].
-    """
-    n = len(lam)
-    d_row = np.fft.fft(poly.derivative_values(lam)) / n
-    _check_imag(np.max(np.abs(d_row.imag)), np.max(np.abs(d_row.real)),
-                "derivative symbol")
-    m = np.arange(n)
-    return math.sqrt(n) * d_row.real[(n - m) % n]
-
-
-def hessian_norm_bound(lam: np.ndarray, poly: TestPolynomial) -> float:
-    """Majorant m2(||C||) for the Hessian norm of g(X) = Tr P(C(X)).
-
-    The map from X to the matrix entries is an isometry and the entrywise
-    Hessian of Tr P is bounded by m2 of the operator norm, so this bounds
-    the operator norm of the Hessian of g, the function whose gradient and
-    variance the other kappa estimates use.  Serves as the conservative
-    kappa_2 surrogate; the dense Hessian is never materialized outside
-    small-n tests.
-    """
-    return float(poly.second_derivative_majorant(spectral_norm(lam)))
 
 
 def trace_block(lam: np.ndarray, n: int, poly: TestPolynomial) -> np.ndarray:
@@ -278,7 +173,7 @@ def trace_block(lam: np.ndarray, n: int, poly: TestPolynomial) -> np.ndarray:
 
 def gradient_block(lam: np.ndarray, n: int, poly: TestPolynomial) -> np.ndarray:
     """Gradient of X -> Tr P(C(X)) for each row of half spectra:
-    sqrt(n) * irfft(P'(lambda)), the rows of :func:`gradient_trace_polynomial`."""
+    sqrt(n) * irfft(P'(lambda))."""
     dvals = poly.derivative_values(lam)
     grads = np.fft.irfft(dvals, n=n, axis=-1)
     grads *= math.sqrt(n)

@@ -19,25 +19,19 @@ the volume of the section {y in [0,1]^p : sum y = s} of the unit cube.
 Everything here is computed in exact integer/rational arithmetic; the
 binomials involved overflow 64-bit integers already for moderate (p, n).
 
-Three mutually checking counters are provided: a closed-form
-inclusion-exclusion count, a direct enumeration oracle, and a
-distinct-coordinates enumeration used to confirm that repeated
-coordinates are negligible in the limit.
+Slices are counted in closed form by inclusion-exclusion
+(:func:`count_slice_exact`).  The test suite checks that count against a
+direct enumeration of the box and against a distinct-coordinates count,
+which shows that repeated coordinates are negligible in the limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
-import numpy as np
-
 from .circulant import TestPolynomial
-from .errors import BudgetExceededError
-
-DEFAULT_ENUMERATION_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -98,71 +92,11 @@ def count_slice_exact(p: int, s: int, n: int) -> int:
     )
 
 
-@lru_cache(maxsize=256)
-def _slice_histogram(p: int, n: int) -> tuple[int, ...]:
-    # one full enumeration of {0..n-1}^p, bucketed by coordinate sum
-    sums = np.zeros(1, dtype=np.int64)
-    block = np.arange(n, dtype=np.int64)
-    for _ in range(p):
-        sums = (sums[:, None] + block[None, :]).ravel()
-    hist = np.bincount(sums, minlength=p * (n - 1) + 1)
-    return tuple(int(v) for v in hist)
-
-
-def count_slice_bruteforce(
-    p: int, s: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> int:
-    """Ground-truth slice count by direct enumeration of all n^p tuples."""
-    if p < 1 or n < 1:
-        raise ValueError("p and n must be positive")
-    if not 0 <= s <= p - 1:
-        raise ValueError(f"s={s} out of range [0, {p - 1}]")
-    if n**p > budget:
-        raise BudgetExceededError(
-            f"enumerating {n}^{p} = {n**p} tuples exceeds the budget of {budget}"
-        )
-    hist = _slice_histogram(p, n)
-    target = s * n
-    return hist[target] if target < len(hist) else 0
-
-
-def count_slice_distinct(
-    p: int, s: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> int:
-    """Slice count restricted to tuples with pairwise-distinct coordinates.
-
-    Counts unordered p-subsets of {0..n-1} with sum s*n by an exact
-    subset-sum recursion over the values 0..n-1, then multiplies by p!
-    for the orderings.  The difference to the unrestricted count is
-    o(n^(p-1)), which the tests verify.  The budget bounds the recursion's
-    pure-Python steps, at most p*n*(s*n + 1).
-    """
-    if p < 1 or n < 1:
-        raise ValueError("p and n must be positive")
-    if not 0 <= s <= p - 1:
-        raise ValueError(f"s={s} out of range [0, {p - 1}]")
-    steps = p * n * (s * n + 1)
-    if steps > budget:
-        raise BudgetExceededError(
-            f"the subset-sum recursion's {steps} steps exceed the budget of {budget}"
-        )
-    if p > n:
-        return 0
-    target = s * n
-    # dp[k][t] = number of k-subsets of the values seen so far with sum t
-    dp = [[0] * (target + 1) for _ in range(p + 1)]
-    dp[0][0] = 1
-    for v in range(n):
-        for k in range(min(p, v + 1), 0, -1):
-            row, prev = dp[k], dp[k - 1]
-            for t in range(target, v - 1, -1):
-                if prev[t - v]:
-                    row[t] += prev[t - v]
-    return dp[p][target] * factorial(p)
-
-
 def slice_table(p: int, n: int) -> list[LatticeSliceCount]:
-    """All slices of {0..n-1}^p with exact counts and densities."""
+    """All slices of {0..n-1}^p with exact counts and densities; p >= 2,
+    the degrees the densities f_p describe."""
+    if p < 2:
+        raise ValueError("p must be at least 2")
     rows = []
     scale = n ** (p - 1)
     for s in range(p):

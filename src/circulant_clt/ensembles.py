@@ -21,8 +21,7 @@ master seed is a Philox generator with the same key and its own counter
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11):
 counter word 2 holds the replica index and words 0-1 advance within a
 draw, so substreams never overlap.  :func:`draw_rows` fills a block of
-consecutive replicas by re-setting one generator's counter per row, and
-:func:`sample_sequence` is its one-row case.
+consecutive replicas by re-setting one generator's counter per row.
 """
 
 from __future__ import annotations
@@ -39,34 +38,37 @@ UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 UNIFORM_C1 = 2.0 * math.sqrt(3.0) / math.sqrt(2.0 * math.pi)
 UNIFORM_C2 = 2.0 * math.sqrt(3.0) / math.sqrt(2.0 * math.pi * math.e)
 
+# Per family, the bounds (c1, c2) >= (sup|u'|, sup|u''|) of its smooth
+# representation u, or (None, None) for a family with none.
+SMOOTH_BOUNDS = {
+    "gaussian": (1.0, 0.0),
+    "rademacher": (None, None),
+    "uniform_symmetric": (UNIFORM_C1, UNIFORM_C2),
+}
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Description of one standardized input-variable law.
+    """One standardized input-variable law, named by its family.
 
-    ``c1``/``c2`` are present exactly when the family is smooth.
+    ``c1``/``c2`` come from the family and are None when it is not smooth.
     """
 
     family: str
-    subgaussian_sigma: float
-    c1: float | None = None
-    c2: float | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        if self.family not in SMOOTH_BOUNDS:
             raise ValueError(
-                f"unknown family {self.family!r}; choose from {sorted(FAMILIES)}"
+                f"unknown family {self.family!r}; choose from {sorted(SMOOTH_BOUNDS)}"
             )
-        if not self.subgaussian_sigma > 0:
-            raise ValueError("subgaussian_sigma must be positive")
-        if self.family == "rademacher":
-            if self.c1 is not None or self.c2 is not None:
-                raise ValueError("rademacher has no smooth-representation constants")
-        else:
-            if self.c1 is None or self.c2 is None:
-                raise ValueError(f"{self.family} requires smoothness bounds c1, c2")
-            if self.c1 < 0 or self.c2 < 0:
-                raise ValueError("c1 and c2 must be nonnegative")
+
+    @property
+    def c1(self) -> float | None:
+        return SMOOTH_BOUNDS[self.family][0]
+
+    @property
+    def c2(self) -> float | None:
+        return SMOOTH_BOUNDS[self.family][1]
 
     @property
     def is_smooth(self) -> bool:
@@ -74,37 +76,24 @@ class EnsembleSpec:
 
 
 def gaussian() -> EnsembleSpec:
-    return EnsembleSpec("gaussian", subgaussian_sigma=1.0, c1=1.0, c2=0.0)
+    return EnsembleSpec("gaussian")
 
 
 def rademacher() -> EnsembleSpec:
-    return EnsembleSpec("rademacher", subgaussian_sigma=1.0)
+    return EnsembleSpec("rademacher")
 
 
 def uniform_symmetric() -> EnsembleSpec:
-    # bounded mean-zero law => subgaussian with sigma equal to its sup norm
-    return EnsembleSpec(
-        "uniform_symmetric",
-        subgaussian_sigma=UNIFORM_HALF_WIDTH,
-        c1=UNIFORM_C1,
-        c2=UNIFORM_C2,
-    )
-
-
-FAMILIES = {
-    "gaussian": gaussian,
-    "rademacher": rademacher,
-    "uniform_symmetric": uniform_symmetric,
-}
+    return EnsembleSpec("uniform_symmetric")
 
 
 def from_family(name: str) -> EnsembleSpec:
     """Build the named ensemble."""
-    if name not in FAMILIES:
+    if name not in SMOOTH_BOUNDS:
         raise ValueError(
-            f"unknown ensemble family {name!r}; choose from {sorted(FAMILIES)}"
+            f"unknown ensemble family {name!r}; choose from {sorted(SMOOTH_BOUNDS)}"
         )
-    return FAMILIES[name]()
+    return EnsembleSpec(name)
 
 
 @dataclass(frozen=True)
@@ -159,17 +148,6 @@ def draw_rows(spec: EnsembleSpec, stream: RandomStream, out: np.ndarray) -> np.n
     elif spec.family != "gaussian":
         out[:] = smooth_transform_value(spec, out)
     return out
-
-
-def sample_sequence(spec: EnsembleSpec, n: int, stream: RandomStream) -> np.ndarray:
-    """Draw n independent standardized values from the spec's law.
-
-    Deterministic given (spec, n, stream): the one-row case of
-    :func:`draw_rows`.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return draw_rows(spec, stream, np.empty((1, n)))[0]
 
 
 def smooth_transform_value(spec: EnsembleSpec, z):

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class BudgetExceededError(ValueError):
-    """An exact-enumeration routine refused to visit more tuples than its budget."""
-
-
 class ImaginaryResidualError(ArithmeticError):
     """A quantity that must be real carried an imaginary part above tolerance.
 

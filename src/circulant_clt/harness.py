@@ -270,12 +270,13 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
     """Monte Carlo estimates of the gradient/Hessian functionals.
 
     kappa0 = (E sum_k |dg/dX_k|^4)^(1/2) and kappa1 = (E ||grad g||^4)^(1/4)
-    use the exact analytic gradient of g = Tr P(C); kappa2 =
-    (E ||Hess g||^4)^(1/4) uses the conservative majorant m2(||C||) of
-    :func:`.circulant.hessian_norm_bound` instead of materializing any
-    Hessian.
-    sigma2_hat is the empirical variance of g itself, so all four describe
-    the same function.
+    use the exact analytic gradient of g = Tr P(C).  kappa2 =
+    (E ||Hess g||^4)^(1/4) uses the conservative majorant m2(||C||) instead
+    of materializing any Hessian: the map from X to the matrix entries is
+    an isometry and the entrywise Hessian of Tr P is bounded by m2 of the
+    operator norm, so m2(||C||) bounds the operator norm of the Hessian of
+    g itself.  sigma2_hat is the empirical variance of g, so all four
+    describe the same function.
     """
     c1, c2 = _require_smooth_symmetric(config.ensemble)
     n, poly = config.n, config.poly

@@ -48,18 +48,20 @@ from circulant_clt import (
     run_clt_experiment,
     uniform_symmetric,
 )
-from circulant_clt.circulant import (
+from circulant_clt.cli import main as cli_main
+from circulant_clt.combinatorics import count_slice_exact
+from circulant_clt.ensembles import RandomStream
+from oracles import (
+    count_slice_bruteforce,
     dense_matrix,
     gradient_trace_polynomial,
     hessian_norm_bound,
+    sample_sequence,
     spectrum,
     trace_polynomial,
     trace_power_direct,
     trace_power_spectral,
 )
-from circulant_clt.cli import main as cli_main
-from circulant_clt.combinatorics import count_slice_bruteforce, count_slice_exact
-from circulant_clt.ensembles import RandomStream, sample_sequence
 
 POLY_X2 = TestPolynomial((1.0,))
 POLY_X3 = TestPolynomial((0.0, 1.0))

@@ -1,13 +1,14 @@
 """The package namespace is the supported API: the names the CLI and the
-README use, the records they return, the builtin ensembles and the errors."""
+README use, the records they return, the builtin ensembles and the errors.
+Everything else the package defines is reached from there."""
 
+import ast
 import re
 from pathlib import Path
 
 import circulant_clt
 
 SUPPORTED = [
-    "BudgetExceededError",
     "ConfigError",
     "EnsembleSpec",
     "ExperimentConfig",
@@ -50,3 +51,34 @@ def test_readme_library_example_uses_only_the_supported_api():
     used = set(re.findall(r"\bcc\.(\w+)", block))
     assert used
     assert used <= set(circulant_clt.__all__)
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    """Identifiers a statement mentions: names, attributes and imports."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name)
+    return used
+
+
+def test_every_public_definition_is_reached():
+    # a public module-level function or class is in __all__ or referenced by
+    # another top-level statement of the package; test oracles live in tests/
+    package = Path(circulant_clt.__file__).parent
+    statements = [(path.stem, node) for path in sorted(package.rglob("*.py"))
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    unreached = [
+        f"{module}.{node.name}"
+        for module, node in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in circulant_clt.__all__
+        and not any(node.name in _names_used(other)
+                    for _, other in statements if other is not node)
+    ]
+    assert unreached == []

@@ -1,6 +1,6 @@
-"""Block replica kernel tests: agreement with the per-replica and dense
-oracles across block boundaries, the imaginary-residual check on the
-self-conjugate bins, and the memory held per block."""
+"""Block replica kernel tests: agreement with the per-replica, dense and
+direct-enumeration oracles across block boundaries, the imaginary-residual
+check on the self-conjugate bins, and the memory held per block."""
 
 import math
 import os
@@ -22,14 +22,16 @@ from circulant_clt import (
     uniform_symmetric,
 )
 from circulant_clt import harness
-from circulant_clt.circulant import (
+from circulant_clt.circulant import gradient_block, half_spectrum, trace_block
+from circulant_clt.ensembles import RandomStream
+from oracles import (
     build_sample,
-    gradient_block,
     gradient_trace_polynomial,
     hessian_norm_bound,
+    sample_sequence,
     trace_polynomial,
+    trace_power_direct,
 )
-from circulant_clt.ensembles import RandomStream, sample_sequence
 from test_circulant import dense_trace_polynomial
 
 FAMILIES = (gaussian(), rademacher(), uniform_symmetric())
@@ -87,6 +89,22 @@ def test_block_kernel_matches_per_replica_oracles(n, poly, family, extra, seed):
         assert est.kappa1_hat == pytest.approx(np.mean(squared) ** 0.25, rel=TOL)
         assert est.kappa2_hat == pytest.approx(np.mean(hess4) ** 0.25, rel=TOL)
         assert est.sigma2_hat == pytest.approx(np.var(oracle_traces, ddof=1), rel=TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    p=st.integers(2, 4),
+    family=st.integers(0, 2),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_block_kernel_matches_direct_enumeration(n, p, family, seed):
+    # Tr(C^p) by the defining index sum, with no FFT, against one block row
+    raw = sample_sequence(FAMILIES[family], n, RandomStream(seed, 0))
+    power = TestPolynomial((0.0,) * (p - 2) + (1.0,))
+    block = trace_block(half_spectrum(raw[None]), n, power)[0]
+    direct = trace_power_direct(raw, p)
+    assert abs(block - direct) <= 1e-10 * max(1.0, abs(block), abs(direct))
 
 
 def inject_imaginary(monkeypatch, bin_of_n):

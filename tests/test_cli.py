@@ -152,6 +152,15 @@ class TestDensityTableCommand:
             gap = abs(float(r["density"]) - float(r["f_density"]))
             assert float(r["gap"]) == pytest.approx(gap, abs=1e-15)
 
+    @pytest.mark.parametrize("p", ["1", "0", "-3"])
+    def test_p_below_two_refused(self, tmp_path, capsys, p):
+        assert main(["--out", str(tmp_path), "density-table", "--p", p,
+                     "--n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "p must be at least 2" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "table.csv").exists()
+
 
 class TestSimulateCommand:
     def test_writes_artifacts(self, tmp_path, capsys):

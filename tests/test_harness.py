@@ -20,9 +20,9 @@ from circulant_clt import (
     uniform_symmetric,
 )
 from circulant_clt import harness
-from circulant_clt.circulant import dense_matrix, gradient_trace_polynomial, spectrum
-from circulant_clt.ensembles import RandomStream, sample_sequence
+from circulant_clt.ensembles import RandomStream
 from circulant_clt.harness import ks_distance
+from oracles import dense_matrix, gradient_trace_polynomial, sample_sequence, spectrum
 
 POLY_X2 = TestPolynomial((1.0,))
 POLY_X2_X3 = TestPolynomial((1.0, 1.0))
