@@ -39,15 +39,17 @@ from .errors import ImaginaryResidualError
 IMAG_RESIDUAL_TOL = 1e-8
 
 
-def _horner(coeffs: Sequence[float], z):
+def _horner(coeffs: Sequence[float], z, out=None):
     """sum_j coeffs[j] * z^j by Horner's rule; coefficients from degree 0 up.
 
-    For an array z every step after the first updates one accumulator in
-    place; a scalar z gives a scalar.
+    For an array z every step updates one accumulator in place: out, an
+    array shaped like z, if given, else a new one.  A scalar z gives a
+    scalar.
     """
     *rest, acc = coeffs
     if rest:
-        acc = acc * z + rest.pop()
+        acc = np.multiply(acc, z, out=out)
+        acc += rest.pop()
     for a in reversed(rest):
         acc *= z
         acc += a
@@ -107,11 +109,11 @@ class TestPolynomial:
     def dense(self) -> list[float]:
         return [0.0, 0.0, *self.coefficients]
 
-    def evaluate(self, z):
-        return _horner(self.dense(), z)
+    def evaluate(self, z, out=None):
+        return _horner(self.dense(), z, out)
 
-    def derivative_values(self, z):
-        return _horner([0.0, *(k * a for k, a in self.terms())], z)
+    def derivative_values(self, z, out=None):
+        return _horner([0.0, *(k * a for k, a in self.terms())], z, out)
 
     def second_derivative_majorant(self, z):
         """m2(z) = sum_k k (k-1) |a_k| z^(k-2), nondecreasing for z >= 0."""
@@ -120,14 +122,38 @@ class TestPolynomial:
         return _horner([k * (k - 1) * abs(a) for k, a in self.terms()], z)
 
 
-def half_spectrum(raw: np.ndarray) -> np.ndarray:
-    """lambda_t for 0 <= t <= n/2 of each row of raw inputs X, by one rfft.
+class BlockBuffers:
+    """The arrays one worker reuses for every block of at most `rows`
+    replicas of size n: the raw inputs, the half spectra, one complex and
+    one real scratch array of the half-spectrum shape, the Hermitian
+    weights and, from the first :func:`gradient_block` call, the (rows, n)
+    gradient.  A block of k replicas uses the first k rows of each."""
+
+    def __init__(self, rows: int, n: int) -> None:
+        half = (rows, n // 2 + 1)
+        self.raw = np.empty((rows, n))
+        self.lam = np.empty(half, dtype=complex)
+        self.vals = np.empty(half, dtype=complex)
+        self.real = np.empty(half)
+        self.grad = None
+        self.weights = np.full(half[1], 2.0)
+        self.weights[0] = 1.0
+        if n % 2 == 0:
+            self.weights[-1] = 1.0
+
+
+def half_spectrum(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """lambda_t for 0 <= t <= n/2 of each row of raw inputs X, by one rfft
+    into out if given.
 
     The remaining eigenvalues are the conjugates lambda_(n-t) = conj(lambda_t).
     """
-    lam = np.fft.rfft(raw, axis=-1)
+    lam = np.fft.rfft(raw, axis=-1, out=out)
     np.conjugate(lam, out=lam)
-    lam /= math.sqrt(raw.shape[-1])
+    # numpy divides a complex array by the real sqrt(n) by multiplying both
+    # parts by 1 / sqrt(n); the float view does that without complex arithmetic
+    parts = lam.view(np.float64)
+    parts *= 1.0 / math.sqrt(raw.shape[-1])
     return lam
 
 
@@ -152,31 +178,43 @@ def _self_conjugate_imag(vals: np.ndarray, n: int) -> np.ndarray:
     return np.abs(vals[:, bins].imag).sum(axis=1)
 
 
-def spectral_norm(lam: np.ndarray):
+def spectral_norm(lam: np.ndarray, out: np.ndarray | None = None):
     """Operator norm max_t |lambda_t| along the last axis; circulant matrices
-    are normal, and a half spectrum holds every modulus."""
-    return np.abs(lam).max(axis=-1)
+    are normal, and a half spectrum holds every modulus.  out, if given,
+    receives the moduli."""
+    return np.abs(lam, out=out).max(axis=-1)
 
 
-def trace_block(lam: np.ndarray, n: int, poly: TestPolynomial) -> np.ndarray:
+def trace_block(lam: np.ndarray, n: int, poly: TestPolynomial,
+                bufs: BlockBuffers | None = None) -> np.ndarray:
     """Tr P(C) of each row of half spectra: P(lambda_t) reduced with the
-    Hermitian weights 1 at t = 0 and t = n/2 (n even), 2 elsewhere."""
-    vals = poly.evaluate(lam)
-    weights = np.full(lam.shape[-1], 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
-    traces = (vals.real * weights).sum(axis=1)
+    Hermitian weights 1 at t = 0 and t = n/2 (n even), 2 elsewhere.
+
+    The block's temporaries go to bufs, or to new buffers if it is None.
+    """
+    rows = len(lam)
+    if bufs is None:
+        bufs = BlockBuffers(rows, n)
+    vals = poly.evaluate(lam, out=bufs.vals[:rows])
+    traces = np.multiply(vals.real, bufs.weights, out=bufs.real[:rows]).sum(axis=1)
     _check_imag(_self_conjugate_imag(vals, n), np.abs(traces), "Tr P(C)")
     return traces
 
 
-def gradient_block(lam: np.ndarray, n: int, poly: TestPolynomial) -> np.ndarray:
+def gradient_block(lam: np.ndarray, n: int, poly: TestPolynomial,
+                   bufs: BlockBuffers | None = None) -> np.ndarray:
     """Gradient of X -> Tr P(C(X)) for each row of half spectra:
-    sqrt(n) * irfft(P'(lambda))."""
-    dvals = poly.derivative_values(lam)
-    grads = np.fft.irfft(dvals, n=n, axis=-1)
+    sqrt(n) * irfft(P'(lambda)), written to bufs.grad (see trace_block)."""
+    rows = len(lam)
+    if bufs is None:
+        bufs = BlockBuffers(rows, n)
+    if bufs.grad is None:
+        bufs.grad = np.empty((len(bufs.raw), n))
+    dvals = poly.derivative_values(lam, out=bufs.vals[:rows])
+    grads = np.fft.irfft(dvals, n=n, axis=-1, out=bufs.grad[:rows])
     grads *= math.sqrt(n)
-    _check_imag(_self_conjugate_imag(dvals, n) / n,
-                np.abs(grads).max(axis=1) / math.sqrt(n), "derivative symbol")
+    # max |g| per row, without an array of moduli
+    scale = np.maximum(grads.max(axis=1), -grads.min(axis=1))
+    _check_imag(_self_conjugate_imag(dvals, n) / n, scale / math.sqrt(n),
+                "derivative symbol")
     return grads

@@ -8,11 +8,13 @@ targets are comparable across ensembles:
 * ``uniform_symmetric`` — uniform on [-sqrt(3), sqrt(3)].
 
 All three laws are symmetric.  The smooth families (all but
-``rademacher``) are representable as u(Z) of a standard normal Z with a
+``rademacher``) have the law of u(Z) for a standard normal Z and a
 twice continuously differentiable u; they carry the bounds
 c1 >= sup|u'| and c2 >= sup|u''| consumed by the total-variation bound
-machinery.  ``uniform_symmetric`` uses u(z) = 2*sqrt(3)*(Phi(z) - 1/2),
-so c1 = 2*sqrt(3)/sqrt(2*pi) and c2 = 2*sqrt(3)/sqrt(2*pi*e).
+machinery.  For ``uniform_symmetric`` that is u(z) = 2*sqrt(3)*(Phi(z) - 1/2),
+so c1 = 2*sqrt(3)/sqrt(2*pi) and c2 = 2*sqrt(3)/sqrt(2*pi*e).  The bounds
+need only the law, so the inputs are drawn directly: uniform values as
+sqrt(3)*(2U - 1) from standard uniforms U, not through u.
 
 Randomness is externalized: a :class:`RandomStream` names a substream as
 a pure function of (master_seed, replica_index), so concurrent replicas
@@ -30,9 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
-
-from .errors import SmoothnessRequiredError
 
 UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 UNIFORM_C1 = 2.0 * math.sqrt(3.0) / math.sqrt(2.0 * math.pi)
@@ -127,9 +126,8 @@ def draw_rows(spec: EnsembleSpec, stream: RandomStream, out: np.ndarray) -> np.n
 
     Each row is what a fresh :meth:`RandomStream.generator` of its replica
     draws: one generator is reused, and only its counter word 2 and its
-    output buffer are reset per row.  Smooth families are sampled as u(Z)
-    of standard-normal draws, so identical streams yield coupled samples
-    across smooth families.
+    output buffer are reset per row.  Rademacher rows are 2B - 1 for fair
+    bits B, uniform rows sqrt(3)*(2U - 1) for standard uniforms U.
     """
     rng = stream.generator()
     bitgen = rng.bit_generator
@@ -140,27 +138,13 @@ def draw_rows(spec: EnsembleSpec, stream: RandomStream, out: np.ndarray) -> np.n
         bitgen.state = state
         if spec.family == "rademacher":
             row[:] = rng.integers(0, 2, size=row.size)
-        else:
+        elif spec.family == "gaussian":
             rng.standard_normal(out=row)
-    if spec.family == "rademacher":
+        else:
+            rng.random(out=row)
+    if spec.family != "gaussian":
         out *= 2.0
         out -= 1.0
-    elif spec.family != "gaussian":
-        out[:] = smooth_transform_value(spec, out)
+    if spec.family == "uniform_symmetric":
+        out *= UNIFORM_HALF_WIDTH
     return out
-
-
-def smooth_transform_value(spec: EnsembleSpec, z):
-    """Evaluate the smooth representation u at z (scalar or array).
-
-    For ``uniform_symmetric``, u(z) = 2*sqrt(3)*(Phi(z) - 1/2) pushes the
-    standard normal forward to the uniform law on [-sqrt(3), sqrt(3)].
-    """
-    if not spec.is_smooth:
-        raise SmoothnessRequiredError(
-            f"{spec.family!r} is not representable as a smooth function u of a "
-            "standard normal with bounded |u'| <= c1 and |u''| <= c2"
-        )
-    if spec.family == "gaussian":
-        return z
-    return 2.0 * UNIFORM_HALF_WIDTH * (ndtr(z) - 0.5)

@@ -23,9 +23,10 @@ symmetric ensemble.
 Replicas run in fixed blocks of consecutive indices, BLOCK_VALUES input
 values per block (at least one and at most MAX_BLOCK_ROWS replicas),
 whatever the worker count.  A block is drawn row by row, each replica
-from the substream named by (master_seed, replica_index), into a buffer
-its worker reuses; one rfft gives the block's half spectra, and the
-statistics are reduced from those.  worker_count is an upper bound:
+from the substream named by (master_seed, replica_index); one rfft gives
+the block's half spectra, and the statistics are reduced from those.
+Each worker allocates its block arrays once (circulant.BlockBuffers) and
+every block it runs writes into them.  worker_count is an upper bound:
 blocks run on threads only from n = THREAD_MIN_N, below which the
 per-row draws hold the GIL and a second thread adds CPU without speed.
 Each block writes into its own slots and reductions run in fixed replica
@@ -43,9 +44,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .circulant import (
+    BlockBuffers,
     TestPolynomial,
     gradient_block,
     half_spectrum,
@@ -148,28 +149,29 @@ def _replica_blocks(
     master_seed: int,
     replicas: range,
     worker_count: int,
-    fn: Callable[[np.ndarray], np.ndarray],
+    fn: Callable[[np.ndarray, BlockBuffers], np.ndarray],
     width: int = 1,
 ) -> np.ndarray:
     """Evaluate fn on the half spectra of every block of replicas.
 
-    fn maps a (rows, n//2 + 1) block of half spectra to a (width, rows)
-    array; column r - replicas.start of the (width, len(replicas)) result
-    holds replica r.  Blocks start every block_rows(n) replicas from
-    replicas.start.  From n = THREAD_MIN_N the thread count is
-    worker_count capped by the block count and the available CPUs;
-    below it the blocks run inline.
+    fn maps a (rows, n//2 + 1) block of half spectra and the worker's
+    BlockBuffers, which hold that block, to a (width, rows) array; column
+    r - replicas.start of the (width, len(replicas)) result holds replica
+    r.  Blocks start every block_rows(n) replicas from replicas.start.
+    From n = THREAD_MIN_N the thread count is worker_count capped by the
+    block count and the available CPUs; below it the blocks run inline.
     """
     rows = block_rows(n)
     starts = range(replicas.start, replicas.stop, rows)
     out = np.empty((width, len(replicas)))
 
     def run_blocks(mine: range) -> None:
-        buf = np.empty((min(rows, len(replicas)), n))
+        bufs = BlockBuffers(min(rows, len(replicas)), n)
         for lo in mine:
-            hi = min(lo + rows, replicas.stop)
-            block = draw_rows(spec, RandomStream(master_seed, lo), buf[: hi - lo])
-            out[:, lo - replicas.start : hi - replicas.start] = fn(half_spectrum(block))
+            k = min(lo + rows, replicas.stop) - lo
+            block = draw_rows(spec, RandomStream(master_seed, lo), bufs.raw[:k])
+            lam = half_spectrum(block, out=bufs.lam[:k])
+            out[:, lo - replicas.start : lo - replicas.start + k] = fn(lam, bufs)
 
     workers = 1
     if n >= THREAD_MIN_N:
@@ -212,7 +214,8 @@ def standardized_moments(samples, max_order: int = MAX_MOMENT_ORDER) -> np.ndarr
 def ks_distance(samples, variance: float) -> float:
     """One-sample Kolmogorov-Smirnov distance to N(0, variance).
 
-    sup_x |F_m(x) - Phi(x / sigma)| via the order-statistic formula.
+    sup_x |F_m(x) - Phi(x / sigma)| via the order-statistic formula, with
+    Phi(z) = erfc(-z / sqrt(2)) / 2 at each of the m points.
     """
     xs = np.asarray(samples, dtype=np.float64)
     if xs.size == 0:
@@ -220,8 +223,9 @@ def ks_distance(samples, variance: float) -> float:
     if not variance > 0:
         raise ValueError("variance must be positive")
     z = np.sort(xs) / math.sqrt(variance)
-    cdf = ndtr(z)
     m = xs.size
+    cdf = np.fromiter(map(math.erfc, (-z / math.sqrt(2.0)).tolist()), float, m)
+    cdf *= 0.5
     grid = np.arange(1, m + 1, dtype=np.float64)
     d_plus = float(np.max(grid / m - cdf))
     d_minus = float(np.max(cdf - (grid - 1) / m))
@@ -233,7 +237,8 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentSummary:
     t0 = time.perf_counter()
     traces = _replica_blocks(
         config.ensemble, config.n, config.master_seed, range(config.m),
-        config.worker_count, lambda lam: trace_block(lam, config.n, config.poly),
+        config.worker_count,
+        lambda lam, bufs: trace_block(lam, config.n, config.poly, bufs),
     )[0]
     t_bar = float(traces.mean())
     w = (traces - t_bar) / math.sqrt(config.n)
@@ -281,14 +286,18 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
     c1, c2 = _require_smooth_symmetric(config.ensemble)
     n, poly = config.n, config.poly
 
-    def per_block(lam: np.ndarray) -> tuple[np.ndarray, ...]:
-        sq = gradient_block(lam, n, poly) ** 2
-        hess = poly.second_derivative_majorant(spectral_norm(lam))
+    def per_block(lam: np.ndarray, bufs: BlockBuffers) -> tuple[np.ndarray, ...]:
+        sq = gradient_block(lam, n, poly, bufs)
+        np.square(sq, out=sq)
+        squared = sq.sum(axis=1) ** 2
+        quartic = np.square(sq, out=sq).sum(axis=1)
+        norms = spectral_norm(lam, out=bufs.real[: len(lam)])
+        hess = poly.second_derivative_majorant(norms)
         return (
-            (sq * sq).sum(axis=1),
-            sq.sum(axis=1) ** 2,
+            quartic,
+            squared,
             np.broadcast_to(hess**4, len(lam)),
-            trace_block(lam, n, poly),
+            trace_block(lam, n, poly, bufs),
         )
 
     quartic, squared, hess4, traces = _replica_blocks(
@@ -332,7 +341,7 @@ def norm_scaling_study(
     for i, n in enumerate(sizes):
         norms = _replica_blocks(
             spec, n, master_seed, range(i * trials, (i + 1) * trials), 1,
-            spectral_norm,
+            lambda lam, bufs: spectral_norm(lam, out=bufs.real[: len(lam)]),
         )[0]
         ratios = norms / math.sqrt(math.log(n))
         rows.append(NormScalingRow(n, trials, float(ratios.max()),

@@ -16,7 +16,9 @@ the tests to compare against:
 * the materialized matrix (:func:`dense_matrix`);
 * slice counts by enumerating all n^p tuples (:func:`count_slice_bruteforce`)
   and by a subset-sum recursion over distinct coordinates
-  (:func:`count_slice_distinct`).
+  (:func:`count_slice_distinct`);
+* the smooth representation u of each smooth family, whose derivatives
+  the constants c1 and c2 must bound (:func:`smooth_transform_value`).
 
 They carry no resource or argument guards: the tests choose their inputs.
 """
@@ -26,12 +28,36 @@ import math
 import numpy as np
 
 from circulant_clt.circulant import TestPolynomial, _check_imag, spectral_norm
-from circulant_clt.ensembles import EnsembleSpec, RandomStream, draw_rows
+from circulant_clt.ensembles import (
+    UNIFORM_HALF_WIDTH,
+    EnsembleSpec,
+    RandomStream,
+    draw_rows,
+)
+from circulant_clt.errors import SmoothnessRequiredError
 
 
 def sample_sequence(spec: EnsembleSpec, n: int, stream: RandomStream) -> np.ndarray:
     """The raw inputs of one replica: the one-row case of draw_rows."""
     return draw_rows(spec, stream, np.empty((1, n)))[0]
+
+
+def smooth_transform_value(spec: EnsembleSpec, z):
+    """Evaluate the smooth representation u at z (scalar or array).
+
+    For ``uniform_symmetric``, u(z) = 2*sqrt(3)*(Phi(z) - 1/2) pushes the
+    standard normal forward to the uniform law on [-sqrt(3), sqrt(3)];
+    Phi(z) = erfc(-z / sqrt(2)) / 2.
+    """
+    if not spec.is_smooth:
+        raise SmoothnessRequiredError(
+            f"{spec.family!r} is not representable as a smooth function u of a "
+            "standard normal with bounded |u'| <= c1 and |u''| <= c2"
+        )
+    if spec.family == "gaussian":
+        return z
+    phi = np.vectorize(lambda v: 0.5 * math.erfc(-v / math.sqrt(2.0)), otypes=[float])
+    return 2.0 * UNIFORM_HALF_WIDTH * (phi(z) - 0.5)
 
 
 def spectrum(raw: np.ndarray) -> np.ndarray:

@@ -3,7 +3,10 @@ README use, the records they return, the builtin ensembles and the errors.
 Everything else the package defines is reached from there."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import circulant_clt
@@ -82,3 +85,14 @@ def test_every_public_definition_is_reached():
                     for _, other in statements if other is not node)
     ]
     assert unreached == []
+
+
+def test_cli_imports_no_scipy():
+    # numpy is the only runtime dependency: importing the CLI loads no scipy
+    code = ("import sys, circulant_clt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(circulant_clt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -64,7 +64,8 @@ def test_block_kernel_matches_per_replica_oracles(n, poly, family, extra, seed):
     config = ExperimentConfig(n=n, m=m, poly=poly, ensemble=spec, master_seed=seed)
     traces = run_clt_experiment(config).raw_traces
     grads = harness._replica_blocks(
-        spec, n, seed, range(m), 1, lambda lam: gradient_block(lam, n, poly).T, width=n
+        spec, n, seed, range(m), 1,
+        lambda lam, bufs: gradient_block(lam, n, poly, bufs).T, width=n,
     )
     quartic, squared, hess4, oracle_traces = [], [], [], []
     for r in range(m):
@@ -111,8 +112,8 @@ def inject_imaginary(monkeypatch, bin_of_n):
     """Add imaginary content to one half-spectrum bin of every block."""
     half_spectrum = harness.half_spectrum
 
-    def corrupted(raw):
-        lam = half_spectrum(raw)
+    def corrupted(raw, out=None):
+        lam = half_spectrum(raw, out=out)
         lam[:, bin_of_n(raw.shape[-1])] += 1e-3j
         return lam
 

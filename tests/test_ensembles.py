@@ -14,8 +14,8 @@ from circulant_clt import (
     rademacher,
     uniform_symmetric,
 )
-from circulant_clt.ensembles import RandomStream, smooth_transform_value
-from oracles import sample_sequence
+from circulant_clt.ensembles import RandomStream, draw_rows
+from oracles import sample_sequence, smooth_transform_value
 
 SQRT3 = math.sqrt(3.0)
 ALL_FAMILIES = [gaussian(), rademacher(), uniform_symmetric()]
@@ -85,6 +85,15 @@ class TestSampling:
         xs = sample_sequence(gaussian(), 10**6, RandomStream(3, 0))
         assert abs(xs.mean()) <= 4 / math.sqrt(10**6)
         assert abs(xs.var() - 1.0) <= 0.01
+
+    def test_uniform_rows_pin_the_stream(self):
+        # row i of a block is sqrt(3) * (2U - 1) for the standard uniforms U
+        # that replica lo + i's own generator draws
+        lo, n = 5, 33
+        block = draw_rows(uniform_symmetric(), RandomStream(9, lo), np.empty((4, n)))
+        for i, row in enumerate(block):
+            u = RandomStream(9, lo + i).generator().random(n)
+            assert np.array_equal(row, SQRT3 * (2.0 * u - 1.0))
 
     def test_uniform_support_and_variance(self):
         xs = sample_sequence(uniform_symmetric(), 10**6, RandomStream(4, 0))

@@ -2,6 +2,7 @@
 total-variation bound machinery."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -219,6 +220,21 @@ class TestKsDistance:
 
     def test_far_mass_saturates(self):
         assert ks_distance(np.full(50, 10.0), 1.0) > 0.999
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_stdlib_normal_cdf(self, seed):
+        # an independent Phi, statistics.NormalDist, on seeded samples whose
+        # z-scores reach +-38, where one tail of Phi underflows to subnormals
+        rng = np.random.Generator(np.random.Philox(seed))
+        sigma = float(rng.uniform(0.5, 3.0))
+        z = np.concatenate([rng.standard_normal(40), rng.uniform(-38.0, 38.0, 20),
+                            [-38.0, 38.0]])
+        xs = z * sigma
+        cdf = NormalDist(0.0, sigma).cdf
+        m = len(xs)
+        expected = max(0.0, *(max((i + 1) / m - cdf(x), cdf(x) - i / m)
+                              for i, x in enumerate(sorted(xs.tolist()))))
+        assert abs(ks_distance(xs, sigma**2) - expected) <= 1e-15
 
     def test_refusals(self):
         with pytest.raises(ValueError):
