@@ -10,11 +10,10 @@ from .circulant import TestPolynomial
 from .combinatorics import (
     LatticeSliceCount,
     euler_frobenius_density,
-    gaussian_central_moment,
     limiting_variance,
     slice_table,
 )
-from .ensembles import EnsembleSpec, from_family, gaussian, rademacher, uniform_symmetric
+from .ensembles import EnsembleSpec, gaussian, rademacher, uniform_symmetric
 from .errors import (
     ConfigError,
     ImaginaryResidualError,
@@ -25,11 +24,9 @@ from .harness import (
     ExperimentSummary,
     NormScalingRow,
     SteinEstimate,
-    empirical_moments,
     estimate_kappas,
     norm_scaling_study,
     run_clt_experiment,
-    standardized_moments,
 )
 
 __all__ = [
@@ -44,17 +41,13 @@ __all__ = [
     "SmoothnessRequiredError",
     "SteinEstimate",
     "TestPolynomial",
-    "empirical_moments",
     "estimate_kappas",
     "euler_frobenius_density",
-    "from_family",
     "gaussian",
-    "gaussian_central_moment",
     "limiting_variance",
     "norm_scaling_study",
     "rademacher",
     "run_clt_experiment",
     "slice_table",
-    "standardized_moments",
     "uniform_symmetric",
 ]

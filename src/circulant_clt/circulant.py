@@ -186,15 +186,13 @@ def spectral_norm(lam: np.ndarray, out: np.ndarray | None = None):
 
 
 def trace_block(lam: np.ndarray, n: int, poly: TestPolynomial,
-                bufs: BlockBuffers | None = None) -> np.ndarray:
+                bufs: BlockBuffers) -> np.ndarray:
     """Tr P(C) of each row of half spectra: P(lambda_t) reduced with the
     Hermitian weights 1 at t = 0 and t = n/2 (n even), 2 elsewhere.
 
-    The block's temporaries go to bufs, or to new buffers if it is None.
+    The block's temporaries go to bufs.
     """
     rows = len(lam)
-    if bufs is None:
-        bufs = BlockBuffers(rows, n)
     vals = poly.evaluate(lam, out=bufs.vals[:rows])
     traces = np.multiply(vals.real, bufs.weights, out=bufs.real[:rows]).sum(axis=1)
     _check_imag(_self_conjugate_imag(vals, n), np.abs(traces), "Tr P(C)")
@@ -202,12 +200,10 @@ def trace_block(lam: np.ndarray, n: int, poly: TestPolynomial,
 
 
 def gradient_block(lam: np.ndarray, n: int, poly: TestPolynomial,
-                   bufs: BlockBuffers | None = None) -> np.ndarray:
+                   bufs: BlockBuffers) -> np.ndarray:
     """Gradient of X -> Tr P(C(X)) for each row of half spectra:
     sqrt(n) * irfft(P'(lambda)), written to bufs.grad (see trace_block)."""
     rows = len(lam)
-    if bufs is None:
-        bufs = BlockBuffers(rows, n)
     if bufs.grad is None:
         bufs.grad = np.empty((len(bufs.raw), n))
     dvals = poly.derivative_values(lam, out=bufs.vals[:rows])

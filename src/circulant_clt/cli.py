@@ -1,7 +1,7 @@
 """Command-line front end: config parsing, study dispatch, CSV/JSON output.
 
-Subcommands: variance, density-table, simulate, tv-bound, norm-scaling,
-moments.  Exit codes: 0 success, 2 validation or refusal, 3 I/O failure.
+Subcommands: variance, density-table, simulate, tv-bound, norm-scaling.
+Exit codes: 0 success, 2 validation or refusal, 3 I/O failure.
 
 Configs are JSON key-value documents (or equivalent inline flags) with
 keys n, poly, family, seed, m, worker_count.  Polynomials are dense
@@ -26,23 +26,15 @@ import numpy as np
 
 from . import __version__
 from .circulant import TestPolynomial
-from .combinatorics import (
-    euler_frobenius_density,
-    gaussian_central_moment,
-    limiting_variance,
-    slice_table,
-)
-from .ensembles import from_family
+from .combinatorics import euler_frobenius_density, limiting_variance, slice_table
+from .ensembles import EnsembleSpec
 from .errors import ConfigError
 from .harness import (
     ExperimentConfig,
     ExperimentSummary,
-    check_max_order,
-    empirical_moments,
     estimate_kappas,
     norm_scaling_study,
     run_clt_experiment,
-    standardized_moments,
 )
 
 OUTPUT_DIR_ENV = "CIRCULANT_CLT_OUT"
@@ -89,7 +81,7 @@ def parse_config(doc) -> ExperimentConfig:
                           f"not {data['poly']!r}")
     try:
         poly = TestPolynomial.from_dense(data["poly"])
-        ensemble = from_family(str(data.get("family", "gaussian")))
+        ensemble = EnsembleSpec(str(data.get("family", "gaussian")))
         return ExperimentConfig(
             n=data["n"],
             m=data["m"],
@@ -263,31 +255,12 @@ def _cmd_tv_bound(args: argparse.Namespace, out: Path) -> None:
 
 
 def _cmd_norm_scaling(args: argparse.Namespace, out: Path) -> None:
-    ensemble = from_family(args.family)
+    ensemble = EnsembleSpec(args.family)
     sizes = _parse_sizes_flag(args.sizes)
     rows = norm_scaling_study(ensemble, sizes, args.trials, master_seed=args.seed)
     _write_table(out, ["n", "trials", "max_ratio", "mean_ratio"],
                  ([row.n, row.trials, repr(row.max_ratio), repr(row.mean_ratio)]
                   for row in rows))
-
-
-def _cmd_moments(args: argparse.Namespace, out: Path) -> None:
-    config = _config_from_options(args)
-    check_max_order(args.max_order)
-    summary = run_clt_experiment(config)
-    central = empirical_moments(summary.w_values, args.max_order)
-    standardized = standardized_moments(summary.w_values, args.max_order)
-    _write_table(
-        out,
-        ["order", "central_moment", "gaussian_target",
-         "standardized_moment", "standardized_target"],
-        ([order,
-          repr(float(central[order - 1])),
-          repr(gaussian_central_moment(order, summary.target_variance)),
-          repr(float(standardized[order - 1])),
-          repr(gaussian_central_moment(order, 1.0))]
-         for order in range(1, args.max_order + 1)),
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -336,11 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated sizes")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("moments", help="standardized moments of the statistic")
-    p.set_defaults(run=_cmd_moments)
-    add_experiment_flags(p)
-    p.add_argument("--max-order", type=int, default=8)
 
     return parser
 

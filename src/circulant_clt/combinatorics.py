@@ -106,27 +106,11 @@ def slice_table(p: int, n: int) -> list[LatticeSliceCount]:
 
 
 def limiting_variance(poly: TestPolynomial) -> Fraction:
-    """Limiting variance of the centered, sqrt(n)-normalized trace statistic.
+    """Limiting variance sum_l a_l^2 * l! of the centered, sqrt(n)-normalized
+    trace statistic; exact whenever the coefficients are.
 
-    Equals sum_l a_l^2 * l! * sum_s f_l(s).  The inner density sum is
-    exactly 1, but it is evaluated explicitly so the density formula stays
-    on the tested path; the result is exact whenever the coefficients are.
+    The slice form sum_l a_l^2 * l! * sum_s f_l(s) reduces to it because the
+    Euler-Frobenius densities f_l sum to exactly 1.
     """
-    total = Fraction(0)
-    for ell, a in poly.terms():
-        inner = sum(
-            (euler_frobenius_density(ell, s) for s in range(ell)), Fraction(0)
-        )
-        total += Fraction(a) ** 2 * factorial(ell) * inner
-    return total
-
-
-def gaussian_central_moment(order: int, variance: float) -> float:
-    """Central moment of N(0, variance): zero for odd orders, else
-    (2k)!/(k! 2^k) * variance^k for order 2k."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if order % 2 == 1:
-        return 0.0
-    k = order // 2
-    return factorial(2 * k) // (factorial(k) * 2**k) * float(variance) ** k
+    return sum((Fraction(a) ** 2 * factorial(ell) for ell, a in poly.terms()),
+               Fraction(0))

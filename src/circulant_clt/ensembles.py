@@ -58,7 +58,8 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if self.family not in SMOOTH_BOUNDS:
             raise ValueError(
-                f"unknown family {self.family!r}; choose from {sorted(SMOOTH_BOUNDS)}"
+                f"unknown ensemble family {self.family!r}; "
+                f"choose from {sorted(SMOOTH_BOUNDS)}"
             )
 
     @property
@@ -84,15 +85,6 @@ def rademacher() -> EnsembleSpec:
 
 def uniform_symmetric() -> EnsembleSpec:
     return EnsembleSpec("uniform_symmetric")
-
-
-def from_family(name: str) -> EnsembleSpec:
-    """Build the named ensemble."""
-    if name not in SMOOTH_BOUNDS:
-        raise ValueError(
-            f"unknown ensemble family {name!r}; choose from {sorted(SMOOTH_BOUNDS)}"
-        )
-    return EnsembleSpec(name)
 
 
 @dataclass(frozen=True)

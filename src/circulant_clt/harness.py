@@ -184,31 +184,20 @@ def _replica_blocks(
     return out
 
 
-def check_max_order(max_order: int) -> None:
-    if not 1 <= max_order <= MAX_MOMENT_ORDER:
-        raise ValueError(
-            f"max_order must lie in [1, {MAX_MOMENT_ORDER}]; higher orders are "
-            "too noisy to estimate at Monte Carlo scale"
-        )
-
-
-def empirical_moments(samples, max_order: int) -> np.ndarray:
-    """Central sample moments of orders 1..max_order (max_order <= 8)."""
-    check_max_order(max_order)
+def standardized_moments(samples) -> np.ndarray:
+    """Central sample moments of orders 1..MAX_MOMENT_ORDER, each scaled by
+    sigma^order (population sigma); all zero for constant samples."""
     xs = np.asarray(samples, dtype=np.float64)
     if xs.size == 0:
         raise ValueError("need at least one sample")
     centered = xs - xs.mean()
-    return np.array([float(np.mean(centered**k)) for k in range(1, max_order + 1)])
-
-
-def standardized_moments(samples, max_order: int = MAX_MOMENT_ORDER) -> np.ndarray:
-    """Central moments scaled by sigma^order (population sigma)."""
-    central = empirical_moments(samples, max_order)
-    sigma = math.sqrt(central[1]) if max_order >= 2 else 0.0
-    if sigma == 0.0:
-        return np.zeros(max_order)
-    return np.array([central[k - 1] / sigma**k for k in range(1, max_order + 1)])
+    orders = range(1, MAX_MOMENT_ORDER + 1)
+    central = [float(np.mean(centered**k)) for k in orders]
+    sigma = math.sqrt(central[1])
+    # a constant sample's rounded mean can miss its value, leaving sigma > 0
+    if sigma == 0.0 or xs.min() == xs.max():
+        return np.zeros(MAX_MOMENT_ORDER)
+    return np.array([central[k - 1] / sigma**k for k in orders])
 
 
 def ks_distance(samples, variance: float) -> float:
@@ -250,9 +239,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentSummary:
         raw_traces=traces,
         raw_trace_mean=t_bar,
         variance_w=float(w.var(ddof=1)),
-        standardized_moments=tuple(
-            float(v) for v in standardized_moments(w, MAX_MOMENT_ORDER)
-        ),
+        standardized_moments=tuple(float(v) for v in standardized_moments(w)),
         ks_distance=ks_distance(w, target),
         target_variance=target,
         low_confidence=config.m < LOW_CONFIDENCE_REPLICAS,

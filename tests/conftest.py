@@ -1,6 +1,8 @@
 """Settings shared by every test module."""
 
 import tempfile
+import warnings
+from contextlib import suppress
 
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -15,6 +17,15 @@ settings.load_profile("reproducible")
 # ./.hypothesis.
 _storage = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_storage.name)
+
+# When a @given test fails, Hypothesis's pytest plugin imports its patch
+# writer, and the libcst it imports raises a DeprecationWarning.  Under
+# filterwarnings = error that aborts the whole test run, so the writer is
+# imported here once, with that warning ignored for this import alone.  The
+# plugin writes no patch when libcst is missing, and neither does this.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def pytest_unconfigure(config):

@@ -17,6 +17,8 @@ the tests to compare against:
 * slice counts by enumerating all n^p tuples (:func:`count_slice_bruteforce`)
   and by a subset-sum recursion over distinct coordinates
   (:func:`count_slice_distinct`);
+* the limiting variance with its Euler-Frobenius density sums evaluated
+  rather than set to 1 (:func:`limiting_variance_by_densities`);
 * the smooth representation u of each smooth family, whose derivatives
   the constants c1 and c2 must bound (:func:`smooth_transform_value`).
 
@@ -24,10 +26,12 @@ They carry no resource or argument guards: the tests choose their inputs.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from circulant_clt.circulant import TestPolynomial, _check_imag, spectral_norm
+from circulant_clt.combinatorics import euler_frobenius_density
 from circulant_clt.ensembles import (
     UNIFORM_HALF_WIDTH,
     EnsembleSpec,
@@ -165,3 +169,12 @@ def count_slice_distinct(p: int, s: int, n: int) -> int:
                 if prev[t - v]:
                     row[t] += prev[t - v]
     return dp[p][target] * math.factorial(p)
+
+
+def limiting_variance_by_densities(poly: TestPolynomial) -> Fraction:
+    """sum_l a_l^2 * l! * sum_s f_l(s), summing the densities f_l(s)."""
+    total = Fraction(0)
+    for ell, a in poly.terms():
+        inner = sum((euler_frobenius_density(ell, s) for s in range(ell)), Fraction(0))
+        total += Fraction(a) ** 2 * math.factorial(ell) * inner
+    return total

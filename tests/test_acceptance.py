@@ -37,11 +37,11 @@ import numpy as np
 import pytest
 
 from circulant_clt import (
+    EnsembleSpec,
     ExperimentConfig,
     TestPolynomial,
     estimate_kappas,
     euler_frobenius_density,
-    from_family,
     gaussian,
     norm_scaling_study,
     rademacher,
@@ -170,7 +170,7 @@ def test_criterion_03_trace_route_equivalence():
 )
 def test_criterion_04_limiting_variance(family, poly, target):
     config = ExperimentConfig(
-        n=1024, m=2000, poly=poly, ensemble=from_family(family),
+        n=1024, m=2000, poly=poly, ensemble=EnsembleSpec(family),
         master_seed=404, worker_count=2,
     )
     summary = run_clt_experiment(config)
@@ -317,7 +317,7 @@ def test_criterion_10_tv_bound_machinery():
 @pytest.mark.parametrize("family", ["gaussian", "rademacher"])
 def test_criterion_11_spectral_norm_scaling(family):
     rows = norm_scaling_study(
-        from_family(family), [2**8, 2**14], trials=50, master_seed=1111
+        EnsembleSpec(family), [2**8, 2**14], trials=50, master_seed=1111
     )
     small, large = rows
     ok = large.max_ratio <= 1.5 * small.max_ratio

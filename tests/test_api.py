@@ -23,18 +23,14 @@ SUPPORTED = [
     "SteinEstimate",
     "TestPolynomial",
     "__version__",
-    "empirical_moments",
     "estimate_kappas",
     "euler_frobenius_density",
-    "from_family",
     "gaussian",
-    "gaussian_central_moment",
     "limiting_variance",
     "norm_scaling_study",
     "rademacher",
     "run_clt_experiment",
     "slice_table",
-    "standardized_moments",
     "uniform_symmetric",
 ]
 

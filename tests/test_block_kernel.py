@@ -22,7 +22,12 @@ from circulant_clt import (
     uniform_symmetric,
 )
 from circulant_clt import harness
-from circulant_clt.circulant import gradient_block, half_spectrum, trace_block
+from circulant_clt.circulant import (
+    BlockBuffers,
+    gradient_block,
+    half_spectrum,
+    trace_block,
+)
 from circulant_clt.ensembles import RandomStream
 from oracles import (
     build_sample,
@@ -103,7 +108,7 @@ def test_block_kernel_matches_direct_enumeration(n, p, family, seed):
     # Tr(C^p) by the defining index sum, with no FFT, against one block row
     raw = sample_sequence(FAMILIES[family], n, RandomStream(seed, 0))
     power = TestPolynomial((0.0,) * (p - 2) + (1.0,))
-    block = trace_block(half_spectrum(raw[None]), n, power)[0]
+    block = trace_block(half_spectrum(raw[None]), n, power, BlockBuffers(1, n))[0]
     direct = trace_power_direct(raw, p)
     assert abs(block - direct) <= 1e-10 * max(1.0, abs(block), abs(direct))
 
@@ -136,12 +141,13 @@ def test_imaginary_residual_at_self_conjugate_bins(bin_of_n, monkeypatch):
 
 def test_gradient_residual_at_self_conjugate_bins():
     lam = np.fft.rfft(np.ones((2, 8)), axis=1)
-    gradient_block(lam, 8, POLY_X2_X3)
+    bufs = BlockBuffers(2, 8)
+    gradient_block(lam, 8, POLY_X2_X3, bufs)
     for t in (0, 4):
         corrupted = lam.copy()
         corrupted[:, t] += 1e-3j
         with pytest.raises(ImaginaryResidualError, match="derivative"):
-            gradient_block(corrupted, 8, POLY_X2_X3)
+            gradient_block(corrupted, 8, POLY_X2_X3, bufs)
 
 
 def test_block_rows_bound_the_values_per_block():

@@ -1,6 +1,7 @@
 """CLI tests: config validation, subcommand dispatch, artifact formats,
 exit-code discipline, and reproducibility of emitted files."""
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -200,6 +201,19 @@ class TestSimulateCommand:
             "centering": "sample_mean",
         }
 
+    def test_summary_moments_match_samples(self, tmp_path, capsys):
+        code = main(["--out", str(tmp_path), "simulate", "--n", "64",
+                     "--poly", "0,0,1", "--seed", "4", "--m", "60"])
+        assert code == 0
+        moments = json.loads((tmp_path / "summary.json").read_text())[
+            "experiment"]["standardized_moments"]
+        rows = csv.DictReader(io.StringIO((tmp_path / "samples.csv").read_text()))
+        ws = [float(row["W"]) for row in rows]
+        assert len(ws) == 60
+        assert moments == harness.standardized_moments(ws).tolist()
+        assert len(moments) == 8
+        assert moments[1] == pytest.approx(1.0)
+
     def test_worker_count_invariance_excluding_wall_time(self, tmp_path):
         outs = []
         for workers in ("1", "8"):
@@ -284,19 +298,6 @@ class TestOtherCommands:
         assert [r["n"] for r in rows] == ["16", "32"]
         assert all(float(r["max_ratio"]) >= float(r["mean_ratio"]) for r in rows)
 
-    def test_moments_table(self, tmp_path, capsys):
-        code = main(["--out", str(tmp_path), "moments", "--n", "64",
-                     "--poly", "0,0,1", "--seed", "4", "--m", "60",
-                     "--max-order", "4"])
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO((tmp_path / "table.csv").read_text())))
-        assert [r["order"] for r in rows] == ["1", "2", "3", "4"]
-        assert float(rows[1]["standardized_moment"]) == pytest.approx(1.0)
-        assert float(rows[3]["standardized_target"]) == 3.0
-        # central 4th-moment target is 3 * sigma^4 with sigma^2 = 2
-        assert float(rows[3]["gaussian_target"]) == 12.0
-        assert float(rows[2]["gaussian_target"]) == 0.0
-
     def test_io_failure_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -327,20 +328,11 @@ class TestDefaults:
             "--trials", "50", "--seed", "0"])
         assert implicit == explicit
 
-    def test_moments_default_max_order(self, tmp_path, capsys):
-        flags = ["moments", "--n", "32", "--poly", "0,0,1", "--seed", "1", "--m", "40"]
-        implicit = table_for(tmp_path, "implicit", flags)
-        explicit = table_for(tmp_path, "explicit", [*flags, "--max-order", "8"])
-        assert implicit == explicit
-        assert len(implicit.splitlines()) == 9
-
     @pytest.mark.parametrize("argv, message", [
         (["norm-scaling", "--sizes", "16", "--trials", "0"],
          "need at least one trial per size"),
         (["norm-scaling", "--sizes", "16", "--family", ""],
          "unknown ensemble family"),
-        (["moments", "--n", "16", "--poly", "0,0,1", "--m", "10", "--max-order", "0"],
-         "max_order must lie in [1, 8]"),
     ])
     def test_invalid_value_refused(self, tmp_path, capsys, argv, message):
         assert main(["--out", str(tmp_path), *argv]) == 2
@@ -348,16 +340,6 @@ class TestDefaults:
         assert message in captured.err
         assert captured.out == ""
         assert not (tmp_path / "table.csv").exists()
-
-    def test_max_order_checked_before_any_replica(self, tmp_path, capsys,
-                                                  monkeypatch):
-        def no_experiment(config):
-            raise AssertionError("the experiment ran before the order was checked")
-
-        monkeypatch.setattr(cli, "run_clt_experiment", no_experiment)
-        assert main(["--out", str(tmp_path), "moments", "--n", "16",
-                     "--poly", "0,0,1", "--m", "10", "--max-order", "9"]) == 2
-        assert "max_order must lie in [1, 8]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--n", "16", "--poly", "0,0,1", "--m", "10", "--seed", "-1"],
@@ -373,3 +355,25 @@ class TestDefaults:
         captured = capsys.readouterr()
         assert "master_seed must be a 64-bit unsigned integer" in captured.err
         assert captured.out == ""
+
+
+def test_option_strings_of_each_subcommand():
+    # the whole command-line surface: a flag or subcommand added or removed
+    # shows up here
+    parser = cli._build_parser()
+    (subparsers,) = [action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+
+    def options(p):
+        return sorted(s for action in p._actions for s in action.option_strings)
+
+    experiment = ["--config", "--family", "--help", "--m", "--n", "--poly",
+                  "--seed", "--workers", "-h"]
+    assert options(parser) == ["--help", "--out", "-h"]
+    assert {name: options(sub) for name, sub in subparsers.choices.items()} == {
+        "variance": ["--help", "--poly", "-h"],
+        "density-table": ["--help", "--n", "--p", "-h"],
+        "simulate": experiment,
+        "tv-bound": experiment,
+        "norm-scaling": ["--family", "--help", "--seed", "--sizes", "--trials", "-h"],
+    }

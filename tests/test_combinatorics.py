@@ -12,12 +12,15 @@ from circulant_clt import (
     LatticeSliceCount,
     TestPolynomial,
     euler_frobenius_density,
-    gaussian_central_moment,
     limiting_variance,
     slice_table,
 )
 from circulant_clt.combinatorics import count_slice_exact
-from oracles import count_slice_bruteforce, count_slice_distinct
+from oracles import (
+    count_slice_bruteforce,
+    count_slice_distinct,
+    limiting_variance_by_densities,
+)
 
 
 def literal_slice_count(p, s, n, distinct=False):
@@ -181,21 +184,13 @@ class TestLimitingVariance:
         # variance is quadratic in each coefficient
         assert limiting_variance(TestPolynomial((3.0,))) == 18
 
-
-class TestGaussianCentralMoment:
-    def test_even_orders(self):
-        assert gaussian_central_moment(2, 2.0) == 2.0
-        assert gaussian_central_moment(4, 2.0) == 12.0
-        assert gaussian_central_moment(6, 1.0) == 15.0
-        assert gaussian_central_moment(8, 1.0) == 105.0
-
-    def test_odd_orders_vanish(self):
-        for order in (1, 3, 5, 7):
-            assert gaussian_central_moment(order, 3.7) == 0.0
-
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            gaussian_central_moment(0, 1.0)
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.fractions(-8, 8, max_denominator=64), min_size=1, max_size=11)
+           .filter(lambda c: c[-1] != 0))
+    def test_matches_density_sums(self, coeffs):
+        # coefficients a_2 .. a_d for degrees d up to 12
+        poly = TestPolynomial(tuple(float(a) for a in coeffs))
+        assert limiting_variance(poly) == limiting_variance_by_densities(poly)
 
 
 class TestRecordTypes:

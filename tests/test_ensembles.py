@@ -9,7 +9,6 @@ import pytest
 from circulant_clt import (
     EnsembleSpec,
     SmoothnessRequiredError,
-    from_family,
     gaussian,
     rademacher,
     uniform_symmetric,
@@ -38,14 +37,12 @@ class TestSpecConstruction:
         assert u.c1 == pytest.approx(2 * SQRT3 / math.sqrt(2 * math.pi))
         assert u.c2 == pytest.approx(2 * SQRT3 / math.sqrt(2 * math.pi * math.e))
 
-    def test_from_family(self):
-        assert from_family("gaussian").family == "gaussian"
-        with pytest.raises(ValueError, match="family"):
-            from_family("cauchy")
-
     def test_validation(self):
-        with pytest.raises(ValueError, match="unknown family"):
-            EnsembleSpec("custom_smooth")
+        assert EnsembleSpec("gaussian").family == "gaussian"
+        for name in ("custom_smooth", "cauchy"):
+            with pytest.raises(ValueError, match=f"unknown ensemble family '{name}'; "
+                               "choose from"):
+                EnsembleSpec(name)
         # the family alone defines the law: its constants cannot be overridden
         with pytest.raises(TypeError):
             EnsembleSpec("gaussian", c1=7.0, c2=3.0)
