@@ -37,12 +37,17 @@ class TestSpecConstruction:
         assert u.c1 == pytest.approx(2 * SQRT3 / math.sqrt(2 * math.pi))
         assert u.c2 == pytest.approx(2 * SQRT3 / math.sqrt(2 * math.pi * math.e))
 
-    def test_validation(self):
+    def test_from_family(self):
+        # the family name alone builds the spec; an unknown one is refused
         assert EnsembleSpec("gaussian").family == "gaussian"
-        for name in ("custom_smooth", "cauchy"):
-            with pytest.raises(ValueError, match=f"unknown ensemble family '{name}'; "
-                               "choose from"):
-                EnsembleSpec(name)
+        with pytest.raises(ValueError, match="unknown ensemble family 'cauchy'; "
+                           "choose from"):
+            EnsembleSpec("cauchy")
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="unknown ensemble family 'custom_smooth'; "
+                           "choose from"):
+            EnsembleSpec("custom_smooth")
         # the family alone defines the law: its constants cannot be overridden
         with pytest.raises(TypeError):
             EnsembleSpec("gaussian", c1=7.0, c2=3.0)
