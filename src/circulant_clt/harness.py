@@ -22,16 +22,21 @@ symmetric ensemble.
 
 Replicas run in fixed blocks of consecutive indices, BLOCK_VALUES input
 values per block (at least one and at most MAX_BLOCK_ROWS replicas),
-whatever the worker count.  A block is drawn row by row, each replica
-from the substream named by (master_seed, replica_index); one rfft gives
-the block's half spectra, and the statistics are reduced from those.
-Each worker allocates its block arrays once (circulant.BlockBuffers) and
-every block it runs writes into them.  worker_count is an upper bound:
-blocks run on threads only from n = THREAD_MIN_N, below which the
-per-row draws hold the GIL and a second thread adds CPU without speed.
-Each block writes into its own slots and reductions run in fixed replica
+rounded down to whole chunks of ensembles.stream_rows(n) replicas,
+whatever the worker count.  A block is drawn with one generator call per
+chunk it covers, each chunk from the substream named by (master_seed,
+chunk); one rfft gives the block's half spectra, and the statistics are
+reduced from those.  Each worker allocates its block arrays once
+(circulant.BlockBuffers) and every block it runs writes into them.
+worker_count is an upper bound.  Below n = THREAD_MIN_N the blocks run
+inline on the calling thread, where a measured second thread added CPU
+without shortening the run.  From THREAD_MIN_N they run on pool threads,
+a single one at worker_count 1: numpy's FFT scratch is faulted in again
+on every call on the main thread, and not on a pool thread.  Each
+block writes into its own slots and reductions run in fixed replica
 order, so results are bit-identical for any worker_count, BLOCK_VALUES
-or THREAD_MIN_N.
+or THREAD_MIN_N, and a run of m replicas gives the first m replicas of
+any longer run.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .circulant import (
     trace_block,
 )
 from .combinatorics import limiting_variance
-from .ensembles import EnsembleSpec, RandomStream, draw_rows
+from .ensembles import EnsembleSpec, RandomStream, draw_rows, stream_rows
 from .errors import SmoothnessRequiredError
 
 MAX_MOMENT_ORDER = 8
@@ -139,8 +144,10 @@ class SteinEstimate:
 
 
 def block_rows(n: int) -> int:
-    """Replicas per block: BLOCK_VALUES // n, clamped to [1, MAX_BLOCK_ROWS]."""
-    return min(max(BLOCK_VALUES // n, 1), MAX_BLOCK_ROWS)
+    """Replicas per block: BLOCK_VALUES // n, clamped to [1, MAX_BLOCK_ROWS]
+    and rounded down to whole chunks of stream_rows(n), at least one."""
+    chunk = stream_rows(n)
+    return max(min(BLOCK_VALUES // n, MAX_BLOCK_ROWS) // chunk, 1) * chunk
 
 
 def _replica_blocks(
@@ -157,10 +164,14 @@ def _replica_blocks(
     fn maps a (rows, n//2 + 1) block of half spectra and the worker's
     BlockBuffers, which hold that block, to a (width, rows) array; column
     r - replicas.start of the (width, len(replicas)) result holds replica
-    r.  Blocks start every block_rows(n) replicas from replicas.start.
-    From n = THREAD_MIN_N the thread count is worker_count capped by the
-    block count and the available CPUs; below it the blocks run inline.
+    r.  replicas.start must be a multiple of stream_rows(n); blocks start
+    every block_rows(n) replicas from there.  From n = THREAD_MIN_N the
+    blocks run on a pool of worker_count threads capped by the block count
+    and the available CPUs; below it they run inline.
     """
+    chunk = stream_rows(n)
+    if replicas.start % chunk:
+        raise ValueError(f"replicas must start at a multiple of stream_rows(n) = {chunk}")
     rows = block_rows(n)
     starts = range(replicas.start, replicas.stop, rows)
     out = np.empty((width, len(replicas)))
@@ -169,16 +180,14 @@ def _replica_blocks(
         bufs = BlockBuffers(min(rows, len(replicas)), n)
         for lo in mine:
             k = min(lo + rows, replicas.stop) - lo
-            block = draw_rows(spec, RandomStream(master_seed, lo), bufs.raw[:k])
+            block = draw_rows(spec, RandomStream(master_seed, lo // chunk), bufs.raw[:k])
             lam = half_spectrum(block, out=bufs.lam[:k])
             out[:, lo - replicas.start : lo - replicas.start + k] = fn(lam, bufs)
 
-    workers = 1
-    if n >= THREAD_MIN_N:
-        workers = min(worker_count, len(starts), os.cpu_count() or 1)
-    if workers <= 1:
+    if n < THREAD_MIN_N:
         run_blocks(starts)
     else:
+        workers = min(worker_count, len(starts), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_blocks, [starts[w::workers] for w in range(workers)]))
     return out
@@ -191,13 +200,14 @@ def standardized_moments(samples) -> np.ndarray:
     if xs.size == 0:
         raise ValueError("need at least one sample")
     centered = xs - xs.mean()
-    orders = range(1, MAX_MOMENT_ORDER + 1)
-    central = [float(np.mean(centered**k)) for k in orders]
-    sigma = math.sqrt(central[1])
-    # a constant sample's rounded mean can miss its value, leaving sigma > 0
-    if sigma == 0.0 or xs.min() == xs.max():
+    peak = float(np.max(np.abs(centered)))
+    # a constant sample's rounded mean can miss its value, leaving peak > 0
+    if peak == 0.0 or xs.min() == xs.max():
         return np.zeros(MAX_MOMENT_ORDER)
-    return np.array([central[k - 1] / sigma**k for k in orders])
+    # scaled to |x| <= 1 and then to unit variance, so no power overflows
+    scaled = centered / peak
+    z = scaled / math.sqrt(float(np.mean(scaled**2)))
+    return np.array([float(np.mean(z**k)) for k in range(1, MAX_MOMENT_ORDER + 1)])
 
 
 def ks_distance(samples, variance: float) -> float:
@@ -324,10 +334,13 @@ def norm_scaling_study(
     RandomStream(master_seed)  # refuses a seed outside [0, 2**64)
     if any(n < 2 for n in sizes):
         raise ValueError("sizes must be at least 2")
-    rows = []
-    for i, n in enumerate(sizes):
+    rows, chunk = [], 0
+    for n in sizes:
+        # each size starts on its own chunk, after every chunk read before
+        start = chunk * stream_rows(n)
+        chunk += -(-trials // stream_rows(n))
         norms = _replica_blocks(
-            spec, n, master_seed, range(i * trials, (i + 1) * trials), 1,
+            spec, n, master_seed, range(start, start + trials), 1,
             lambda lam, bufs: spectral_norm(lam, out=bufs.real[: len(lam)]),
         )[0]
         ratios = norms / math.sqrt(math.log(n))

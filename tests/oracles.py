@@ -37,13 +37,16 @@ from circulant_clt.ensembles import (
     EnsembleSpec,
     RandomStream,
     draw_rows,
+    stream_rows,
 )
 from circulant_clt.errors import SmoothnessRequiredError
 
 
-def sample_sequence(spec: EnsembleSpec, n: int, stream: RandomStream) -> np.ndarray:
-    """The raw inputs of one replica: the one-row case of draw_rows."""
-    return draw_rows(spec, stream, np.empty((1, n)))[0]
+def sample_sequence(spec: EnsembleSpec, n: int, master_seed: int, replica: int) -> np.ndarray:
+    """The raw inputs of one replica: row replica mod stream_rows(n) of its
+    chunk's draw, drawn up to that row alone."""
+    chunk, row = divmod(replica, stream_rows(n))
+    return draw_rows(spec, RandomStream(master_seed, chunk), np.empty((row + 1, n)))[row]
 
 
 def smooth_transform_value(spec: EnsembleSpec, z):
@@ -70,9 +73,9 @@ def spectrum(raw: np.ndarray) -> np.ndarray:
     return n * np.fft.ifft(raw / math.sqrt(n))
 
 
-def build_sample(spec: EnsembleSpec, n: int, stream: RandomStream) -> np.ndarray:
+def build_sample(spec: EnsembleSpec, n: int, master_seed: int, replica: int) -> np.ndarray:
     """Draw one replica's raw inputs from the ensemble and return its spectrum."""
-    return spectrum(sample_sequence(spec, n, stream))
+    return spectrum(sample_sequence(spec, n, master_seed, replica))
 
 
 def dense_matrix(raw: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from circulant_clt.circulant import (
     half_spectrum,
     trace_block,
 )
-from circulant_clt.ensembles import RandomStream
+from circulant_clt.ensembles import stream_rows
 from oracles import (
     build_sample,
     gradient_trace_polynomial,
@@ -74,7 +74,7 @@ def test_block_kernel_matches_per_replica_oracles(n, poly, family, extra, seed):
     )
     quartic, squared, hess4, oracle_traces = [], [], [], []
     for r in range(m):
-        lam = build_sample(spec, n, RandomStream(seed, r))
+        lam = build_sample(spec, n, seed, r)
         scale = 1.0 + float(np.sum(np.abs(poly.evaluate(lam))))
         oracle = trace_polynomial(lam, poly)
         assert close(traces[r], oracle, scale)
@@ -82,7 +82,7 @@ def test_block_kernel_matches_per_replica_oracles(n, poly, family, extra, seed):
         grad_scale = 1.0 + math.sqrt(n) * float(np.max(np.abs(poly.derivative_values(lam))))
         assert np.all(np.abs(grads[:, r] - grad) <= TOL * grad_scale)
         if r in (0, rows - 1, rows, m - 1):  # both sides of the block boundary
-            raw = sample_sequence(spec, n, RandomStream(seed, r))
+            raw = sample_sequence(spec, n, seed, r)
             assert close(traces[r], dense_trace_polynomial(raw, poly), scale)
         sq = grad * grad
         quartic.append(np.sum(sq * sq))
@@ -97,6 +97,25 @@ def test_block_kernel_matches_per_replica_oracles(n, poly, family, extra, seed):
         assert est.sigma2_hat == pytest.approx(np.var(oracle_traces, ddof=1), rel=TOL)
 
 
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+@pytest.mark.parametrize("n", [150, 700])
+def test_blocks_start_on_chunk_boundaries(spec, n):
+    # chunks of 54 (n=150) and 11 (n=700) replicas do not divide
+    # BLOCK_VALUES // n, so the blocks are rounded down to 216 and 44 rows;
+    # a block starting mid-chunk would draw another replica's inputs.
+    # n=700 runs on threads.
+    rows, chunk = harness.block_rows(n), stream_rows(n)
+    assert rows % chunk == 0 and min(harness.MAX_BLOCK_ROWS, harness.BLOCK_VALUES // n) % chunk
+    m = rows + chunk + 1
+    config = ExperimentConfig(n=n, m=m, poly=POLY_X2_X3, ensemble=spec,
+                              master_seed=17, worker_count=2)
+    traces = run_clt_experiment(config).raw_traces
+    for r in (chunk - 1, chunk, rows - 1, rows, rows + chunk, m - 1):
+        lam = build_sample(spec, n, 17, r)
+        scale = 1.0 + float(np.sum(np.abs(POLY_X2_X3.evaluate(lam))))
+        assert close(traces[r], trace_polynomial(lam, POLY_X2_X3), scale)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 12),
@@ -106,7 +125,7 @@ def test_block_kernel_matches_per_replica_oracles(n, poly, family, extra, seed):
 )
 def test_block_kernel_matches_direct_enumeration(n, p, family, seed):
     # Tr(C^p) by the defining index sum, with no FFT, against one block row
-    raw = sample_sequence(FAMILIES[family], n, RandomStream(seed, 0))
+    raw = sample_sequence(FAMILIES[family], n, seed, 0)
     power = TestPolynomial((0.0,) * (p - 2) + (1.0,))
     block = trace_block(half_spectrum(raw[None]), n, power, BlockBuffers(1, n))[0]
     direct = trace_power_direct(raw, p)

@@ -14,7 +14,6 @@ from circulant_clt import (
     uniform_symmetric,
 )
 from circulant_clt.circulant import spectral_norm
-from circulant_clt.ensembles import RandomStream
 from oracles import (
     build_sample,
     dense_matrix,
@@ -38,7 +37,7 @@ def raw_from_scaled(x) -> np.ndarray:
 
 
 def draw(spec, n, seed, replica=0) -> np.ndarray:
-    return sample_sequence(spec, n, RandomStream(seed, replica))
+    return sample_sequence(spec, n, seed, replica)
 
 
 def dense_trace_polynomial(raw, poly: TestPolynomial) -> float:
@@ -98,7 +97,7 @@ class TestPolynomialType:
 
 class TestBuildSample:
     def test_n_one_spectrum_is_the_entry(self):
-        lam = build_sample(gaussian(), 1, RandomStream(1, 0))
+        lam = build_sample(gaussian(), 1, 1, 0)
         raw = draw(gaussian(), 1, 1)
         assert dense_matrix(raw)[0, 0] == raw[0]
         assert np.allclose(lam, raw)
@@ -108,14 +107,14 @@ class TestBuildSample:
         assert set(np.abs(dense_matrix(raw)).ravel()) == {0.5}
 
     def test_deterministic(self):
-        a = build_sample(gaussian(), 8, RandomStream(3, 5))
-        b = build_sample(gaussian(), 8, RandomStream(3, 5))
+        a = build_sample(gaussian(), 8, 3, 5)
+        b = build_sample(gaussian(), 8, 3, 5)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("spec", [gaussian(), rademacher(), uniform_symmetric()],
                              ids=lambda s: s.family)
     def test_is_spectrum_of_the_draw(self, spec):
-        lam = build_sample(spec, 9, RandomStream(3, 5))
+        lam = build_sample(spec, 9, 3, 5)
         assert np.array_equal(lam, spectrum(draw(spec, 9, 3, 5)))
 
 
@@ -149,7 +148,7 @@ class TestSpectrum:
         assert abs(total - expected) <= 1e-12 * (1 + abs(expected))
 
     def test_conjugate_symmetry(self):
-        lam = build_sample(gaussian(), 12, RandomStream(5, 0))
+        lam = build_sample(gaussian(), 12, 5, 0)
         for t in range(12):
             assert lam[(12 - t) % 12] == pytest.approx(np.conj(lam[t]), abs=1e-12)
 
@@ -191,12 +190,12 @@ class TestTracePowers:
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b))
 
     def test_invalid_power(self):
-        lam = build_sample(gaussian(), 4, RandomStream(11, 0))
+        lam = build_sample(gaussian(), 4, 11, 0)
         with pytest.raises(ValueError):
             trace_power_spectral(lam, 0)
 
     def test_imaginary_residual_guard(self):
-        lam = build_sample(gaussian(), 6, RandomStream(12, 0))
+        lam = build_sample(gaussian(), 6, 12, 0)
         corrupted = lam + 1j  # break conjugate symmetry
         with pytest.raises(ImaginaryResidualError):
             trace_power_spectral(corrupted, 3)
@@ -332,11 +331,11 @@ class TestHessianBound:
     """m2(||C||) bounds the Hessian of g = Tr P(C) itself, with no 1/n."""
 
     def test_square_is_constant_over_samples(self):
-        lam = build_sample(gaussian(), 16, RandomStream(19, 0))
+        lam = build_sample(gaussian(), 16, 19, 0)
         assert hessian_norm_bound(lam, POLY_X2) == pytest.approx(2.0)
 
     def test_cube_scales_with_norm(self):
-        lam = build_sample(gaussian(), 8, RandomStream(20, 0))
+        lam = build_sample(gaussian(), 8, 20, 0)
         rho = spectral_norm(lam)
         poly = TestPolynomial((0.0, 1.0))
         assert hessian_norm_bound(lam, poly) == pytest.approx(6 * rho)

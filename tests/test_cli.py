@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -212,6 +213,16 @@ class TestSimulateCommand:
         assert len(ws) == 60
         assert moments == harness.standardized_moments(ws).tolist()
         assert len(moments) == 8
+        assert moments[1] == pytest.approx(1.0)
+
+    def test_huge_coefficients_give_finite_moments(self, tmp_path):
+        # |W| near 1e40: no power up to the 8th of W or of its standard
+        # deviation may overflow, and any warning fails the suite
+        assert main(["--out", str(tmp_path), "simulate", "--n", "64",
+                     "--poly", "0,0,1e40", "--m", "50"]) == 0
+        moments = json.loads((tmp_path / "summary.json").read_text())[
+            "experiment"]["standardized_moments"]
+        assert len(moments) == 8 and all(map(math.isfinite, moments))
         assert moments[1] == pytest.approx(1.0)
 
     def test_worker_count_invariance_excluding_wall_time(self, tmp_path):

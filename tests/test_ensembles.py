@@ -13,7 +13,7 @@ from circulant_clt import (
     rademacher,
     uniform_symmetric,
 )
-from circulant_clt.ensembles import RandomStream, draw_rows
+from circulant_clt.ensembles import RandomStream, draw_rows, stream_rows
 from oracles import sample_sequence, smooth_transform_value
 
 SQRT3 = math.sqrt(3.0)
@@ -64,48 +64,72 @@ class TestRandomStream:
         RandomStream(2**64 - 1, 10**9)  # extremes are fine
 
 
+def pinned_chunks(spec, n):
+    """The chunks of a draw of 2 * stream_rows(n) + 3 rows from chunk 5 on."""
+    rows = stream_rows(n)
+    block = draw_rows(spec, RandomStream(9, 5), np.empty((2 * rows + 3, n)))
+    return [block[lo : lo + rows] for lo in range(0, len(block), rows)]
+
+
 class TestSampling:
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     def test_deterministic_given_stream(self, spec):
-        a = sample_sequence(spec, 257, RandomStream(11, 4))
-        b = sample_sequence(spec, 257, RandomStream(11, 4))
+        a = sample_sequence(spec, 257, 11, 4)
+        b = sample_sequence(spec, 257, 11, 4)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     def test_replicas_are_distinct_substreams(self, spec):
-        a = sample_sequence(spec, 64, RandomStream(11, 0))
-        b = sample_sequence(spec, 64, RandomStream(11, 1))
+        a = sample_sequence(spec, 64, 11, 0)
+        b = sample_sequence(spec, 64, 11, 1)
         assert not np.array_equal(a, b)
 
     def test_rademacher_support(self):
-        xs = sample_sequence(rademacher(), 4, RandomStream(0, 0))
+        xs = sample_sequence(rademacher(), 4, 0, 0)
         assert set(xs) <= {-1.0, 1.0}
-        xs = sample_sequence(rademacher(), 4096, RandomStream(1, 0))
+        xs = sample_sequence(rademacher(), 4096, 1, 0)
         assert set(np.unique(xs)) == {-1.0, 1.0}
 
     def test_gaussian_standardized_at_scale(self):
-        xs = sample_sequence(gaussian(), 10**6, RandomStream(3, 0))
+        xs = sample_sequence(gaussian(), 10**6, 3, 0)
         assert abs(xs.mean()) <= 4 / math.sqrt(10**6)
         assert abs(xs.var() - 1.0) <= 0.01
 
+    # n = 33 gives chunks of MAX_STREAM_ROWS rows, n = 1000 of
+    # STREAM_VALUES // n; the last chunk of each draw is a short one
     def test_uniform_rows_pin_the_stream(self):
-        # row i of a block is sqrt(3) * (2U - 1) for the standard uniforms U
-        # that replica lo + i's own generator draws
-        lo, n = 5, 33
-        block = draw_rows(uniform_symmetric(), RandomStream(9, lo), np.empty((4, n)))
-        for i, row in enumerate(block):
-            u = RandomStream(9, lo + i).generator().random(n)
-            assert np.array_equal(row, SQRT3 * (2.0 * u - 1.0))
+        # each chunk's rows are sqrt(3) * (2U - 1) for the standard uniforms
+        # U of one random() call of that chunk's own generator
+        for n in (33, 1000):
+            for j, chunk in enumerate(pinned_chunks(uniform_symmetric(), n)):
+                u = RandomStream(9, 5 + j).generator().random(chunk.size)
+                assert np.array_equal(chunk, SQRT3 * (2.0 * u.reshape(chunk.shape) - 1.0))
+
+    def test_gaussian_rows_pin_the_stream(self):
+        for n in (33, 1000):
+            for j, chunk in enumerate(pinned_chunks(gaussian(), n)):
+                z = RandomStream(9, 5 + j).generator().standard_normal(chunk.size)
+                assert np.array_equal(chunk, z.reshape(chunk.shape))
+
+    def test_rademacher_rows_pin_the_stream(self):
+        # value i of a chunk is 2B - 1 for bit i % 64 of raw word i // 64,
+        # counted from the least significant bit
+        for n in (33, 1000):
+            for j, chunk in enumerate(pinned_chunks(rademacher(), n)):
+                words = RandomStream(9, 5 + j).generator().bit_generator.random_raw(
+                    -(-chunk.size // 64))
+                bits = [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(chunk.size)]
+                assert chunk.ravel().tolist() == [2.0 * b - 1.0 for b in bits]
 
     def test_uniform_support_and_variance(self):
-        xs = sample_sequence(uniform_symmetric(), 10**6, RandomStream(4, 0))
+        xs = sample_sequence(uniform_symmetric(), 10**6, 4, 0)
         assert np.all(np.abs(xs) <= SQRT3)
         assert abs(xs.var() - 1.0) <= 0.01
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     def test_standardization_five_sigma(self, spec):
         m = 10**5
-        xs = sample_sequence(spec, m, RandomStream(12, 0))
+        xs = sample_sequence(spec, m, 12, 0)
         se_mean = xs.std(ddof=1) / math.sqrt(m)
         assert abs(xs.mean()) <= 5 * max(se_mean, 1e-12)
         mu4 = np.mean((xs - xs.mean()) ** 4)
@@ -120,7 +144,7 @@ class TestSampling:
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     def test_subgaussian_tail_proxy(self, spec):
         m = 10**6
-        xs = np.abs(sample_sequence(spec, m, RandomStream(13, 0)))
+        xs = np.abs(sample_sequence(spec, m, 13, 0))
         sigma = SUBGAUSSIAN_SIGMA[spec.family]
         for t in (1.0, 2.0, 3.0):
             phat = np.mean(xs > t)

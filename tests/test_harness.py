@@ -19,7 +19,7 @@ from circulant_clt import (
     uniform_symmetric,
 )
 from circulant_clt import harness
-from circulant_clt.ensembles import RandomStream
+from circulant_clt.ensembles import stream_rows
 from circulant_clt.harness import ks_distance, standardized_moments
 from oracles import dense_matrix, gradient_trace_polynomial, sample_sequence, spectrum
 
@@ -97,17 +97,18 @@ class TestRunExperiment:
         pool_sizes = []
         monkeypatch.setattr(harness, "ThreadPoolExecutor", inline_pool(pool_sizes))
         reference = run_clt_experiment(make_config(n=n, m=5 * rows - 1))
+        assert pool_sizes == [1]  # one worker, still off the main thread
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
         capped = run_clt_experiment(make_config(n=n, m=5 * rows - 1,
                                                 worker_count=100000))
-        assert pool_sizes == [3]  # capped by the CPUs
+        assert pool_sizes == [1, 3]  # capped by the CPUs
         assert np.array_equal(capped.raw_traces, reference.raw_traces)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
         run_clt_experiment(make_config(n=n, m=3 * rows - 1, worker_count=100000))
-        assert pool_sizes == [3, 3]  # capped by the blocks
+        assert pool_sizes == [1, 3, 3]  # capped by the blocks
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         run_clt_experiment(make_config(n=n, m=5 * rows - 1, worker_count=100000))
-        assert pool_sizes == [3, 3]  # unknown CPU count: one worker, no pool
+        assert pool_sizes == [1, 3, 3, 1]  # unknown CPU count: a pool of one
 
     def test_no_threads_below_thread_min_n(self, monkeypatch):
         pool_sizes = []
@@ -169,6 +170,19 @@ class TestRunExperiment:
             assert np.array_equal(other_traces, traces)
             assert other_kappas == kappas
 
+    @pytest.mark.parametrize("spec", [gaussian(), rademacher(), uniform_symmetric()],
+                             ids=lambda s: s.family)
+    @pytest.mark.parametrize("n", [64, 1000])
+    def test_shorter_run_is_a_prefix_of_a_longer_one(self, spec, n):
+        # m one short of a chunk, one past it, and one past a block and a
+        # chunk; n = 1000 runs on threads
+        chunk, block = stream_rows(n), harness.block_rows(n)
+        ms = (chunk - 1, chunk + 1, block + chunk + 1)
+        runs = [run_clt_experiment(make_config(n=n, m=m, ensemble=spec, worker_count=2))
+                for m in ms]
+        for m, run in zip(ms, runs):
+            assert np.array_equal(run.raw_traces, runs[-1].raw_traces[:m])
+
     def test_w_is_centered_and_scaled(self):
         summary = run_clt_experiment(make_config())
         w = (summary.raw_traces - summary.raw_traces.mean()) / math.sqrt(64)
@@ -194,7 +208,7 @@ class TestRunExperiment:
         config = make_config(n=n, m=6, poly=POLY_X2_X3, ensemble=spec, worker_count=2)
         traces = run_clt_experiment(config).raw_traces
         for r in range(config.m):
-            C = dense_matrix(sample_sequence(spec, n, RandomStream(config.master_seed, r)))
+            C = dense_matrix(sample_sequence(spec, n, config.master_seed, r))
             dense = np.trace(C @ C) + np.trace(C @ C @ C)
             assert traces[r] == pytest.approx(dense, rel=1e-10)
 
@@ -281,7 +295,7 @@ class TestSteinMachinery:
         step = 1e-5
         norms = []
         for r in range(config.m):
-            X = sample_sequence(config.ensemble, 16, RandomStream(1, r))
+            X = sample_sequence(config.ensemble, 16, 1, r)
             H = np.empty((16, 16))
             for k in range(16):
                 e = np.zeros(16)
@@ -332,18 +346,37 @@ class TestNormScaling:
         (row,) = norm_scaling_study(gaussian(), [2], trials=3, master_seed=4)
         assert math.isfinite(row.max_ratio) and row.max_ratio > 0
 
-    def test_rows_are_dense_norms_of_their_streams(self):
-        sizes, trials = [7, 8, 16], 4
-        rows = norm_scaling_study(uniform_symmetric(), sizes, trials, master_seed=9)
-        for i, (n, row) in enumerate(zip(sizes, rows)):
-            ratios = [
-                np.linalg.norm(dense_matrix(sample_sequence(
-                    uniform_symmetric(), n, RandomStream(9, i * trials + t))), 2)
-                / math.sqrt(math.log(n))
-                for t in range(trials)
-            ]
-            assert row.max_ratio == pytest.approx(max(ratios), rel=1e-10)
-            assert row.mean_ratio == pytest.approx(np.mean(ratios), rel=1e-10)
+    def test_rows_are_dense_norms_of_their_streams(self, monkeypatch):
+        # trials = 4 fills part of one chunk of each size, 70 one chunk and
+        # part of a second; n = 200 has chunks of 40 rows, the others of 64
+        sizes = [7, 200, 8, 16]
+        ranges = []
+
+        def recording(spec, n, master_seed, replicas, *args, **kwargs):
+            ranges.append((n, replicas))
+            return replica_blocks(spec, n, master_seed, replicas, *args, **kwargs)
+
+        replica_blocks = harness._replica_blocks
+        monkeypatch.setattr(harness, "_replica_blocks", recording)
+        for trials in (4, 70):
+            ranges.clear()
+            rows = norm_scaling_study(uniform_symmetric(), sizes, trials, master_seed=9)
+            assert [n for n, _ in ranges] == sizes
+            chunks_read = set()
+            for (n, replicas), row in zip(ranges, rows):
+                # from a chunk boundary on, sharing no chunk with another size
+                assert len(replicas) == trials
+                assert replicas.start % stream_rows(n) == 0
+                chunks = {r // stream_rows(n) for r in replicas}
+                assert chunks.isdisjoint(chunks_read)
+                chunks_read |= chunks
+                ratios = [
+                    np.linalg.norm(dense_matrix(sample_sequence(
+                        uniform_symmetric(), n, 9, r)), 2) / math.sqrt(math.log(n))
+                    for r in replicas
+                ]
+                assert row.max_ratio == pytest.approx(max(ratios), rel=1e-10)
+                assert row.mean_ratio == pytest.approx(np.mean(ratios), rel=1e-10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
