@@ -13,7 +13,7 @@ from .combinatorics import (
     limiting_variance,
     slice_table,
 )
-from .ensembles import EnsembleSpec, gaussian, rademacher, uniform_symmetric
+from .ensembles import EnsembleSpec
 from .errors import (
     ConfigError,
     ImaginaryResidualError,
@@ -43,11 +43,8 @@ __all__ = [
     "TestPolynomial",
     "estimate_kappas",
     "euler_frobenius_density",
-    "gaussian",
     "limiting_variance",
     "norm_scaling_study",
-    "rademacher",
     "run_clt_experiment",
     "slice_table",
-    "uniform_symmetric",
 ]

@@ -98,10 +98,6 @@ class TestPolynomial:
             )
         return cls(tuple(dense[2:]))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) + 1
-
     def terms(self) -> Iterator[tuple[int, float]]:
         """Yield (degree, coefficient) pairs from degree 2 upward."""
         return iter(enumerate(self.coefficients, start=2))

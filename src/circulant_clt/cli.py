@@ -109,14 +109,6 @@ def config_echo(config: ExperimentConfig) -> dict:
     }
 
 
-def _csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def emit_samples_csv(raw_traces, w_values) -> str:
     # the repr of a float never needs CSV quoting, so rows are joined directly
     traces = np.asarray(raw_traces, dtype=np.float64).tolist()
@@ -126,39 +118,21 @@ def emit_samples_csv(raw_traces, w_values) -> str:
 
 
 def emit_summary_json(config: ExperimentConfig, summary=None, stein=None) -> str:
-    doc = {
-        "config": config_echo(config),
-        "version": __version__,
-        "experiment": None,
-        "stein": None,
-    }
+    # each block is every field of its record but the per-replica arrays,
+    # plus the exact target it is read against
+    doc = {"config": config_echo(config), "version": __version__,
+           "experiment": None, "stein": None}
     if summary is not None:
-        doc["experiment"] = {
-            "n": summary.n,
-            "m": summary.m,
-            "raw_trace_mean": summary.raw_trace_mean,
-            "variance_w": summary.variance_w,
-            "standardized_moments": list(summary.standardized_moments),
-            "ks_distance": summary.ks_distance,
-            "target_variance": summary.target_variance,
-            "low_confidence": summary.low_confidence,
-            "wall_time_s": summary.wall_time_s,
-            "target_variance_exact": str(limiting_variance(config.poly)),
-        }
+        doc["experiment"] = {k: v for k, v in vars(summary).items()
+                             if k not in ("w_values", "raw_traces")}
+        doc["experiment"]["target_variance_exact"] = str(limiting_variance(config.poly))
     if stein is not None:
-        doc["stein"] = {
-            "kappa0_hat": stein.kappa0_hat,
-            "kappa1_hat": stein.kappa1_hat,
-            "kappa2_hat": stein.kappa2_hat,
-            "sigma2_hat": stein.sigma2_hat,
-            "c1": stein.c1,
-            "c2": stein.c2,
-            "tv_bound": stein.tv_bound,
-            # empirical trace variance goes into the bound; the scaled
-            # limiting variance n * sigma2 is reported alongside for context
-            "sigma2_target_scaled": config.n * float(limiting_variance(config.poly)),
-        }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        # the bound uses the empirical trace variance; the limiting variance
+        # scaled by n is reported alongside for context
+        scaled = config.n * float(limiting_variance(config.poly))
+        doc["stein"] = {**vars(stein), "tv_bound": stein.tv_bound,
+                        "sigma2_target_scaled": scaled}
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _text_report(summary: ExperimentSummary) -> str:
@@ -189,9 +163,12 @@ def _write(path: Path, content: str) -> None:
 
 
 def _write_table(out: Path, header, rows) -> None:
-    text = _csv(header, rows)
-    _write(out / "table.csv", text)
-    sys.stdout.write(text)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write(out / "table.csv", buf.getvalue())
+    sys.stdout.write(buf.getvalue())
 
 
 def _config_from_options(args: argparse.Namespace) -> ExperimentConfig:
@@ -204,26 +181,20 @@ def _config_from_options(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"--config cannot be combined with {flags}")
         return parse_config(Path(args.config).read_text(encoding="utf-8"))
     if "poly" in data:
-        data["poly"] = _parse_poly_flag(data["poly"])
+        data["poly"] = _parse_list(data["poly"], float, "polynomial coefficients")
     return parse_config(data)
 
 
-def _parse_poly_flag(text: str) -> list[float]:
+def _parse_list(text: str, parse, what: str) -> list:
     try:
-        return [float(part) for part in text.split(",")]
+        return [parse(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"could not parse polynomial coefficients {text!r}") from exc
-
-
-def _parse_sizes_flag(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"could not parse sizes {text!r}") from exc
+        raise ConfigError(f"could not parse {what} {text!r}") from exc
 
 
 def _cmd_variance(args: argparse.Namespace, out: Path) -> None:
-    exact = limiting_variance(TestPolynomial.from_dense(_parse_poly_flag(args.poly)))
+    coeffs = _parse_list(args.poly, float, "polynomial coefficients")
+    exact = limiting_variance(TestPolynomial.from_dense(coeffs))
     print(exact)
     print(float(exact))
 
@@ -256,7 +227,7 @@ def _cmd_tv_bound(args: argparse.Namespace, out: Path) -> None:
 
 def _cmd_norm_scaling(args: argparse.Namespace, out: Path) -> None:
     ensemble = EnsembleSpec(args.family)
-    sizes = _parse_sizes_flag(args.sizes)
+    sizes = _parse_list(args.sizes, int, "sizes")
     rows = norm_scaling_study(ensemble, sizes, args.trials, master_seed=args.seed)
     _write_table(out, ["n", "trials", "max_ratio", "mean_ratio"],
                  ([row.n, row.trials, repr(row.max_ratio), repr(row.mean_ratio)]

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from sys import float_info
 
 from .circulant import TestPolynomial
 
@@ -66,30 +67,22 @@ def euler_frobenius_density(p: int, s: int) -> Fraction:
     return Fraction(acc, factorial(p - 1))
 
 
-def _comb_or_zero(a: int, b: int) -> int:
-    if a < 0 or b < 0 or a < b:
-        return 0
-    return comb(a, b)
-
-
 def count_slice_exact(p: int, s: int, n: int) -> int:
     """Closed-form slice count by inclusion-exclusion over bounded compositions.
 
     Counts solutions of i_1 + ... + i_p = s*n with 0 <= i_j <= n-1 as
 
-        sum_{k>=0} (-1)^k C(p, k) C(s*n - k*n + p - 1, p - 1),
+        sum_{k=0}^{s} (-1)^k C(p, k) C((s - k)*n + p - 1, p - 1);
 
-    dropping terms whose upper binomial argument is negative.  Exact for
-    all arguments; big integers throughout.
+    for k > s the upper argument is below p - 1, so those terms are 0.
+    Exact for all arguments; big integers throughout.
     """
     if p < 1 or n < 1:
         raise ValueError("p and n must be positive")
     if not 0 <= s <= p - 1:
         raise ValueError(f"s={s} out of range [0, {p - 1}]")
-    return sum(
-        (-1) ** k * comb(p, k) * _comb_or_zero(s * n - k * n + p - 1, p - 1)
-        for k in range(p + 1)
-    )
+    return sum((-1) ** k * comb(p, k) * comb((s - k) * n + p - 1, p - 1)
+               for k in range(s + 1))
 
 
 def slice_table(p: int, n: int) -> list[LatticeSliceCount]:
@@ -110,7 +103,11 @@ def limiting_variance(poly: TestPolynomial) -> Fraction:
     trace statistic; exact whenever the coefficients are.
 
     The slice form sum_l a_l^2 * l! * sum_s f_l(s) reduces to it because the
-    Euler-Frobenius densities f_l sum to exactly 1.
+    Euler-Frobenius densities f_l sum to exactly 1.  A variance beyond the
+    largest float is refused: no float statistic could be read against it.
     """
-    return sum((Fraction(a) ** 2 * factorial(ell) for ell, a in poly.terms()),
-               Fraction(0))
+    total = sum((Fraction(a) ** 2 * factorial(ell) for ell, a in poly.terms()),
+                Fraction(0))
+    if total > float_info.max:
+        raise ValueError("the limiting variance sum_k a_k^2 k! exceeds the float range")
+    return total

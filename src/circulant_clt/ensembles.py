@@ -1,5 +1,6 @@
 """Standardized input ensembles with reproducible counter-keyed randomness.
 
+An ensemble is named by its family alone, as ``EnsembleSpec(family)``.
 Every family is standardized to mean 0 and variance 1 so that variance
 targets are comparable across ensembles:
 
@@ -84,18 +85,6 @@ class EnsembleSpec:
     @property
     def is_smooth(self) -> bool:
         return self.c1 is not None
-
-
-def gaussian() -> EnsembleSpec:
-    return EnsembleSpec("gaussian")
-
-
-def rademacher() -> EnsembleSpec:
-    return EnsembleSpec("rademacher")
-
-
-def uniform_symmetric() -> EnsembleSpec:
-    return EnsembleSpec("uniform_symmetric")
 
 
 def stream_rows(n: int) -> int:

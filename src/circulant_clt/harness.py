@@ -73,6 +73,13 @@ MAX_BLOCK_ROWS = 256
 THREAD_MIN_N = 512
 
 
+def _require_finite(**values) -> None:
+    """Refuse a value, scalar or array, that left the float range, by name."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} is not finite: it left the float range")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one reproducible Monte Carlo run."""
@@ -111,6 +118,7 @@ class ExperimentSummary:
     wall_time_s: float
 
     def __post_init__(self) -> None:
+        _require_finite(**vars(self))
         if self.variance_w < 0:
             raise ValueError("empirical variance cannot be negative")
         if not 0.0 <= self.ks_distance <= 1.0:
@@ -129,6 +137,7 @@ class SteinEstimate:
     c2: float
 
     def __post_init__(self) -> None:
+        _require_finite(**vars(self))
         if min(self.kappa0_hat, self.kappa1_hat, self.kappa2_hat) < 0:
             raise ValueError("kappa estimates must be nonnegative")
         if self.sigma2_hat <= 0:
@@ -176,6 +185,7 @@ def _replica_blocks(
     starts = range(replicas.start, replicas.stop, rows)
     out = np.empty((width, len(replicas)))
 
+    @np.errstate(over="ignore", invalid="ignore")  # the records refuse inf and nan
     def run_blocks(mine: range) -> None:
         bufs = BlockBuffers(min(rows, len(replicas)), n)
         for lo in mine:
@@ -231,6 +241,7 @@ def ks_distance(samples, variance: float) -> float:
     return max(d_plus, d_minus, 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_clt_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run the replica experiment and summarize the normalized statistic W."""
     t0 = time.perf_counter()
@@ -242,7 +253,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentSummary:
     t_bar = float(traces.mean())
     w = (traces - t_bar) / math.sqrt(config.n)
     target = float(limiting_variance(config.poly))
-    summary = ExperimentSummary(
+    return ExperimentSummary(
         n=config.n,
         m=config.m,
         w_values=w,
@@ -255,7 +266,6 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentSummary:
         low_confidence=config.m < LOW_CONFIDENCE_REPLICAS,
         wall_time_s=time.perf_counter() - t0,
     )
-    return summary
 
 
 def _require_smooth_symmetric(spec: EnsembleSpec) -> tuple[float, float]:
@@ -268,6 +278,7 @@ def _require_smooth_symmetric(spec: EnsembleSpec) -> tuple[float, float]:
     return float(spec.c1), float(spec.c2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
     """Monte Carlo estimates of the gradient/Hessian functionals.
 
@@ -293,7 +304,8 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
         return (
             quartic,
             squared,
-            np.broadcast_to(hess**4, len(lam)),
+            # a degree-2 majorant is a float, whose power would raise on overflow
+            np.broadcast_to(np.float64(hess) ** 4, len(lam)),
             trace_block(lam, n, poly, bufs),
         )
 

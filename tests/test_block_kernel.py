@@ -12,14 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circulant_clt import (
+    EnsembleSpec,
     ExperimentConfig,
     ImaginaryResidualError,
     TestPolynomial,
     estimate_kappas,
-    gaussian,
-    rademacher,
     run_clt_experiment,
-    uniform_symmetric,
 )
 from circulant_clt import harness
 from circulant_clt.circulant import (
@@ -39,7 +37,7 @@ from oracles import (
 )
 from test_circulant import dense_trace_polynomial
 
-FAMILIES = (gaussian(), rademacher(), uniform_symmetric())
+FAMILIES = tuple(EnsembleSpec(f) for f in ("gaussian", "rademacher", "uniform_symmetric"))
 POLY_X2_X3 = TestPolynomial((1.0, 1.0))
 TOL = 1e-12
 
@@ -147,8 +145,8 @@ def inject_imaginary(monkeypatch, bin_of_n):
 @pytest.mark.parametrize("bin_of_n", [lambda n: 0, lambda n: n // 2],
                          ids=["t=0", "t=n/2"])
 def test_imaginary_residual_at_self_conjugate_bins(bin_of_n, monkeypatch):
-    config = ExperimentConfig(n=64, m=40, poly=POLY_X2_X3, ensemble=gaussian(),
-                              master_seed=5)
+    config = ExperimentConfig(n=64, m=40, poly=POLY_X2_X3,
+                              ensemble=EnsembleSpec("gaussian"), master_seed=5)
     run_clt_experiment(config)
     estimate_kappas(config)
     inject_imaginary(monkeypatch, bin_of_n)
@@ -196,8 +194,8 @@ def test_peak_memory_per_worker_independent_of_m(workers):
 
     def peak(m):
         return traced_peak(run_clt_experiment, ExperimentConfig(
-            n=n, m=m, poly=TestPolynomial((1.0, 1.0, 0.0, 0.5)), ensemble=rademacher(),
-            master_seed=3, worker_count=workers))
+            n=n, m=m, poly=TestPolynomial((1.0, 1.0, 0.0, 0.5)),
+            ensemble=EnsembleSpec("rademacher"), master_seed=3, worker_count=workers))
 
     small, large = peak(16), peak(64)
     assert small <= 3 * n * 16 * threads
@@ -219,8 +217,8 @@ def test_peak_memory_of_multi_row_blocks_independent_of_m(kernel, workers):
 
     def peak(m):
         return traced_peak(kernel, ExperimentConfig(
-            n=n, m=m, poly=POLY_X2_X3, ensemble=uniform_symmetric(), master_seed=3,
-            worker_count=workers))
+            n=n, m=m, poly=POLY_X2_X3, ensemble=EnsembleSpec("uniform_symmetric"),
+            master_seed=3, worker_count=workers))
 
     small, large = peak(64), peak(640)
     assert small <= 3 * harness.BLOCK_VALUES * 16 * threads

@@ -136,6 +136,14 @@ class TestVarianceCommand:
         assert main(["variance", "--poly", "0,1,1"]) == 2
         assert "degree" in capsys.readouterr().err
 
+    def test_variance_beyond_float_range_refused(self, capsys):
+        # 2e320 is exact as a rational but has no float
+        assert main(["variance", "--poly", "0,0,1e160"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the limiting variance sum_k a_k^2 k! "
+                                "exceeds the float range\n")
+
 
 class TestDensityTableCommand:
     def test_table_contents(self, tmp_path, capsys):
@@ -225,6 +233,21 @@ class TestSimulateCommand:
         assert len(moments) == 8 and all(map(math.isfinite, moments))
         assert moments[1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("coefficient, quantity", [
+        ("1e160", "the limiting variance sum_k a_k^2 k! exceeds"),
+        ("9e153", "variance_w is not finite"),
+    ], ids=["limiting_variance", "variance_w"])
+    def test_statistic_beyond_float_range_refused(self, tmp_path, capsys,
+                                                  coefficient, quantity):
+        # a numpy overflow warning would fail the suite, and no file is written
+        assert main(["--out", str(tmp_path), "simulate", "--n", "64",
+                     "--poly", f"0,0,{coefficient}", "--m", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {quantity}")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_worker_count_invariance_excluding_wall_time(self, tmp_path):
         outs = []
         for workers in ("1", "8"):
@@ -297,6 +320,39 @@ class TestTvBoundCommand:
         assert stein["tv_bound"] > 0
         assert stein["sigma2_target_scaled"] == pytest.approx(64 * 2.0)
         assert doc["experiment"] is None
+
+    @pytest.mark.parametrize("coefficient", ["1e76", "3e77"])
+    @pytest.mark.parametrize("n, workers", [(64, "1"), (1024, "2")])
+    def test_kappas_beyond_float_range_refused(self, tmp_path, capsys,
+                                               coefficient, n, workers):
+        # the sums of squared gradients overflow, inline and on pool threads;
+        # at 3e77 so does the float majorant of a degree-2 polynomial
+        assert main(["--out", str(tmp_path), "tv-bound", "--n", str(n),
+                     "--poly", f"0,0,{coefficient}", "--family", "gaussian",
+                     "--m", "50", "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: kappa0_hat is not finite: it left the float range\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, experiment, stein", [
+    ("simulate", {"n", "m", "raw_trace_mean", "variance_w", "standardized_moments",
+                  "ks_distance", "target_variance", "low_confidence", "wall_time_s",
+                  "target_variance_exact"}, None),
+    ("tv-bound", None, {"kappa0_hat", "kappa1_hat", "kappa2_hat", "sigma2_hat", "c1",
+                        "c2", "tv_bound", "sigma2_target_scaled"}),
+])
+def test_summary_json_key_sets(tmp_path, command, experiment, stein):
+    # the blocks are derived from the result records, so a new record field
+    # shows up here
+    assert main(["--out", str(tmp_path), command, "--n", "64", "--poly", "0,0,1",
+                 "--family", "uniform_symmetric", "--m", "40"]) == 0
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert set(doc) == {"config", "version", "experiment", "stein"}
+    assert set(doc["config"]) == {"n", "m", "poly", "family", "seed", "centering"}
+    assert (doc["experiment"] and set(doc["experiment"])) == experiment
+    assert (doc["stein"] and set(doc["stein"])) == stein
 
 
 class TestOtherCommands:

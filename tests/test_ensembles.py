@@ -9,15 +9,12 @@ import pytest
 from circulant_clt import (
     EnsembleSpec,
     SmoothnessRequiredError,
-    gaussian,
-    rademacher,
-    uniform_symmetric,
 )
 from circulant_clt.ensembles import RandomStream, draw_rows, stream_rows
 from oracles import sample_sequence, smooth_transform_value
 
 SQRT3 = math.sqrt(3.0)
-ALL_FAMILIES = [gaussian(), rademacher(), uniform_symmetric()]
+ALL_FAMILIES = [EnsembleSpec(f) for f in ("gaussian", "rademacher", "uniform_symmetric")]
 # E X^4 of each standardized law: 3 (normal), 1 (signs), 9/5 (uniform)
 FOURTH_MOMENTS = {"gaussian": 3.0, "rademacher": 1.0, "uniform_symmetric": 9.0 / 5.0}
 # subgaussian tail proxy sigma: P(|X| > t) <= 2 exp(-t^2 / (2 sigma^2)); a
@@ -27,13 +24,13 @@ SUBGAUSSIAN_SIGMA = {"gaussian": 1.0, "rademacher": 1.0, "uniform_symmetric": SQ
 
 class TestSpecConstruction:
     def test_builtin_constants(self):
-        g = gaussian()
+        g = EnsembleSpec("gaussian")
         assert (g.c1, g.c2) == (1.0, 0.0)
 
-        r = rademacher()
+        r = EnsembleSpec("rademacher")
         assert r.c1 is None and r.c2 is None and not r.is_smooth
 
-        u = uniform_symmetric()
+        u = EnsembleSpec("uniform_symmetric")
         assert u.c1 == pytest.approx(2 * SQRT3 / math.sqrt(2 * math.pi))
         assert u.c2 == pytest.approx(2 * SQRT3 / math.sqrt(2 * math.pi * math.e))
 
@@ -85,13 +82,13 @@ class TestSampling:
         assert not np.array_equal(a, b)
 
     def test_rademacher_support(self):
-        xs = sample_sequence(rademacher(), 4, 0, 0)
+        xs = sample_sequence(EnsembleSpec("rademacher"), 4, 0, 0)
         assert set(xs) <= {-1.0, 1.0}
-        xs = sample_sequence(rademacher(), 4096, 1, 0)
+        xs = sample_sequence(EnsembleSpec("rademacher"), 4096, 1, 0)
         assert set(np.unique(xs)) == {-1.0, 1.0}
 
     def test_gaussian_standardized_at_scale(self):
-        xs = sample_sequence(gaussian(), 10**6, 3, 0)
+        xs = sample_sequence(EnsembleSpec("gaussian"), 10**6, 3, 0)
         assert abs(xs.mean()) <= 4 / math.sqrt(10**6)
         assert abs(xs.var() - 1.0) <= 0.01
 
@@ -101,13 +98,13 @@ class TestSampling:
         # each chunk's rows are sqrt(3) * (2U - 1) for the standard uniforms
         # U of one random() call of that chunk's own generator
         for n in (33, 1000):
-            for j, chunk in enumerate(pinned_chunks(uniform_symmetric(), n)):
+            for j, chunk in enumerate(pinned_chunks(EnsembleSpec("uniform_symmetric"), n)):
                 u = RandomStream(9, 5 + j).generator().random(chunk.size)
                 assert np.array_equal(chunk, SQRT3 * (2.0 * u.reshape(chunk.shape) - 1.0))
 
     def test_gaussian_rows_pin_the_stream(self):
         for n in (33, 1000):
-            for j, chunk in enumerate(pinned_chunks(gaussian(), n)):
+            for j, chunk in enumerate(pinned_chunks(EnsembleSpec("gaussian"), n)):
                 z = RandomStream(9, 5 + j).generator().standard_normal(chunk.size)
                 assert np.array_equal(chunk, z.reshape(chunk.shape))
 
@@ -115,14 +112,14 @@ class TestSampling:
         # value i of a chunk is 2B - 1 for bit i % 64 of raw word i // 64,
         # counted from the least significant bit
         for n in (33, 1000):
-            for j, chunk in enumerate(pinned_chunks(rademacher(), n)):
+            for j, chunk in enumerate(pinned_chunks(EnsembleSpec("rademacher"), n)):
                 words = RandomStream(9, 5 + j).generator().bit_generator.random_raw(
                     -(-chunk.size // 64))
                 bits = [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(chunk.size)]
                 assert chunk.ravel().tolist() == [2.0 * b - 1.0 for b in bits]
 
     def test_uniform_support_and_variance(self):
-        xs = sample_sequence(uniform_symmetric(), 10**6, 4, 0)
+        xs = sample_sequence(EnsembleSpec("uniform_symmetric"), 10**6, 4, 0)
         assert np.all(np.abs(xs) <= SQRT3)
         assert abs(xs.var() - 1.0) <= 0.01
 
@@ -154,10 +151,10 @@ class TestSampling:
 class TestSmoothTransform:
     def test_gaussian_identity(self):
         z = np.linspace(-10, 10, 101)
-        assert np.array_equal(smooth_transform_value(gaussian(), z), z)
+        assert np.array_equal(smooth_transform_value(EnsembleSpec("gaussian"), z), z)
 
     def test_uniform_at_zero_and_range(self):
-        u = uniform_symmetric()
+        u = EnsembleSpec("uniform_symmetric")
         assert smooth_transform_value(u, 0.0) == pytest.approx(0.0)
         z = np.linspace(-10, 10, 2001)
         vals = smooth_transform_value(u, z)
@@ -166,7 +163,8 @@ class TestSmoothTransform:
         assert np.allclose(vals, -smooth_transform_value(u, -z))
 
     @pytest.mark.parametrize(
-        "spec", [gaussian(), uniform_symmetric()], ids=lambda s: s.family
+        "spec", [EnsembleSpec("gaussian"), EnsembleSpec("uniform_symmetric")],
+        ids=lambda s: s.family
     )
     def test_derivative_bounds_by_finite_differences(self, spec):
         z = np.linspace(-10, 10, 4001)
@@ -183,11 +181,11 @@ class TestSmoothTransform:
         assert np.max(np.abs(upp)) <= spec.c2 + 1e-4
 
     def test_uniform_derivative_peaks_at_zero(self):
-        u = uniform_symmetric()
+        u = EnsembleSpec("uniform_symmetric")
         h = 1e-6
         d0 = (smooth_transform_value(u, h) - smooth_transform_value(u, -h)) / (2 * h)
         assert d0 == pytest.approx(u.c1, rel=1e-6)
 
     def test_rejects_rademacher(self):
         with pytest.raises(SmoothnessRequiredError):
-            smooth_transform_value(rademacher(), 0.0)
+            smooth_transform_value(EnsembleSpec("rademacher"), 0.0)

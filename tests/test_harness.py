@@ -8,15 +8,13 @@ import numpy as np
 import pytest
 
 from circulant_clt import (
+    EnsembleSpec,
     ExperimentConfig,
     SmoothnessRequiredError,
     TestPolynomial,
     estimate_kappas,
-    gaussian,
     norm_scaling_study,
-    rademacher,
     run_clt_experiment,
-    uniform_symmetric,
 )
 from circulant_clt import harness
 from circulant_clt.ensembles import stream_rows
@@ -51,7 +49,7 @@ def make_config(**overrides) -> ExperimentConfig:
         n=64,
         m=40,
         poly=POLY_X2,
-        ensemble=gaussian(),
+        ensemble=EnsembleSpec("gaussian"),
         master_seed=101,
         worker_count=1,
     )
@@ -134,7 +132,8 @@ class TestRunExperiment:
         m = 3 * harness.block_rows(n) - 1
         assert n >= harness.THREAD_MIN_N
         assert m % harness.block_rows(n) != 0 and m > 2 * harness.block_rows(n)
-        configs = [make_config(n=n, m=m, poly=POLY_X2_X3, ensemble=uniform_symmetric(),
+        configs = [make_config(n=n, m=m, poly=POLY_X2_X3,
+                               ensemble=EnsembleSpec("uniform_symmetric"),
                                worker_count=w) for w in (1, 2, 3, 7)]
         threaded = [(run_clt_experiment(c).raw_traces, estimate_kappas(c))
                     for c in configs]
@@ -149,7 +148,8 @@ class TestRunExperiment:
             assert np.array_equal(other_traces, traces)
             assert other_kappas == kappas
 
-    @pytest.mark.parametrize("spec", [gaussian(), rademacher(), uniform_symmetric()],
+    @pytest.mark.parametrize("spec", [EnsembleSpec(f) for f in
+                                      ("gaussian", "rademacher", "uniform_symmetric")],
                              ids=lambda s: s.family)
     @pytest.mark.parametrize("n, m", [(63, 300), (64, 300), (8191, 40), (8192, 40)])
     def test_block_layout_never_changes_a_result(self, spec, n, m, monkeypatch):
@@ -170,7 +170,8 @@ class TestRunExperiment:
             assert np.array_equal(other_traces, traces)
             assert other_kappas == kappas
 
-    @pytest.mark.parametrize("spec", [gaussian(), rademacher(), uniform_symmetric()],
+    @pytest.mark.parametrize("spec", [EnsembleSpec(f) for f in
+                                      ("gaussian", "rademacher", "uniform_symmetric")],
                              ids=lambda s: s.family)
     @pytest.mark.parametrize("n", [64, 1000])
     def test_shorter_run_is_a_prefix_of_a_longer_one(self, spec, n):
@@ -201,7 +202,8 @@ class TestRunExperiment:
         summary = run_clt_experiment(make_config(n=256, m=800, master_seed=7))
         assert abs(summary.variance_w - 2.0) <= 0.3
 
-    @pytest.mark.parametrize("spec", [gaussian(), rademacher(), uniform_symmetric()],
+    @pytest.mark.parametrize("spec", [EnsembleSpec(f) for f in
+                                      ("gaussian", "rademacher", "uniform_symmetric")],
                              ids=lambda s: s.family)
     @pytest.mark.parametrize("n", [7, 8])
     def test_replica_r_draw_lands_in_slot_r(self, spec, n):
@@ -281,7 +283,7 @@ class TestMoments:
 class TestSteinMachinery:
     def test_refuses_non_smooth_ensemble(self):
         with pytest.raises(SmoothnessRequiredError, match="u'"):
-            estimate_kappas(make_config(ensemble=rademacher()))
+            estimate_kappas(make_config(ensemble=EnsembleSpec("rademacher")))
 
     def test_kappa2_exact_for_square(self):
         # m2 is the constant 2|a_2|, so the surrogate is exactly 2
@@ -315,7 +317,8 @@ class TestSteinMachinery:
 
     def test_components_well_posed_for_uniform(self):
         est = estimate_kappas(
-            make_config(ensemble=uniform_symmetric(), poly=POLY_X2_X3, n=128, m=60)
+            make_config(ensemble=EnsembleSpec("uniform_symmetric"), poly=POLY_X2_X3,
+                        n=128, m=60)
         )
         assert est.kappa0_hat > 0 and est.kappa1_hat > 0 and est.kappa2_hat > 0
         assert est.sigma2_hat > 0
@@ -338,12 +341,13 @@ class TestSteinMachinery:
 
 class TestNormScaling:
     def test_rademacher_accepted(self):
-        rows = norm_scaling_study(rademacher(), [16, 64], trials=5, master_seed=3)
+        rows = norm_scaling_study(EnsembleSpec("rademacher"), [16, 64], trials=5,
+                                  master_seed=3)
         assert [r.n for r in rows] == [16, 64]
         assert all(r.max_ratio >= r.mean_ratio > 0 for r in rows)
 
     def test_smallest_size_well_posed(self):
-        (row,) = norm_scaling_study(gaussian(), [2], trials=3, master_seed=4)
+        (row,) = norm_scaling_study(EnsembleSpec("gaussian"), [2], trials=3, master_seed=4)
         assert math.isfinite(row.max_ratio) and row.max_ratio > 0
 
     def test_rows_are_dense_norms_of_their_streams(self, monkeypatch):
@@ -360,7 +364,8 @@ class TestNormScaling:
         monkeypatch.setattr(harness, "_replica_blocks", recording)
         for trials in (4, 70):
             ranges.clear()
-            rows = norm_scaling_study(uniform_symmetric(), sizes, trials, master_seed=9)
+            rows = norm_scaling_study(EnsembleSpec("uniform_symmetric"), sizes, trials,
+                                      master_seed=9)
             assert [n for n, _ in ranges] == sizes
             chunks_read = set()
             for (n, replicas), row in zip(ranges, rows):
@@ -372,7 +377,8 @@ class TestNormScaling:
                 chunks_read |= chunks
                 ratios = [
                     np.linalg.norm(dense_matrix(sample_sequence(
-                        uniform_symmetric(), n, 9, r)), 2) / math.sqrt(math.log(n))
+                        EnsembleSpec("uniform_symmetric"), n, 9, r)), 2)
+                    / math.sqrt(math.log(n))
                     for r in replicas
                 ]
                 assert row.max_ratio == pytest.approx(max(ratios), rel=1e-10)
@@ -380,6 +386,6 @@ class TestNormScaling:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            norm_scaling_study(gaussian(), [1], trials=3)
+            norm_scaling_study(EnsembleSpec("gaussian"), [1], trials=3)
         with pytest.raises(ValueError):
-            norm_scaling_study(gaussian(), [16], trials=0)
+            norm_scaling_study(EnsembleSpec("gaussian"), [16], trials=0)
