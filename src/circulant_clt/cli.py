@@ -2,6 +2,7 @@
 
 Subcommands: variance, density-table, simulate, tv-bound, norm-scaling.
 Exit codes: 0 success, 2 validation or refusal, 3 I/O failure.
+A subcommand prints the report it writes, once the file is written.
 
 Configs are JSON key-value documents (or equivalent inline flags) with
 keys n, poly, family, seed, m, worker_count.  Polynomials are dense
@@ -31,7 +32,6 @@ from .ensembles import EnsembleSpec
 from .errors import ConfigError
 from .harness import (
     ExperimentConfig,
-    ExperimentSummary,
     estimate_kappas,
     norm_scaling_study,
     run_clt_experiment,
@@ -40,6 +40,9 @@ from .harness import (
 OUTPUT_DIR_ENV = "CIRCULANT_CLT_OUT"
 CONFIG_KEYS = frozenset({"n", "poly", "family", "seed", "m", "worker_count"})
 DEFAULT_REPLICAS = 2000
+# Largest density-table degree: at p = 72, with n as large as the digit
+# limit allows, a whole run took about a second (CHANGES.md).
+MAX_TABLE_P = 72
 
 EXIT_OK = 0
 EXIT_REFUSED = 2
@@ -135,31 +138,15 @@ def emit_summary_json(config: ExperimentConfig, summary=None, stein=None) -> str
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _text_report(summary: ExperimentSummary) -> str:
-    rows = [
-        ("n", str(summary.n), ""),
-        ("replicas", str(summary.m), ""),
-        ("variance_w", repr(summary.variance_w),
-         f"target {repr(summary.target_variance)}"),
-        ("raw_trace_mean", repr(summary.raw_trace_mean), ""),
-        ("ks_distance", repr(summary.ks_distance), ""),
-        ("skewness", repr(summary.standardized_moments[2]), "target 0.0"),
-        ("kurtosis", repr(summary.standardized_moments[3]), "target 3.0"),
-        ("wall_time_s", repr(summary.wall_time_s), ""),
-    ]
-    if summary.low_confidence:
-        rows.append(("low_confidence", "true", "fewer than 30 replicas"))
-    width = max(len(r[0]) for r in rows)
-    # the wall time varies run to run, so it does not set the padding
-    vwidth = max(len(value) for name, value, _ in rows if name != "wall_time_s")
-    return "\n".join(
-        f"{name:<{width}}  {value:>{vwidth}}  {note}".rstrip() for name, value, note in rows
-    ) + "\n"
-
-
 def _write(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(content, encoding="utf-8")
+
+
+def _report(path: Path, content: str) -> None:
+    # written first, so a failed write prints nothing
+    _write(path, content)
+    sys.stdout.write(content)
 
 
 def _write_table(out: Path, header, rows) -> None:
@@ -167,8 +154,7 @@ def _write_table(out: Path, header, rows) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _write(out / "table.csv", buf.getvalue())
-    sys.stdout.write(buf.getvalue())
+    _report(out / "table.csv", buf.getvalue())
 
 
 def _config_from_options(args: argparse.Namespace) -> ExperimentConfig:
@@ -201,6 +187,14 @@ def _cmd_variance(args: argparse.Namespace, out: Path) -> None:
 
 def _cmd_density_table(args: argparse.Namespace, out: Path) -> None:
     p, n = args.p, args.n
+    if p > MAX_TABLE_P:
+        raise ConfigError(f"--p {p} is above {MAX_TABLE_P}, the largest table "
+                          f"density-table computes")
+    # 0 (no limit) where Python predates the limit or it is switched off
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if p >= 2 and digits and n ** (p - 1) >= 10**digits:
+        raise ConfigError(f"--n is too large for --p {p}: counts reach n^(p-1), "
+                          f"more than the {digits} digits Python writes as text")
     rows = []
     for row in slice_table(p, n):
         f_val = euler_frobenius_density(p, row.s)
@@ -213,16 +207,13 @@ def _cmd_simulate(args: argparse.Namespace, out: Path) -> None:
     config = _config_from_options(args)
     summary = run_clt_experiment(config)
     _write(out / "samples.csv", emit_samples_csv(summary.raw_traces, summary.w_values))
-    _write(out / "summary.json", emit_summary_json(config, summary=summary))
-    sys.stdout.write(_text_report(summary))
+    _report(out / "summary.json", emit_summary_json(config, summary=summary))
 
 
 def _cmd_tv_bound(args: argparse.Namespace, out: Path) -> None:
     config = _config_from_options(args)
     stein = estimate_kappas(config)
-    _write(out / "summary.json", emit_summary_json(config, stein=stein))
-    for name in ("kappa0_hat", "kappa1_hat", "kappa2_hat", "sigma2_hat", "tv_bound"):
-        print(f"{name} {repr(getattr(stein, name))}")
+    _report(out / "summary.json", emit_summary_json(config, stein=stein))
 
 
 def _cmd_norm_scaling(args: argparse.Namespace, out: Path) -> None:

@@ -104,10 +104,12 @@ def limiting_variance(poly: TestPolynomial) -> Fraction:
 
     The slice form sum_l a_l^2 * l! * sum_s f_l(s) reduces to it because the
     Euler-Frobenius densities f_l sum to exactly 1.  A variance beyond the
-    largest float is refused: no float statistic could be read against it.
+    largest float or below the smallest normal one is refused: no float
+    statistic could be read against it.
     """
     total = sum((Fraction(a) ** 2 * factorial(ell) for ell, a in poly.terms()),
                 Fraction(0))
-    if total > float_info.max:
-        raise ValueError("the limiting variance sum_k a_k^2 k! exceeds the float range")
+    if not float_info.min <= total <= float_info.max:
+        side = "exceeds" if total > 1 else "is below"
+        raise ValueError(f"the limiting variance sum_k a_k^2 k! {side} the float range")
     return total

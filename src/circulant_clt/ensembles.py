@@ -45,8 +45,8 @@ UNIFORM_C2 = 2.0 * math.sqrt(3.0) / math.sqrt(2.0 * math.pi * math.e)
 # Input values per chunk stream.  A chunk costs about 3 us of counter
 # reset and call overhead, against about 17 ns per Gaussian value drawn.
 STREAM_VALUES = 2**13
-# Replicas per chunk at most: a divisor of the 256-row cap on harness
-# blocks, so that blocks at small n hold whole chunks within that cap.
+# Replicas per chunk at most.  It is part of the stream definition: a
+# chunk's rows, and so every sample value, depend on it.
 MAX_STREAM_ROWS = 64
 
 # Per family, the bounds (c1, c2) >= (sup|u'|, sup|u''|) of its smooth

@@ -20,13 +20,12 @@ the Hessian majorant surrogate for kappa2, and the empirical variance, all
 of the one function g(X) = Tr P(C(X)).  The bound requires a smooth
 symmetric ensemble.
 
-Replicas run in fixed blocks of consecutive indices, BLOCK_VALUES input
-values per block (at least one and at most MAX_BLOCK_ROWS replicas),
-rounded down to whole chunks of ensembles.stream_rows(n) replicas,
-whatever the worker count.  A block is drawn with one generator call per
-chunk it covers, each chunk from the substream named by (master_seed,
-chunk); one rfft gives the block's half spectra, and the statistics are
-reduced from those.  Each worker allocates its block arrays once
+Replicas run in fixed blocks of consecutive indices: the whole chunks of
+ensembles.stream_rows(n) replicas that fit in BLOCK_VALUES input values,
+at least one chunk, whatever the worker count.  A block is drawn with one
+generator call per chunk it covers, each chunk from the substream named
+by (master_seed, chunk); one rfft gives the block's half spectra, and the
+statistics are reduced from those.  Each worker allocates its block arrays once
 (circulant.BlockBuffers) and every block it runs writes into them.
 worker_count is an upper bound.  Below n = THREAD_MIN_N the blocks run
 inline on the calling thread, where a measured second thread added CPU
@@ -43,6 +42,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -68,7 +68,6 @@ LOW_CONFIDENCE_REPLICAS = 30
 # worker count (see CHANGES.md).  Input values per replica block: with the
 # block's spectra and temporaries a worker's arrays peak near 1.3 MB.
 BLOCK_VALUES = 2**15
-MAX_BLOCK_ROWS = 256
 # Smallest n at which a second thread shortened a run.
 THREAD_MIN_N = 512
 
@@ -153,10 +152,10 @@ class SteinEstimate:
 
 
 def block_rows(n: int) -> int:
-    """Replicas per block: BLOCK_VALUES // n, clamped to [1, MAX_BLOCK_ROWS]
-    and rounded down to whole chunks of stream_rows(n), at least one."""
+    """Replicas per block: BLOCK_VALUES // n rounded down to whole chunks
+    of stream_rows(n), at least one chunk."""
     chunk = stream_rows(n)
-    return max(min(BLOCK_VALUES // n, MAX_BLOCK_ROWS) // chunk, 1) * chunk
+    return max(BLOCK_VALUES // n // chunk, 1) * chunk
 
 
 def _replica_blocks(
@@ -245,6 +244,7 @@ def ks_distance(samples, variance: float) -> float:
 def run_clt_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run the replica experiment and summarize the normalized statistic W."""
     t0 = time.perf_counter()
+    target = float(limiting_variance(config.poly))  # refused before any replica runs
     traces = _replica_blocks(
         config.ensemble, config.n, config.master_seed, range(config.m),
         config.worker_count,
@@ -252,7 +252,6 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentSummary:
     )[0]
     t_bar = float(traces.mean())
     w = (traces - t_bar) / math.sqrt(config.n)
-    target = float(limiting_variance(config.poly))
     return ExperimentSummary(
         n=config.n,
         m=config.m,
@@ -313,10 +312,17 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
         config.ensemble, n, config.master_seed, range(config.m),
         config.worker_count, per_block, width=4,
     )
+    means = [float(a.mean()) for a in (quartic, squared, hess4)]
+    for k, mean in enumerate(means):
+        # a zero or subnormal mean has lost digits; the bound is invariant
+        # under P -> aP, so a kappa read as 0 would certify a false bound
+        if mean < sys.float_info.min:
+            raise ValueError(f"kappa{k}_hat underflows: its fourth-power mean is "
+                             f"below the smallest normal float")
     return SteinEstimate(
-        kappa0_hat=math.sqrt(float(quartic.mean())),
-        kappa1_hat=float(squared.mean()) ** 0.25,
-        kappa2_hat=float(hess4.mean()) ** 0.25,
+        kappa0_hat=math.sqrt(means[0]),
+        kappa1_hat=means[1] ** 0.25,
+        kappa2_hat=means[2] ** 0.25,
         sigma2_hat=float(traces.var(ddof=1)),
         c1=c1,
         c2=c2,

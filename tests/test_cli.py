@@ -3,7 +3,6 @@ exit-code discipline, and reproducibility of emitted files."""
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -12,16 +11,11 @@ import numpy as np
 import pytest
 
 from circulant_clt import ConfigError, cli, harness, run_clt_experiment
-from circulant_clt.cli import (
-    _text_report,
-    emit_samples_csv,
-    emit_summary_json,
-    main,
-    parse_config,
-)
+from circulant_clt.cli import emit_samples_csv, emit_summary_json, main, parse_config
 from circulant_clt.harness import ExperimentConfig
 
 MINIMAL = {"n": 512, "poly": [0, 0, 1], "family": "gaussian", "seed": 7}
+UNDERFLOW = "underflows: its fourth-power mean is below the smallest normal float"
 
 
 def small_run():
@@ -101,27 +95,6 @@ class TestEmitters:
         assert fields["raw_trace_mean"] == summary.raw_trace_mean
         assert tuple(fields["standardized_moments"]) == summary.standardized_moments
 
-    def test_text_shows_target_next_to_variance(self):
-        _, summary = small_run()
-        text = _text_report(summary)
-        (variance_line,) = [l for l in text.splitlines() if "variance_w" in l]
-        assert "target" in variance_line and "2.0" in variance_line
-
-    def test_text_padding_independent_of_wall_time(self):
-        _, summary = small_run()
-        # short statistics, so that only the wall time could widen the column
-        summary = dataclasses.replace(
-            summary, variance_w=1.5, raw_trace_mean=2.25, ks_distance=0.125,
-            standardized_moments=(0.0, 1.0, 0.5, 3.0, 0.0, 15.0, 0.0, 105.0),
-        )
-        short, long = (
-            _text_report(dataclasses.replace(summary, wall_time_s=t)).splitlines()
-            for t in (1.5, 0.12345678901234567)
-        )
-        assert len(short) == len(long)
-        changed = [a.split()[0] for a, b in zip(short, long) if a != b]
-        assert changed == ["wall_time_s"]
-
 
 class TestVarianceCommand:
     def test_prints_exact_and_float(self, capsys):
@@ -137,12 +110,13 @@ class TestVarianceCommand:
         assert "degree" in capsys.readouterr().err
 
     def test_variance_beyond_float_range_refused(self, capsys):
-        # 2e320 is exact as a rational but has no float
-        assert main(["variance", "--poly", "0,0,1e160"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: the limiting variance sum_k a_k^2 k! "
-                                "exceeds the float range\n")
+        # 2e320 and 2e-400 are exact as rationals but have no normal float
+        for coefficient, reason in (("1e160", "exceeds the float range"),
+                                    ("1e-200", "is below the float range")):
+            assert main(["variance", "--poly", f"0,0,{coefficient}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: the limiting variance sum_k a_k^2 k! {reason}\n"
 
 
 class TestDensityTableCommand:
@@ -171,6 +145,33 @@ class TestDensityTableCommand:
         assert captured.out == ""
         assert not (tmp_path / "table.csv").exists()
 
+    @pytest.mark.parametrize("p, n, message", [
+        (cli.MAX_TABLE_P + 1, 5, f"--p {cli.MAX_TABLE_P + 1} is above {cli.MAX_TABLE_P}, "
+                                 f"the largest table density-table computes"),
+        # 10**2150 squared has 4301 digits, one more than Python's default limit
+        (3, 10**2150, "--n is too large for --p 3: counts reach n^(p-1), more than "
+                      "the 4300 digits Python writes as text"),
+    ], ids=["p", "n"])
+    def test_table_beyond_bounds_refused(self, tmp_path, capsys, monkeypatch,
+                                         p, n, message):
+        def no_table(*args):
+            raise AssertionError("a slice was counted before the bounds were checked")
+
+        monkeypatch.setattr(cli, "slice_table", no_table)
+        assert main(["--out", str(tmp_path), "density-table", "--p", str(p),
+                     "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "table.csv").exists()
+
+    @pytest.mark.parametrize("p, n", [(cli.MAX_TABLE_P, 5), (3, 10**2150 - 1)],
+                             ids=["p", "n"])
+    def test_largest_tables_accepted(self, tmp_path, capsys, p, n):
+        assert main(["--out", str(tmp_path), "density-table", "--p", str(p),
+                     "--n", str(n)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == p + 1
+
 
 class TestSimulateCommand:
     def test_writes_artifacts(self, tmp_path, capsys):
@@ -186,7 +187,6 @@ class TestSimulateCommand:
         samples = (tmp_path / "samples.csv").read_text()
         assert samples.startswith("replica,raw_trace,W\n")
         assert len(samples.splitlines()) == 51
-        assert "target" in capsys.readouterr().out
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -236,7 +236,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("coefficient, quantity", [
         ("1e160", "the limiting variance sum_k a_k^2 k! exceeds"),
         ("9e153", "variance_w is not finite"),
-    ], ids=["limiting_variance", "variance_w"])
+        ("1e-200", "the limiting variance sum_k a_k^2 k! is below"),
+    ], ids=["limiting_variance", "variance_w", "limiting_variance_below"])
     def test_statistic_beyond_float_range_refused(self, tmp_path, capsys,
                                                   coefficient, quantity):
         # a numpy overflow warning would fail the suite, and no file is written
@@ -247,6 +248,17 @@ class TestSimulateCommand:
         assert captured.err.startswith(f"error: {quantity}")
         assert captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("coefficient", ["1e160", "1e-200"])
+    def test_limiting_variance_refused_before_any_replica(self, tmp_path, capsys,
+                                                          monkeypatch, coefficient):
+        def no_replicas(*args):
+            raise AssertionError("a replica ran before the target was checked")
+
+        monkeypatch.setattr(harness, "_replica_blocks", no_replicas)
+        assert main(["--out", str(tmp_path), "simulate", "--n", "64",
+                     "--poly", f"0,0,{coefficient}", "--m", "50"]) == 2
+        assert capsys.readouterr().err.startswith("error: the limiting variance")
 
     def test_worker_count_invariance_excluding_wall_time(self, tmp_path):
         outs = []
@@ -321,18 +333,31 @@ class TestTvBoundCommand:
         assert stein["sigma2_target_scaled"] == pytest.approx(64 * 2.0)
         assert doc["experiment"] is None
 
-    @pytest.mark.parametrize("coefficient", ["1e76", "3e77"])
+    @pytest.mark.parametrize("coefficient, message", [
+        pytest.param(coefficient, f"{kappa} {reason}", id=coefficient)
+        for coefficient, kappa, reason in (
+            ("1e76", "kappa0_hat", "is not finite: it left the float range"),
+            ("3e77", "kappa0_hat", "is not finite: it left the float range"),
+            ("1e-200", "kappa0_hat", UNDERFLOW),
+            ("1e-100", "kappa0_hat", UNDERFLOW),
+            ("1e-80", "kappa0_hat", UNDERFLOW),
+            ("3e-78", "kappa2_hat", UNDERFLOW),
+        )
+    ])
     @pytest.mark.parametrize("n, workers", [(64, "1"), (1024, "2")])
     def test_kappas_beyond_float_range_refused(self, tmp_path, capsys,
-                                               coefficient, n, workers):
+                                               coefficient, message, n, workers):
         # the sums of squared gradients overflow, inline and on pool threads;
-        # at 3e77 so does the float majorant of a degree-2 polynomial
+        # at 3e77 so does the float majorant of a degree-2 polynomial.  At
+        # 1e-100 the fourth powers of the gradient are 0 and at 1e-80
+        # subnormal, so kappa0_hat would read 0 or lose digits; at 3e-78 only
+        # those of the Hessian majorant are subnormal
         assert main(["--out", str(tmp_path), "tv-bound", "--n", str(n),
                      "--poly", f"0,0,{coefficient}", "--family", "gaussian",
                      "--m", "50", "--workers", workers]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: kappa0_hat is not finite: it left the float range\n"
+        assert captured.err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -355,6 +380,19 @@ def test_summary_json_key_sets(tmp_path, command, experiment, stein):
     assert (doc["stein"] and set(doc["stein"])) == stein
 
 
+@pytest.mark.parametrize("argv, report", [
+    (["simulate", "--n", "64", "--poly", "0,0,1", "--m", "40"], "summary.json"),
+    (["tv-bound", "--n", "64", "--poly", "0,0,1", "--family", "uniform_symmetric",
+      "--m", "40"], "summary.json"),
+    (["density-table", "--p", "4", "--n", "9"], "table.csv"),
+    (["norm-scaling", "--sizes", "16,32", "--trials", "4"], "table.csv"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_stdout_is_the_report_written(tmp_path, capsys, argv, report):
+    # one report per command: what is printed is the file, byte for byte
+    assert main(["--out", str(tmp_path), *argv]) == 0
+    assert capsys.readouterr().out == (tmp_path / report).read_text(encoding="utf-8")
+
+
 class TestOtherCommands:
     def test_norm_scaling_table(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "norm-scaling", "--family",
@@ -368,9 +406,13 @@ class TestOtherCommands:
     def test_io_failure_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
-        code = main(["--out", str(blocker / "sub"), "simulate", "--n", "16",
-                     "--poly", "0,0,1", "--m", "10"])
-        assert code == 3
+        # tv-bound and density-table write nothing before their report, so a
+        # report echoed before its write would show here
+        for argv in (["simulate", "--n", "16", "--poly", "0,0,1", "--m", "10"],
+                     ["tv-bound", "--n", "16", "--poly", "0,0,1", "--m", "10"],
+                     ["density-table", "--p", "3", "--n", "5"]):
+            assert main(["--out", str(blocker / "sub"), *argv]) == 3
+            assert capsys.readouterr().out == ""
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CIRCULANT_CLT_OUT", str(tmp_path / "from-env"))

@@ -153,8 +153,8 @@ class TestRunExperiment:
                              ids=lambda s: s.family)
     @pytest.mark.parametrize("n, m", [(63, 300), (64, 300), (8191, 40), (8192, 40)])
     def test_block_layout_never_changes_a_result(self, spec, n, m, monkeypatch):
-        # 2**13 values make blocks of 128-130 rows at n=63/64 and of one
-        # row at n=8191/8192; 2**15 make 256 and 4 rows, 2**17 256 and 16
+        # 2**13 values make blocks of 128 rows at n=63/64 and of one row at
+        # n=8191/8192; 2**15 make 512 and 4 rows, 2**17 2048 and 16
         config = make_config(n=n, m=m, poly=POLY_X2_X3, ensemble=spec, worker_count=2)
         results, rows, default_min_n = [], set(), harness.THREAD_MIN_N
         for block_values in (2**13, 2**15, 2**17):
