@@ -1,7 +1,7 @@
 """Command-line front end: config parsing, study dispatch, CSV/JSON output.
 
 Subcommands: variance, density-table, simulate, tv-bound, norm-scaling.
-Exit codes: 0 success, 2 validation or refusal, 3 I/O failure.
+Exit codes: 0 success, 2 refusal or a failed allocation, 3 I/O failure.
 A subcommand prints the report it writes, once the file is written.
 
 Configs are JSON key-value documents (or equivalent inline flags) with
@@ -32,6 +32,7 @@ from .ensembles import EnsembleSpec
 from .errors import ConfigError
 from .harness import (
     ExperimentConfig,
+    available_cpus,
     estimate_kappas,
     norm_scaling_study,
     run_clt_experiment,
@@ -54,7 +55,7 @@ def parse_config(doc) -> ExperimentConfig:
 
     Accepts a JSON string or a mapping.  Unknown keys are rejected;
     n and poly are required; m defaults to 2000 and worker_count to the
-    available parallelism.  n, m, seed and worker_count must be integers
+    CPUs the process may run on.  n, m, seed and worker_count must be integers
     and poly a list of numbers; nothing is rounded or split into digits.
     """
     if isinstance(doc, (str, bytes)):
@@ -72,8 +73,7 @@ def parse_config(doc) -> ExperimentConfig:
     for key in ("n", "poly"):
         if key not in data:
             raise ConfigError(f"missing required config key: {key}")
-    data = {"m": DEFAULT_REPLICAS, "seed": 0, "worker_count": os.cpu_count() or 1,
-            **data}
+    data = {"m": DEFAULT_REPLICAS, "seed": 0, "worker_count": available_cpus(), **data}
     for key in ("n", "m", "seed", "worker_count"):
         if type(data[key]) is not int:  # bool and float are refused, not cast
             raise ConfigError(f"config key {key} must be an integer, "
@@ -284,7 +284,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     return EXIT_OK

@@ -18,18 +18,16 @@ need only the law, so the inputs are drawn directly: uniform values as
 sqrt(3)*(2U - 1) from standard uniforms U, not through u.
 
 Randomness is externalized.  Replicas are grouped in chunks of
-:func:`stream_rows` consecutive indices, and a :class:`RandomStream`
-names the substream of one chunk as a pure function of (master_seed,
-chunk), so concurrent blocks draw identical values regardless of
-scheduling.  Every substream of one master seed is a Philox generator
-with the same key and its own counter (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11): counter word 2 holds the chunk
-index and words 0-1 advance within a draw, so substreams never overlap.
-One generator call fills a whole chunk, and replica r is row
-r mod stream_rows(n) of chunk r // stream_rows(n).  Each draw consumes
-its stream in order, so fewer rows are the leading rows of the chunk's
-full draw: a run of m replicas gives the first m replicas of any longer
-run.
+:func:`stream_rows` consecutive indices.  The substream of one chunk of
+a run at size n is a pure function of (master_seed, chunk, n), so
+concurrent blocks draw identical values regardless of scheduling.  Each
+is a Philox generator keyed by the master seed (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11): counter word 3 holds n,
+word 2 the chunk and words 0-1 advance within a draw, so no two
+substreams overlap, within a run or across sizes.  One generator call
+fills a whole chunk, and replica r is row r mod stream_rows(n) of chunk
+r // stream_rows(n).  Each draw consumes its stream in order, so a run
+of m replicas gives the first m replicas of any longer run.
 """
 
 from __future__ import annotations
@@ -94,11 +92,11 @@ def stream_rows(n: int) -> int:
 
 @dataclass(frozen=True)
 class RandomStream:
-    """Name of one reproducible substream: one chunk of replicas.
+    """Name of one chunk of replicas, whose substream also depends on n.
 
-    The generator is a pure function of (master_seed, chunk): chunks never
-    share state, so draws are identical under any degree of parallelism
-    or execution order.
+    The generator is a pure function of (master_seed, chunk, n): chunks
+    and sizes never share state, so draws are identical under any degree
+    of parallelism or execution order.
     """
 
     master_seed: int
@@ -110,11 +108,11 @@ class RandomStream:
         if not 0 <= self.chunk < 2**64:
             raise ValueError("chunk must be a 64-bit unsigned integer")
 
-    def generator(self) -> np.random.Generator:
-        """Philox keyed by the master seed, at counter [0, 0, chunk, 0]."""
+    def generator(self, n: int) -> np.random.Generator:
+        """Philox keyed by the master seed, at counter [0, 0, chunk, n]."""
         key = np.random.SeedSequence(self.master_seed).generate_state(2, np.uint64)
         return np.random.Generator(
-            np.random.Philox(key=key, counter=[0, 0, self.chunk, 0])
+            np.random.Philox(key=key, counter=[0, 0, self.chunk, n])
         )
 
 
@@ -124,15 +122,15 @@ def draw_rows(spec: EnsembleSpec, stream: RandomStream, out: np.ndarray) -> np.n
 
     With c = stream_rows(n) for n = out.shape[1], rows j*c .. j*c + c - 1
     are chunk stream.chunk + j, as one call of that chunk's own
-    :meth:`RandomStream.generator` fills them: one generator is reused,
-    and only its counter word 2 is reset between chunks.  A short last
+    :meth:`RandomStream.generator` at n fills them: one generator is
+    reused, and only its counter word 2 is reset between chunks.  A short last
     chunk takes the leading rows of the chunk's draw.  Gaussian rows come from
     ``standard_normal``; uniform rows are sqrt(3)*(2U - 1) for standard
     uniforms U from ``random``; Rademacher rows are 2B - 1 for the bits B
     of the chunk's ``random_raw`` words, least significant bit first.
     """
     rows = stream_rows(out.shape[1])
-    rng = stream.generator()
+    rng = stream.generator(out.shape[1])
     bitgen = rng.bit_generator
     state = bitgen.state
     counter = state["state"]["counter"]

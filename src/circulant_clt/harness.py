@@ -24,18 +24,18 @@ Replicas run in fixed blocks of consecutive indices: the whole chunks of
 ensembles.stream_rows(n) replicas that fit in BLOCK_VALUES input values,
 at least one chunk, whatever the worker count.  A block is drawn with one
 generator call per chunk it covers, each chunk from the substream named
-by (master_seed, chunk); one rfft gives the block's half spectra, and the
-statistics are reduced from those.  Each worker allocates its block arrays once
-(circulant.BlockBuffers) and every block it runs writes into them.
-worker_count is an upper bound.  Below n = THREAD_MIN_N the blocks run
-inline on the calling thread, where a measured second thread added CPU
-without shortening the run.  From THREAD_MIN_N they run on pool threads,
-a single one at worker_count 1: numpy's FFT scratch is faulted in again
-on every call on the main thread, and not on a pool thread.  Each
-block writes into its own slots and reductions run in fixed replica
-order, so results are bit-identical for any worker_count, BLOCK_VALUES
-or THREAD_MIN_N, and a run of m replicas gives the first m replicas of
-any longer run.
+by (master_seed, chunk, n); one rfft gives the block's half spectra, and
+the statistics are reduced from those.  Each worker allocates its block
+arrays once (circulant.BlockBuffers) and every block it runs writes into
+them.  worker_count and available_cpus() bound the threads.  Below
+n = THREAD_MIN_N the blocks run inline on the calling thread, where a
+measured second thread added CPU without shortening the run.  From
+THREAD_MIN_N they run on pool threads, a single one at worker_count 1:
+numpy's FFT scratch is faulted in again on every call on the main
+thread, and not on a pool thread.  Each block writes into its own slots
+and reductions run in fixed replica order, so results are bit-identical
+for any worker_count, BLOCK_VALUES or THREAD_MIN_N, and a run of m
+replicas gives the first m replicas of any longer run.
 """
 
 from __future__ import annotations
@@ -151,6 +151,13 @@ class SteinEstimate:
         ) / self.sigma2_hat
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def block_rows(n: int) -> int:
     """Replicas per block: BLOCK_VALUES // n rounded down to whole chunks
     of stream_rows(n), at least one chunk."""
@@ -162,41 +169,37 @@ def _replica_blocks(
     spec: EnsembleSpec,
     n: int,
     master_seed: int,
-    replicas: range,
+    m: int,
     worker_count: int,
     fn: Callable[[np.ndarray, BlockBuffers], np.ndarray],
     width: int = 1,
 ) -> np.ndarray:
-    """Evaluate fn on the half spectra of every block of replicas.
+    """Evaluate fn on the half spectra of replicas 0..m-1, block by block.
 
     fn maps a (rows, n//2 + 1) block of half spectra and the worker's
     BlockBuffers, which hold that block, to a (width, rows) array; column
-    r - replicas.start of the (width, len(replicas)) result holds replica
-    r.  replicas.start must be a multiple of stream_rows(n); blocks start
-    every block_rows(n) replicas from there.  From n = THREAD_MIN_N the
-    blocks run on a pool of worker_count threads capped by the block count
-    and the available CPUs; below it they run inline.
+    r of the (width, m) result holds replica r.  Blocks start every
+    block_rows(n) replicas.  From n = THREAD_MIN_N the blocks run on a
+    pool of worker_count threads capped by the block count and
+    available_cpus(); below it they run inline.
     """
-    chunk = stream_rows(n)
-    if replicas.start % chunk:
-        raise ValueError(f"replicas must start at a multiple of stream_rows(n) = {chunk}")
-    rows = block_rows(n)
-    starts = range(replicas.start, replicas.stop, rows)
-    out = np.empty((width, len(replicas)))
+    chunk, rows = stream_rows(n), block_rows(n)
+    starts = range(0, m, rows)
+    out = np.empty((width, m))
 
     @np.errstate(over="ignore", invalid="ignore")  # the records refuse inf and nan
     def run_blocks(mine: range) -> None:
-        bufs = BlockBuffers(min(rows, len(replicas)), n)
+        bufs = BlockBuffers(min(rows, m), n)
         for lo in mine:
-            k = min(lo + rows, replicas.stop) - lo
+            k = min(lo + rows, m) - lo
             block = draw_rows(spec, RandomStream(master_seed, lo // chunk), bufs.raw[:k])
             lam = half_spectrum(block, out=bufs.lam[:k])
-            out[:, lo - replicas.start : lo - replicas.start + k] = fn(lam, bufs)
+            out[:, lo : lo + k] = fn(lam, bufs)
 
     if n < THREAD_MIN_N:
         run_blocks(starts)
     else:
-        workers = min(worker_count, len(starts), os.cpu_count() or 1)
+        workers = min(worker_count, len(starts), available_cpus())
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_blocks, [starts[w::workers] for w in range(workers)]))
     return out
@@ -246,8 +249,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentSummary:
     t0 = time.perf_counter()
     target = float(limiting_variance(config.poly))  # refused before any replica runs
     traces = _replica_blocks(
-        config.ensemble, config.n, config.master_seed, range(config.m),
-        config.worker_count,
+        config.ensemble, config.n, config.master_seed, config.m, config.worker_count,
         lambda lam, bufs: trace_block(lam, config.n, config.poly, bufs),
     )[0]
     t_bar = float(traces.mean())
@@ -309,8 +311,8 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
         )
 
     quartic, squared, hess4, traces = _replica_blocks(
-        config.ensemble, n, config.master_seed, range(config.m),
-        config.worker_count, per_block, width=4,
+        config.ensemble, n, config.master_seed, config.m, config.worker_count,
+        per_block, width=4,
     )
     means = [float(a.mean()) for a in (quartic, squared, hess4)]
     for k, mean in enumerate(means):
@@ -352,13 +354,10 @@ def norm_scaling_study(
     RandomStream(master_seed)  # refuses a seed outside [0, 2**64)
     if any(n < 2 for n in sizes):
         raise ValueError("sizes must be at least 2")
-    rows, chunk = [], 0
+    rows = []
     for n in sizes:
-        # each size starts on its own chunk, after every chunk read before
-        start = chunk * stream_rows(n)
-        chunk += -(-trials // stream_rows(n))
         norms = _replica_blocks(
-            spec, n, master_seed, range(start, start + trials), 1,
+            spec, n, master_seed, trials, 1,
             lambda lam, bufs: spectral_norm(lam, out=bufs.real[: len(lam)]),
         )[0]
         ratios = norms / math.sqrt(math.log(n))

@@ -3,7 +3,6 @@ direct-enumeration oracles across block boundaries, the imaginary-residual
 check on the self-conjugate bins, and the memory held per block."""
 
 import math
-import os
 import tracemalloc
 from unittest import mock
 
@@ -71,7 +70,7 @@ def test_block_kernel_matches_per_replica_oracles(n, poly, family, extra, seed):
         config = ExperimentConfig(n=n, m=m, poly=poly, ensemble=spec, master_seed=seed)
         traces = run_clt_experiment(config).raw_traces
         grads = harness._replica_blocks(
-            spec, n, seed, range(m), 1,
+            spec, n, seed, m, 1,
             lambda lam, bufs: gradient_block(lam, n, poly, bufs).T, width=n,
         )
         quartic, squared, hess4, oracle_traces = [], [], [], []
@@ -200,7 +199,7 @@ def test_peak_memory_per_worker_independent_of_m(workers):
     # a worker holds one block's inputs, half spectra and Horner temporaries:
     # about 2 * n * 16 bytes at n = 2**15, where a block is one replica
     n = 2**15
-    threads = min(workers, os.cpu_count() or 1)
+    threads = min(workers, harness.available_cpus())
 
     def peak(m):
         return traced_peak(run_clt_experiment, ExperimentConfig(
@@ -223,7 +222,7 @@ def test_peak_memory_of_multi_row_blocks_independent_of_m(kernel, workers):
     # about 1.9 (traces) and 2.5 (kappas) times BLOCK_VALUES * 16 bytes
     n = 4096
     assert harness.block_rows(n) == 8
-    threads = min(workers, os.cpu_count() or 1)
+    threads = min(workers, harness.available_cpus())
 
     def peak(m):
         return traced_peak(kernel, ExperimentConfig(

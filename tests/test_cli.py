@@ -414,6 +414,21 @@ class TestOtherCommands:
             assert main(["--out", str(blocker / "sub"), *argv]) == 3
             assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "2", "--poly", "0,0,1", "--m", str(2**50)],
+        ["tv-bound", "--n", "2", "--poly", "0,0,1", "--m", str(2**50)],
+        ["norm-scaling", "--sizes", str(2**47), "--trials", "1"],
+    ], ids=["simulate", "tv-bound", "norm-scaling"])
+    def test_impossible_allocation_refused(self, tmp_path, capsys, argv):
+        # each request is larger than a 2**47-byte address space, so its
+        # first array cannot be allocated and no memory is touched
+        assert main(["--out", str(tmp_path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_dir_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CIRCULANT_CLT_OUT", str(tmp_path / "from-env"))
         assert main(["density-table", "--p", "2", "--n", "10"]) == 0

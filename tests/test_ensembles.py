@@ -68,6 +68,12 @@ def pinned_chunks(spec, n):
     return [block[lo : lo + rows] for lo in range(0, len(block), rows)]
 
 
+def documented_generator(chunk, n):
+    """The generator README gives for chunk `chunk` of a run at size n, seed 9."""
+    key = np.random.SeedSequence(9).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, chunk, n]))
+
+
 class TestSampling:
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     def test_deterministic_given_stream(self, spec):
@@ -99,13 +105,13 @@ class TestSampling:
         # U of one random() call of that chunk's own generator
         for n in (33, 1000):
             for j, chunk in enumerate(pinned_chunks(EnsembleSpec("uniform_symmetric"), n)):
-                u = RandomStream(9, 5 + j).generator().random(chunk.size)
+                u = documented_generator(5 + j, n).random(chunk.size)
                 assert np.array_equal(chunk, SQRT3 * (2.0 * u.reshape(chunk.shape) - 1.0))
 
     def test_gaussian_rows_pin_the_stream(self):
         for n in (33, 1000):
             for j, chunk in enumerate(pinned_chunks(EnsembleSpec("gaussian"), n)):
-                z = RandomStream(9, 5 + j).generator().standard_normal(chunk.size)
+                z = documented_generator(5 + j, n).standard_normal(chunk.size)
                 assert np.array_equal(chunk, z.reshape(chunk.shape))
 
     def test_rademacher_rows_pin_the_stream(self):
@@ -113,10 +119,18 @@ class TestSampling:
         # counted from the least significant bit
         for n in (33, 1000):
             for j, chunk in enumerate(pinned_chunks(EnsembleSpec("rademacher"), n)):
-                words = RandomStream(9, 5 + j).generator().bit_generator.random_raw(
+                words = documented_generator(5 + j, n).bit_generator.random_raw(
                     -(-chunk.size // 64))
                 bits = [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(chunk.size)]
                 assert chunk.ravel().tolist() == [2.0 * b - 1.0 for b in bits]
+
+    @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_sizes_share_no_inputs(self, spec, n):
+        # chunk k at size n and at size 2n are different streams, so the
+        # inputs of replicas 0-1 at n are not those of replica 0 at 2n
+        pair = np.concatenate([sample_sequence(spec, n, 21, r) for r in (0, 1)])
+        assert not np.array_equal(pair, sample_sequence(spec, 2 * n, 21, 0))
 
     def test_uniform_support_and_variance(self):
         xs = sample_sequence(EnsembleSpec("uniform_symmetric"), 10**6, 4, 0)

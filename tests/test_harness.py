@@ -17,6 +17,7 @@ from circulant_clt import (
     run_clt_experiment,
 )
 from circulant_clt import harness
+from circulant_clt.cli import parse_config
 from circulant_clt.ensembles import stream_rows
 from circulant_clt.harness import ks_distance, standardized_moments
 from oracles import dense_matrix, gradient_trace_polynomial, sample_sequence, spectrum
@@ -96,22 +97,41 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "ThreadPoolExecutor", inline_pool(pool_sizes))
         reference = run_clt_experiment(make_config(n=n, m=5 * rows - 1))
         assert pool_sizes == [1]  # one worker, still off the main thread
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(harness, "available_cpus", lambda: 3)
         capped = run_clt_experiment(make_config(n=n, m=5 * rows - 1,
                                                 worker_count=100000))
         assert pool_sizes == [1, 3]  # capped by the CPUs
         assert np.array_equal(capped.raw_traces, reference.raw_traces)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(harness, "available_cpus", lambda: 8)
         run_clt_experiment(make_config(n=n, m=3 * rows - 1, worker_count=100000))
         assert pool_sizes == [1, 3, 3]  # capped by the blocks
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-        run_clt_experiment(make_config(n=n, m=5 * rows - 1, worker_count=100000))
-        assert pool_sizes == [1, 3, 3, 1]  # unknown CPU count: a pool of one
+
+    def test_threads_follow_the_cpu_affinity(self, monkeypatch):
+        # a process pinned to one of two CPUs (taskset -c 0) gets one worker
+        # by default and a pool of one, whatever worker_count asks for
+        pool_sizes = []
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", inline_pool(pool_sizes))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert parse_config({"n": 4096, "poly": [0, 0, 1, 1], "m": 64}).worker_count == 1
+        n = harness.THREAD_MIN_N
+        run_clt_experiment(make_config(n=n, m=3 * harness.block_rows(n),
+                                       worker_count=100000))
+        assert pool_sizes == [1]
+
+    @pytest.mark.parametrize("cpu_count, cpus", [(5, 5), (None, 1)])
+    def test_cpus_without_affinity(self, monkeypatch, cpu_count, cpus):
+        # where the OS reports no affinity set, os.cpu_count() is the bound,
+        # and an unknown count gives one CPU
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpu_count)
+        assert harness.available_cpus() == cpus
 
     def test_no_threads_below_thread_min_n(self, monkeypatch):
         pool_sizes = []
         monkeypatch.setattr(harness, "ThreadPoolExecutor", inline_pool(pool_sizes))
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(harness, "available_cpus", lambda: 8)
         for n in (2, 64, harness.THREAD_MIN_N - 1):
             m = 3 * harness.block_rows(n) - 1
             threaded = make_config(n=n, m=m, worker_count=100000)
@@ -128,7 +148,7 @@ class TestRunExperiment:
     def test_worker_invariance_with_ragged_last_block(self, n, monkeypatch):
         # n=513/512 give blocks of 63/64 rows, n=4097/4096 blocks of 7/8,
         # and m = 3 * rows - 1 makes every last block short; threads stay
-        # capped at os.cpu_count()
+        # capped at available_cpus()
         m = 3 * harness.block_rows(n) - 1
         assert n >= harness.THREAD_MIN_N
         assert m % harness.block_rows(n) != 0 and m > 2 * harness.block_rows(n)
@@ -140,7 +160,7 @@ class TestRunExperiment:
         # the same partitions of the blocks over 1, 2, 3 and 7 workers,
         # run inline so that no thread starts
         monkeypatch.setattr(harness, "ThreadPoolExecutor", inline_pool([]))
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(harness, "available_cpus", lambda: 8)
         inline = [(run_clt_experiment(c).raw_traces, estimate_kappas(c))
                   for c in configs]
         traces, kappas = threaded[0]
@@ -151,20 +171,21 @@ class TestRunExperiment:
     @pytest.mark.parametrize("spec", [EnsembleSpec(f) for f in
                                       ("gaussian", "rademacher", "uniform_symmetric")],
                              ids=lambda s: s.family)
-    @pytest.mark.parametrize("n, m", [(63, 300), (64, 300), (8191, 40), (8192, 40)])
+    @pytest.mark.parametrize("n, m", [(63, 2100), (64, 2100), (8191, 40), (8192, 40)])
     def test_block_layout_never_changes_a_result(self, spec, n, m, monkeypatch):
         # 2**13 values make blocks of 128 rows at n=63/64 and of one row at
-        # n=8191/8192; 2**15 make 512 and 4 rows, 2**17 2048 and 16
+        # n=8191/8192; 2**15 make 512 and 4 rows, 2**17 2048 and 16; each m
+        # spans more than one block of every size
         config = make_config(n=n, m=m, poly=POLY_X2_X3, ensemble=spec, worker_count=2)
         results, rows, default_min_n = [], set(), harness.THREAD_MIN_N
         for block_values in (2**13, 2**15, 2**17):
             for thread_min_n in (2, default_min_n):
                 monkeypatch.setattr(harness, "BLOCK_VALUES", block_values)
                 monkeypatch.setattr(harness, "THREAD_MIN_N", thread_min_n)
-                rows.add(harness.block_rows(n))
+                rows.add(min(harness.block_rows(n), m))
                 kappas = estimate_kappas(config) if spec.is_smooth else None
                 results.append((run_clt_experiment(config).raw_traces, kappas))
-        assert len(rows) > 1  # the layouts differ
+        assert len(rows) == 3  # three distinct layouts
         traces, kappas = results[0]
         for other_traces, other_kappas in results[1:]:
             assert np.array_equal(other_traces, traces)
@@ -350,39 +371,32 @@ class TestNormScaling:
         (row,) = norm_scaling_study(EnsembleSpec("gaussian"), [2], trials=3, master_seed=4)
         assert math.isfinite(row.max_ratio) and row.max_ratio > 0
 
-    def test_rows_are_dense_norms_of_their_streams(self, monkeypatch):
-        # trials = 4 fills part of one chunk of each size, 70 one chunk and
-        # part of a second; n = 200 has chunks of 40 rows, the others of 64
+    def test_rows_are_dense_norms_of_their_streams(self):
+        # each size reads replicas 0..trials-1 of its own streams; trials = 4
+        # fills part of one chunk of each size, 70 one chunk and part of a
+        # second; n = 200 has chunks of 40 rows, the others of 64
         sizes = [7, 200, 8, 16]
-        ranges = []
-
-        def recording(spec, n, master_seed, replicas, *args, **kwargs):
-            ranges.append((n, replicas))
-            return replica_blocks(spec, n, master_seed, replicas, *args, **kwargs)
-
-        replica_blocks = harness._replica_blocks
-        monkeypatch.setattr(harness, "_replica_blocks", recording)
         for trials in (4, 70):
-            ranges.clear()
             rows = norm_scaling_study(EnsembleSpec("uniform_symmetric"), sizes, trials,
                                       master_seed=9)
-            assert [n for n, _ in ranges] == sizes
-            chunks_read = set()
-            for (n, replicas), row in zip(ranges, rows):
-                # from a chunk boundary on, sharing no chunk with another size
-                assert len(replicas) == trials
-                assert replicas.start % stream_rows(n) == 0
-                chunks = {r // stream_rows(n) for r in replicas}
-                assert chunks.isdisjoint(chunks_read)
-                chunks_read |= chunks
+            assert [row.n for row in rows] == sizes
+            for n, row in zip(sizes, rows):
                 ratios = [
                     np.linalg.norm(dense_matrix(sample_sequence(
                         EnsembleSpec("uniform_symmetric"), n, 9, r)), 2)
                     / math.sqrt(math.log(n))
-                    for r in replicas
+                    for r in range(trials)
                 ]
+                assert row.trials == trials
                 assert row.max_ratio == pytest.approx(max(ratios), rel=1e-10)
                 assert row.mean_ratio == pytest.approx(np.mean(ratios), rel=1e-10)
+
+    @pytest.mark.parametrize("spec", [EnsembleSpec(f) for f in
+                                      ("gaussian", "rademacher", "uniform_symmetric")],
+                             ids=lambda s: s.family)
+    def test_row_independent_of_the_other_sizes(self, spec):
+        (alone,) = norm_scaling_study(spec, [64], trials=70, master_seed=5)
+        assert norm_scaling_study(spec, [32, 64], trials=70, master_seed=5)[1] == alone
 
     def test_validation(self):
         with pytest.raises(ValueError):
