@@ -14,11 +14,7 @@ from .combinatorics import (
     slice_table,
 )
 from .ensembles import EnsembleSpec
-from .errors import (
-    ConfigError,
-    ImaginaryResidualError,
-    SmoothnessRequiredError,
-)
+from .errors import ConfigError, SmoothnessRequiredError
 from .harness import (
     ExperimentConfig,
     ExperimentSummary,
@@ -35,7 +31,6 @@ __all__ = [
     "EnsembleSpec",
     "ExperimentConfig",
     "ExperimentSummary",
-    "ImaginaryResidualError",
     "LatticeSliceCount",
     "NormScalingRow",
     "SmoothnessRequiredError",

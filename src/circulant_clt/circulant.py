@@ -14,8 +14,8 @@ As x is real, lambda_(n-t) = conj(lambda_t), so only the half spectrum
 
 is reduced with the Hermitian weights 1 at t = 0 and t = n/2 (n even),
 2 elsewhere (:func:`trace_block`), P evaluated by Horner's rule.  Those
-two bins are real by symmetry; the imaginary part the reduction drops
-there is checked against IMAG_RESIDUAL_TOL.
+two bins are real (lambda_t = conj(lambda_t) there), so P(lambda_t) is real
+at them too and the reduction takes the real part of every bin.
 
 The gradient of X -> Tr P(C(X)) is exact matrix calculus: P'(C) is itself
 circulant with first-row symbol d = fft(P'(lambda)) / n, and each X_m
@@ -33,10 +33,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-
-from .errors import ImaginaryResidualError
-
-IMAG_RESIDUAL_TOL = 1e-8
 
 
 def _horner(coeffs: Sequence[float], z, out=None):
@@ -153,27 +149,6 @@ def half_spectrum(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return lam
 
 
-def _check_imag(residual, scale, what: str) -> None:
-    """Refuse an imaginary residual above IMAG_RESIDUAL_TOL * (1 + scale).
-
-    residual and scale are scalars or arrays of one entry per replica.
-    """
-    excess = np.asarray(residual) > IMAG_RESIDUAL_TOL * (1.0 + np.asarray(scale))
-    if np.any(excess):
-        raise ImaginaryResidualError(
-            f"{what} should be real; imaginary residual "
-            f"{float(np.max(np.asarray(residual)[excess])):.3e} "
-            f"exceeds tolerance {IMAG_RESIDUAL_TOL:.0e}"
-        )
-
-
-def _self_conjugate_imag(vals: np.ndarray, n: int) -> np.ndarray:
-    """Per row, |Im| summed over the half-spectrum bins t = 0 and t = n/2
-    (n even): the imaginary part a Hermitian reduction drops."""
-    bins = [0, n // 2] if n % 2 == 0 else [0]
-    return np.abs(vals[:, bins].imag).sum(axis=1)
-
-
 def spectral_norm(lam: np.ndarray, out: np.ndarray | None = None):
     """Operator norm max_t |lambda_t| along the last axis; circulant matrices
     are normal, and a half spectrum holds every modulus.  out, if given,
@@ -181,8 +156,7 @@ def spectral_norm(lam: np.ndarray, out: np.ndarray | None = None):
     return np.abs(lam, out=out).max(axis=-1)
 
 
-def trace_block(lam: np.ndarray, n: int, poly: TestPolynomial,
-                bufs: BlockBuffers) -> np.ndarray:
+def trace_block(lam: np.ndarray, poly: TestPolynomial, bufs: BlockBuffers) -> np.ndarray:
     """Tr P(C) of each row of half spectra: P(lambda_t) reduced with the
     Hermitian weights 1 at t = 0 and t = n/2 (n even), 2 elsewhere.
 
@@ -190,9 +164,7 @@ def trace_block(lam: np.ndarray, n: int, poly: TestPolynomial,
     """
     rows = len(lam)
     vals = poly.evaluate(lam, out=bufs.vals[:rows])
-    traces = np.multiply(vals.real, bufs.weights, out=bufs.real[:rows]).sum(axis=1)
-    _check_imag(_self_conjugate_imag(vals, n), np.abs(traces), "Tr P(C)")
-    return traces
+    return np.multiply(vals.real, bufs.weights, out=bufs.real[:rows]).sum(axis=1)
 
 
 def gradient_block(lam: np.ndarray, n: int, poly: TestPolynomial,
@@ -205,8 +177,4 @@ def gradient_block(lam: np.ndarray, n: int, poly: TestPolynomial,
     dvals = poly.derivative_values(lam, out=bufs.vals[:rows])
     grads = np.fft.irfft(dvals, n=n, axis=-1, out=bufs.grad[:rows])
     grads *= math.sqrt(n)
-    # max |g| per row, without an array of moduli
-    scale = np.maximum(grads.max(axis=1), -grads.min(axis=1))
-    _check_imag(_self_conjugate_imag(dvals, n) / n, scale / math.sqrt(n),
-                "derivative symbol")
     return grads

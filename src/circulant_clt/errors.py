@@ -1,13 +1,5 @@
-"""Exception types shared across the package."""
-
-
-class ImaginaryResidualError(ArithmeticError):
-    """A quantity that must be real carried an imaginary part above tolerance.
-
-    Traces and derivative symbols of real circulant matrices are real up to
-    floating-point transform noise; a residual above tolerance indicates a
-    numerical problem or an indexing-convention bug, never a valid result.
-    """
+"""Exception types shared across the package: two kinds of invalid input.
+A value that leaves the float range is refused as a ValueError naming it."""
 
 
 class SmoothnessRequiredError(ValueError):

@@ -250,7 +250,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentSummary:
     target = float(limiting_variance(config.poly))  # refused before any replica runs
     traces = _replica_blocks(
         config.ensemble, config.n, config.master_seed, config.m, config.worker_count,
-        lambda lam, bufs: trace_block(lam, config.n, config.poly, bufs),
+        lambda lam, bufs: trace_block(lam, config.poly, bufs),
     )[0]
     t_bar = float(traces.mean())
     w = (traces - t_bar) / math.sqrt(config.n)
@@ -307,7 +307,7 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
             squared,
             # a degree-2 majorant is a float, whose power would raise on overflow
             np.broadcast_to(np.float64(hess) ** 4, len(lam)),
-            trace_block(lam, n, poly, bufs),
+            trace_block(lam, poly, bufs),
         )
 
     quartic, squared, hess4, traces = _replica_blocks(
@@ -317,10 +317,12 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
     means = [float(a.mean()) for a in (quartic, squared, hess4)]
     for k, mean in enumerate(means):
         # a zero or subnormal mean has lost digits; the bound is invariant
-        # under P -> aP, so a kappa read as 0 would certify a false bound
-        if mean < sys.float_info.min:
-            raise ValueError(f"kappa{k}_hat underflows: its fourth-power mean is "
-                             f"below the smallest normal float")
+        # under P -> aP, so a kappa read as 0 would certify a false bound.
+        # An infinite or NaN mean has overflowed
+        if not sys.float_info.min <= mean <= sys.float_info.max:
+            flow, side = (("underflows", "below the smallest normal") if mean < 1
+                          else ("overflows", "above the largest"))
+            raise ValueError(f"kappa{k}_hat {flow}: its fourth-power mean is {side} float")
     return SteinEstimate(
         kappa0_hat=math.sqrt(means[0]),
         kappa1_hat=means[1] ** 0.25,

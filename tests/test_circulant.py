@@ -6,13 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from circulant_clt import (
-    EnsembleSpec,
-    ImaginaryResidualError,
-    TestPolynomial,
-)
-from circulant_clt.circulant import spectral_norm
+from circulant_clt import EnsembleSpec, TestPolynomial
+from circulant_clt.circulant import half_spectrum, spectral_norm
 from oracles import (
+    ImaginaryResidualError,
     build_sample,
     dense_matrix,
     gradient_trace_polynomial,
@@ -150,6 +147,20 @@ class TestSpectrum:
         lam = build_sample(EnsembleSpec("gaussian"), 12, 5, 0)
         for t in range(12):
             assert lam[(12 - t) % 12] == pytest.approx(np.conj(lam[t]), abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [EnsembleSpec(f) for f in
+                                      ("gaussian", "rademacher", "uniform_symmetric")],
+                             ids=lambda s: s.family)
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 64])
+    def test_half_spectrum_is_the_first_half_bin_by_bin(self, spec, n):
+        # the block kernel's rfft route keeps lambda_t for 0 <= t <= n/2 in
+        # the oracle's order and sign convention, not their conjugates
+        raw = draw(spec, n, 6)
+        full = spectrum(raw)
+        half = half_spectrum(raw[None])[0]
+        assert half.shape == (n // 2 + 1,)
+        scale = 1.0 + float(np.max(np.abs(full)))
+        assert np.all(np.abs(half - full[: n // 2 + 1]) <= 1e-12 * scale)
 
 
 class TestTracePowers:
