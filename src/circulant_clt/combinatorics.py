@@ -19,10 +19,10 @@ the volume of the section {y in [0,1]^p : sum y = s} of the unit cube.
 Everything here is computed in exact integer/rational arithmetic; the
 binomials involved overflow 64-bit integers already for moderate (p, n).
 
-Slices are counted in closed form by inclusion-exclusion
-(:func:`count_slice_exact`).  The test suite checks that count against a
-direct enumeration of the box and against a distinct-coordinates count,
-which shows that repeated coordinates are negligible in the limit.
+:func:`slice_table` counts slices by inclusion-exclusion, each box binomial
+taken once.  The test suite checks those counts against a direct enumeration
+of the box and against a distinct-coordinates count, which shows that
+repeated coordinates are negligible in the limit.
 """
 
 from __future__ import annotations
@@ -45,14 +45,6 @@ class LatticeSliceCount:
     count: int
     density: Fraction
 
-    def __post_init__(self) -> None:
-        if self.p < 1 or self.n < 1:
-            raise ValueError("p and n must be positive")
-        if not 0 <= self.s <= self.p - 1:
-            raise ValueError("s must lie in [0, p-1]")
-        if self.count < 0:
-            raise ValueError("count must be nonnegative")
-
 
 def euler_frobenius_density(p: int, s: int) -> Fraction:
     """Exact rational f_p(s) = (1/(p-1)!) sum_k (-1)^k C(p,k) (s-k)^(p-1).
@@ -67,34 +59,26 @@ def euler_frobenius_density(p: int, s: int) -> Fraction:
     return Fraction(acc, factorial(p - 1))
 
 
-def count_slice_exact(p: int, s: int, n: int) -> int:
-    """Closed-form slice count by inclusion-exclusion over bounded compositions.
+def slice_table(p: int, n: int) -> list[LatticeSliceCount]:
+    """All p slices of {0..n-1}^p with exact counts and densities; p >= 1.
 
-    Counts solutions of i_1 + ... + i_p = s*n with 0 <= i_j <= n-1 as
+    With the box binomials b_j = C(j*n + p - 1, p - 1), each taken once,
+    inclusion-exclusion over bounded compositions counts slice s as
 
-        sum_{k=0}^{s} (-1)^k C(p, k) C((s - k)*n + p - 1, p - 1);
+        sum_{k=0}^{s} (-1)^k C(p, k) b_{s-k};
 
     for k > s the upper argument is below p - 1, so those terms are 0.
-    Exact for all arguments; big integers throughout.
     """
-    if p < 1 or n < 1:
-        raise ValueError("p and n must be positive")
-    if not 0 <= s <= p - 1:
-        raise ValueError(f"s={s} out of range [0, {p - 1}]")
-    return sum((-1) ** k * comb(p, k) * comb((s - k) * n + p - 1, p - 1)
-               for k in range(s + 1))
-
-
-def slice_table(p: int, n: int) -> list[LatticeSliceCount]:
-    """All slices of {0..n-1}^p with exact counts and densities; p >= 2,
-    the degrees the densities f_p describe."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    rows = []
+    if p < 1:
+        raise ValueError(f"p must be at least 1, not {p}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, not {n}")
+    box = [comb(j * n + p - 1, p - 1) for j in range(p)]
     scale = n ** (p - 1)
+    rows = []
     for s in range(p):
-        cnt = count_slice_exact(p, s, n)
-        rows.append(LatticeSliceCount(p, s, n, cnt, Fraction(cnt, scale)))
+        count = sum((-1) ** k * comb(p, k) * box[s - k] for k in range(s + 1))
+        rows.append(LatticeSliceCount(p, s, n, count, Fraction(count, scale)))
     return rows
 
 

@@ -79,6 +79,13 @@ def _require_finite(**values) -> None:
             raise ValueError(f"{name} is not finite: it left the float range")
 
 
+def _require_integers(**values) -> None:
+    """Refuse a size, count or seed that is not an integer (bool and float too)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one reproducible Monte Carlo run."""
@@ -91,6 +98,8 @@ class ExperimentConfig:
     worker_count: int = 1
 
     def __post_init__(self) -> None:
+        _require_integers(n=self.n, m=self.m, master_seed=self.master_seed,
+                          worker_count=self.worker_count)
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.m < 2:
@@ -351,6 +360,8 @@ def norm_scaling_study(
 
     Every builtin ensemble qualifies; smoothness is not needed here.
     """
+    _require_integers(trials=trials, master_seed=master_seed,
+                      **{f"sizes[{i}]": n for i, n in enumerate(sizes)})
     if trials < 1:
         raise ValueError("need at least one trial per size")
     RandomStream(master_seed)  # refuses a seed outside [0, 2**64)

@@ -4,9 +4,9 @@ pass/fail line (run with ``pytest -s`` or ``-rA`` to see them inline).
 All tolerances are pinned here.
 
 Criterion 2 (slice densities converge at rate 1/n) is checked exactly,
-with no tolerance.  For n >= p the inclusion-exclusion terms of
-count_slice_exact(p, s, n) with k > s vanish, and each term with k <= s,
-C((s-k)n + p-1, p-1), is a polynomial in n of degree at most p-1.  So
+with no tolerance.  Each inclusion-exclusion term of
+slice_table(p, n)[s].count, C((s-k)n + p-1, p-1) for k <= s, is a
+polynomial in n of degree at most p-1.  So
 N(n) = count - f_p(s) n^(p-1) is a polynomial too, and the signed
 density error is exactly
 
@@ -44,9 +44,9 @@ from circulant_clt import (
     euler_frobenius_density,
     norm_scaling_study,
     run_clt_experiment,
+    slice_table,
 )
 from circulant_clt.cli import main as cli_main
-from circulant_clt.combinatorics import count_slice_exact
 from oracles import (
     count_slice_bruteforce,
     dense_matrix,
@@ -79,11 +79,13 @@ def random_poly(rng: np.random.Generator, max_degree: int = 5) -> TestPolynomial
 def test_criterion_01_combinatorial_oracle_equivalence():
     for p in range(1, 6):
         for n in range(1, 21):
+            table = slice_table(p, n)
             for s in range(p):
-                assert count_slice_exact(p, s, n) == count_slice_bruteforce(p, s, n)
+                assert table[s].count == count_slice_bruteforce(p, s, n)
     for p in range(1, 7):
         for n in range(1, 51):
-            total = sum(count_slice_exact(p, s, n) for s in range(p))
+            table = slice_table(p, n)
+            total = sum(table[s].count for s in range(p))
             assert total == n ** (p - 1)
     report("criterion-01 oracle-equivalence", True,
            "exact == bruteforce on p<=5, n<=20; slice sums exact for p<=6, n<=50")
@@ -105,7 +107,7 @@ def test_criterion_02_density_error_halving(p, s):
     target = euler_frobenius_density(p, s)
     c1 = Fraction(p, 2) * density_slope(p, s)
     # N(n) = count - f_p(s) n^(p-1) on the grid n = h, 2h, ..., p*h
-    diffs = [[count_slice_exact(p, s, j * h) - target * (j * h) ** (p - 1)
+    diffs = [[slice_table(p, j * h)[s].count - target * (j * h) ** (p - 1)
               for j in range(1, p + 1)]]
     for _ in range(p - 1):
         diffs.append([b - a for a, b in zip(diffs[-1], diffs[-1][1:])])

@@ -146,6 +146,15 @@ class TestDensityTableCommand:
         assert captured.out == ""
         assert not (tmp_path / "table.csv").exists()
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_refused(self, tmp_path, capsys, n):
+        assert main(["--out", str(tmp_path), "density-table", "--p", "3",
+                     "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: n must be at least 1, not {n}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "table.csv").exists()
+
     @pytest.mark.parametrize("p, n, message", [
         (cli.MAX_TABLE_P + 1, 5, f"--p {cli.MAX_TABLE_P + 1} is above {cli.MAX_TABLE_P}, "
                                  f"the largest table density-table computes"),
@@ -284,11 +293,11 @@ class TestSimulateCommand:
         assert not (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize("key, value, message", [
-        ("n", 64.9, "config key n must be an integer"),
-        ("seed", 1.7, "config key seed must be an integer"),
-        ("worker_count", 2.5, "config key worker_count must be an integer"),
-        ("m", True, "config key m must be an integer"),
-        ("poly", "0012", "config key poly must be a list of numbers"),
+        ("n", 64.9, "n must be an integer, not 64.9"),
+        ("seed", 1.7, "master_seed must be an integer, not 1.7"),
+        ("worker_count", 2.5, "worker_count must be an integer, not 2.5"),
+        ("m", True, "m must be an integer, not True"),
+        ("poly", "0012", "config key poly must be a list of numbers, not '0012'"),
     ])
     def test_config_refuses_non_integers_and_non_lists(self, tmp_path, capsys,
                                                        key, value, message):
@@ -296,7 +305,7 @@ class TestSimulateCommand:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**MINIMAL, "n": 32, "m": 20, key: value}))
         assert main(["--out", str(tmp_path), "simulate", "--config", str(path)]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "tv-bound"])

@@ -1,7 +1,9 @@
-"""Exact-combinatorics tests: the three slice counters cross-check each
-other, densities are exact rationals, and the limiting variance follows."""
+"""Exact-combinatorics tests: slice_table's closed-form counts agree with
+the brute-force and distinct-coordinates oracles and take each box binomial
+once, densities are exact rationals, and the limiting variance follows."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,11 +13,11 @@ from hypothesis import strategies as st
 from circulant_clt import (
     LatticeSliceCount,
     TestPolynomial,
+    combinatorics,
     euler_frobenius_density,
     limiting_variance,
     slice_table,
 )
-from circulant_clt.combinatorics import count_slice_exact
 from oracles import (
     count_slice_bruteforce,
     count_slice_distinct,
@@ -69,7 +71,7 @@ class TestEulerFrobeniusDensity:
     def test_matches_normalized_counts_at_moderate_n(self):
         # f_3(1) = 1/2, not the unnormalized 3: the counts decide
         n = 500
-        density = Fraction(count_slice_exact(3, 1, n), n**2)
+        density = Fraction(slice_table(3, n)[1].count, n**2)
         assert abs(density - Fraction(1, 2)) < Fraction(1, 100)
         assert abs(density - 3) > 2
 
@@ -77,8 +79,8 @@ class TestEulerFrobeniusDensity:
 class TestSliceCounts:
     def test_frozen_examples(self):
         # enumerated by hand / literal_slice_count
-        assert count_slice_exact(2, 1, 5) == 4
-        assert count_slice_exact(3, 1, 3) == 7
+        assert slice_table(2, 5)[1].count == 4
+        assert slice_table(3, 3)[1].count == 7
         # over {0,1}^4 the sum never reaches 3*2 = 6; (1,1,1,1) sums to 4,
         # i.e. it is the sole member of slice s = 2
         assert count_slice_bruteforce(4, 3, 2) == 0
@@ -88,24 +90,43 @@ class TestSliceCounts:
     def test_zero_slice_is_single_tuple(self):
         for p in range(1, 7):
             for n in (1, 2, 5, 19):
-                assert count_slice_exact(p, 0, n) == 1
+                assert slice_table(p, n)[0].count == 1
 
     @settings(deadline=None, max_examples=60)
     @given(p=st.integers(1, 5), n=st.integers(1, 14))
     def test_exact_matches_bruteforce(self, p, n):
+        table = slice_table(p, n)
         for s in range(p):
-            assert count_slice_exact(p, s, n) == count_slice_bruteforce(p, s, n)
+            assert table[s].count == count_slice_bruteforce(p, s, n)
 
     @settings(deadline=None, max_examples=60)
     @given(p=st.integers(1, 6), n=st.integers(1, 50))
     def test_completeness(self, p, n):
-        assert sum(count_slice_exact(p, s, n) for s in range(p)) == n ** (p - 1)
+        table = slice_table(p, n)
+        assert sum(table[s].count for s in range(p)) == n ** (p - 1)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            count_slice_exact(3, 5, 4)
-        with pytest.raises(ValueError):
-            count_slice_exact(0, 0, 4)
+        with pytest.raises(ValueError, match="p must be at least 1, not 0"):
+            slice_table(0, 4)
+        with pytest.raises(ValueError, match="n must be at least 1, not 0"):
+            slice_table(3, 0)
+
+    def test_box_binomials_taken_once(self, monkeypatch):
+        # each C(j*n + p - 1, p - 1), j < p, is taken once per table, not
+        # once per slice; the signs C(p, k) are the calls whose upper
+        # argument is p, which no box binomial has for n >= 2
+        calls = []
+
+        def counted_comb(a, b):
+            calls.append(a)
+            return math.comb(a, b)
+
+        monkeypatch.setattr(combinatorics, "comb", counted_comb)
+        for p, n in [(2, 5), (7, 10), (30, 97)]:
+            calls.clear()
+            table = slice_table(p, n)
+            assert sum(row.count for row in table) == n ** (p - 1)
+            assert len([a for a in calls if a != p]) <= p
 
 
 class TestDistinctCounts:
@@ -130,10 +151,11 @@ class TestDistinctCounts:
         # 1/2 exactly for p = 2 and for p = 3, s = 1), so assert the rate
         # with that O(1/n) headroom rather than a strict halving.
         for p in (2, 3):
+            tables = {n: slice_table(p, n) for n in (200, 400)}
             for s in range(1, p):
                 gaps = {}
                 for n in (200, 400):
-                    gap = count_slice_exact(p, s, n) - count_slice_distinct(p, s, n)
+                    gap = tables[n][s].count - count_slice_distinct(p, s, n)
                     gaps[n] = Fraction(gap, n ** (p - 1))
                 assert gaps[400] < gaps[200]
                 assert gaps[400] <= gaps[200] * Fraction(51, 100)
@@ -145,10 +167,11 @@ class TestDensityConvergence:
         # n shrinks the error to 1/2 + O(1/n) of its value (1/4 + O(1/n)
         # when the leading coefficient vanishes, as for p=4, s=2).
         for p in (3, 4, 5):
+            tables = {n: slice_table(p, n) for n in (100, 200, 400, 800)}
             for s in range(1, p):
                 errors = []
                 for n in (100, 200, 400, 800):
-                    density = Fraction(count_slice_exact(p, s, n), n ** (p - 1))
+                    density = Fraction(tables[n][s].count, n ** (p - 1))
                     errors.append(abs(density - euler_frobenius_density(p, s)))
                 assert errors[0] > errors[1] > errors[2] > errors[3]
                 for a, b in zip(errors, errors[1:]):
@@ -157,11 +180,12 @@ class TestDensityConvergence:
     def test_error_envelope_with_fitted_constant(self):
         # err(n) <= C/n on the whole grid with a uniformly small constant
         for p in (3, 4, 5):
+            tables = {n: slice_table(p, n) for n in (100, 200, 400, 800)}
             for s in range(1, p):
                 scaled = [
                     n
                     * abs(
-                        Fraction(count_slice_exact(p, s, n), n ** (p - 1))
+                        Fraction(tables[n][s].count, n ** (p - 1))
                         - euler_frobenius_density(p, s)
                     )
                     for n in (100, 200, 400, 800)
@@ -199,9 +223,3 @@ class TestRecordTypes:
         assert sum(r.count for r in rows) == 9**3
         assert sum(r.density for r in rows) == 1
         assert all(isinstance(r, LatticeSliceCount) for r in rows)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LatticeSliceCount(p=3, s=3, n=5, count=1, density=Fraction(0))
-        with pytest.raises(ValueError):
-            LatticeSliceCount(p=3, s=1, n=5, count=-1, density=Fraction(0))

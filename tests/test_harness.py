@@ -2,6 +2,7 @@
 total-variation bound machinery."""
 
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
@@ -66,6 +67,21 @@ class TestConfigValidation:
             make_config(m=1)
         with pytest.raises(ValueError):
             make_config(worker_count=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 64.0), ("m", 100.0), ("master_seed", 1.0), ("worker_count", 2.0),
+        ("n", True), ("m", "40"),
+    ])
+    def test_rejects_non_integer_sizes(self, field, value):
+        # a float size would fail late inside numpy, and worker_count 2.0 would run
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, not "):
+            make_config(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        config = make_config(n=np.int64(64), m=np.int32(40), master_seed=np.uint64(101),
+                             worker_count=np.int64(1))
+        assert np.array_equal(run_clt_experiment(config).raw_traces,
+                              run_clt_experiment(make_config()).raw_traces)
 
     def test_degree_one_polynomials_unrepresentable(self):
         # the harness refuses degree-one statistics at the type level:
@@ -403,3 +419,11 @@ class TestNormScaling:
             norm_scaling_study(EnsembleSpec("gaussian"), [1], trials=3)
         with pytest.raises(ValueError):
             norm_scaling_study(EnsembleSpec("gaussian"), [16], trials=0)
+
+    @pytest.mark.parametrize("sizes, trials, seed, name", [
+        ([64.0], 5, 0, "sizes[0]"), ([16, True], 5, 0, "sizes[1]"),
+        ([16], 5.0, 0, "trials"), ([16], 5, 2.0, "master_seed"),
+    ])
+    def test_rejects_non_integers(self, sizes, trials, seed, name):
+        with pytest.raises(TypeError, match=rf"^{re.escape(name)} must be an integer"):
+            norm_scaling_study(EnsembleSpec("gaussian"), sizes, trials, master_seed=seed)
