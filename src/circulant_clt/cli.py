@@ -78,7 +78,7 @@ def parse_config(doc) -> ExperimentConfig:
                           f"not {data['poly']!r}")
     try:
         poly = TestPolynomial.from_dense(data["poly"])
-        ensemble = EnsembleSpec(str(data.get("family", "gaussian")))
+        ensemble = EnsembleSpec(data.get("family", "gaussian"))
         return ExperimentConfig(
             n=data["n"],
             m=data["m"],

@@ -17,16 +17,16 @@ so c1 = 2*sqrt(3)/sqrt(2*pi) and c2 = 2*sqrt(3)/sqrt(2*pi*e).  The bounds
 need only the law, so the inputs are drawn directly: uniform values as
 sqrt(3)*(2U - 1) from standard uniforms U, not through u.
 
-Randomness is externalized.  Replicas are grouped in chunks of
-:func:`stream_rows` consecutive indices.  The substream of one chunk of
-a run at size n is a pure function of (master_seed, chunk, n), so
+Randomness is externalized.  Replicas are grouped in blocks of
+:func:`block_rows` consecutive indices.  The substream of one block of a
+run at size n is a pure function of (master_seed, block, n), so
 concurrent blocks draw identical values regardless of scheduling.  Each
 is a Philox generator keyed by the master seed (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11): counter word 3 holds n,
-word 2 the chunk and words 0-1 advance within a draw, so no two
+word 2 the block and words 0-1 advance within a draw, so no two
 substreams overlap, within a run or across sizes.  One generator call
-fills a whole chunk, and replica r is row r mod stream_rows(n) of chunk
-r // stream_rows(n).  Each draw consumes its stream in order, so a run
+fills a whole block, and replica r is row r mod block_rows(n) of block
+r // block_rows(n).  Each draw consumes its stream in order, so a run
 of m replicas gives the first m replicas of any longer run.
 """
 
@@ -40,12 +40,11 @@ import numpy as np
 UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 UNIFORM_C1 = 2.0 * math.sqrt(3.0) / math.sqrt(2.0 * math.pi)
 UNIFORM_C2 = 2.0 * math.sqrt(3.0) / math.sqrt(2.0 * math.pi * math.e)
-# Input values per chunk stream.  A chunk costs about 3 us of counter
-# reset and call overhead, against about 17 ns per Gaussian value drawn.
-STREAM_VALUES = 2**13
-# Replicas per chunk at most.  It is part of the stream definition: a
-# chunk's rows, and so every sample value, depend on it.
-MAX_STREAM_ROWS = 64
+# Input values per replica block, from a measured sweep of block size, n
+# and worker count (see CHANGES.md): with the block's spectra and
+# temporaries a worker's arrays peak near 1.3 MB.  It is part of the
+# stream definition: a block's rows, and so every sample value, depend on it.
+BLOCK_VALUES = 2**15
 
 # Per family, the bounds (c1, c2) >= (sup|u'|, sup|u''|) of its smooth
 # representation u, or (None, None) for a family with none.
@@ -66,6 +65,8 @@ class EnsembleSpec:
     family: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, str):
+            raise TypeError(f"family must be a string, not {self.family!r}")
         if self.family not in SMOOTH_BOUNDS:
             raise ValueError(
                 f"unknown ensemble family {self.family!r}; "
@@ -85,67 +86,56 @@ class EnsembleSpec:
         return self.c1 is not None
 
 
-def stream_rows(n: int) -> int:
-    """Replicas per chunk: STREAM_VALUES // n, clamped to [1, MAX_STREAM_ROWS]."""
-    return min(max(STREAM_VALUES // n, 1), MAX_STREAM_ROWS)
+def block_rows(n: int) -> int:
+    """Replicas per block: BLOCK_VALUES // n, at least one."""
+    return max(BLOCK_VALUES // n, 1)
 
 
 @dataclass(frozen=True)
 class RandomStream:
-    """Name of one chunk of replicas, whose substream also depends on n.
+    """Name of one block of replicas, whose substream also depends on n.
 
-    The generator is a pure function of (master_seed, chunk, n): chunks
+    The generator is a pure function of (master_seed, block, n): blocks
     and sizes never share state, so draws are identical under any degree
     of parallelism or execution order.
     """
 
     master_seed: int
-    chunk: int = 0
+    block: int = 0
 
     def __post_init__(self) -> None:
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if not 0 <= self.chunk < 2**64:
-            raise ValueError("chunk must be a 64-bit unsigned integer")
+        if not 0 <= self.block < 2**64:
+            raise ValueError("block must be a 64-bit unsigned integer")
 
     def generator(self, n: int) -> np.random.Generator:
-        """Philox keyed by the master seed, at counter [0, 0, chunk, n]."""
+        """Philox keyed by the master seed, at counter [0, 0, block, n]."""
         key = np.random.SeedSequence(self.master_seed).generate_state(2, np.uint64)
         return np.random.Generator(
-            np.random.Philox(key=key, counter=[0, 0, self.chunk, n])
+            np.random.Philox(key=key, counter=[0, 0, self.block, n])
         )
 
 
 def draw_rows(spec: EnsembleSpec, stream: RandomStream, out: np.ndarray) -> np.ndarray:
-    """Fill the rows of out with consecutive replicas from the first row
-    of chunk stream.chunk on.
+    """Fill out with the leading rows of block stream.block.
 
-    With c = stream_rows(n) for n = out.shape[1], rows j*c .. j*c + c - 1
-    are chunk stream.chunk + j, as one call of that chunk's own
-    :meth:`RandomStream.generator` at n fills them: one generator is
-    reused, and only its counter word 2 is reset between chunks.  A short last
-    chunk takes the leading rows of the chunk's draw.  Gaussian rows come from
+    One call of the block's own :meth:`RandomStream.generator` at
+    n = out.shape[1] fills out in row-major order, so a short block takes
+    the leading rows of a full one.  Gaussian rows come from
     ``standard_normal``; uniform rows are sqrt(3)*(2U - 1) for standard
     uniforms U from ``random``; Rademacher rows are 2B - 1 for the bits B
-    of the chunk's ``random_raw`` words, least significant bit first.
+    of the block's ``random_raw`` words, least significant bit first.
     """
-    rows = stream_rows(out.shape[1])
     rng = stream.generator(out.shape[1])
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    counter = state["state"]["counter"]
-    for j, lo in enumerate(range(0, len(out), rows)):
-        counter[2] = stream.chunk + j
-        bitgen.state = state
-        chunk = out[lo : lo + rows]
-        if spec.family == "rademacher":
-            words = bitgen.random_raw(-(-chunk.size // 64)).astype("<u8", copy=False)
-            bits = np.unpackbits(words.view(np.uint8), count=chunk.size, bitorder="little")
-            np.copyto(chunk, bits.reshape(chunk.shape))
-        elif spec.family == "gaussian":
-            rng.standard_normal(out=chunk)
-        else:
-            rng.random(out=chunk)
+    if spec.family == "rademacher":
+        words = rng.bit_generator.random_raw(-(-out.size // 64)).astype("<u8", copy=False)
+        bits = np.unpackbits(words.view(np.uint8), count=out.size, bitorder="little")
+        np.copyto(out, bits.reshape(out.shape))
+    elif spec.family == "gaussian":
+        rng.standard_normal(out=out)
+    else:
+        rng.random(out=out)
     if spec.family != "gaussian":
         out *= 2.0
         out -= 1.0

@@ -20,27 +20,27 @@ the Hessian majorant surrogate for kappa2, and the empirical variance, all
 of the one function g(X) = Tr P(C(X)).  The bound requires a smooth
 symmetric ensemble.
 
-Replicas run in fixed blocks of consecutive indices: the whole chunks of
-ensembles.stream_rows(n) replicas that fit in BLOCK_VALUES input values,
-at least one chunk, whatever the worker count.  A block is drawn with one
-generator call per chunk it covers, each chunk from the substream named
-by (master_seed, chunk, n); one rfft gives the block's half spectra, and
-the statistics are reduced from those.  Each worker allocates its block
-arrays once (circulant.BlockBuffers) and every block it runs writes into
-them.  worker_count and available_cpus() bound the threads.  Below
+Replicas run in fixed blocks of ensembles.block_rows(n) consecutive
+indices, whatever the worker count.  A block is drawn with one generator
+call, from the substream named by (master_seed, block, n); one rfft
+gives the block's half spectra, and the statistics are reduced from
+those.  Each worker allocates its block arrays once
+(circulant.BlockBuffers) and every block it runs writes into them.
+worker_count and available_cpus() bound the threads.  Below
 n = THREAD_MIN_N the blocks run inline on the calling thread, where a
 measured second thread added CPU without shortening the run.  From
 THREAD_MIN_N they run on pool threads, a single one at worker_count 1:
 numpy's FFT scratch is faulted in again on every call on the main
 thread, and not on a pool thread.  Each block writes into its own slots
 and reductions run in fixed replica order, so results are bit-identical
-for any worker_count, BLOCK_VALUES or THREAD_MIN_N, and a run of m
-replicas gives the first m replicas of any longer run.
+for any worker_count or THREAD_MIN_N, and a run of m replicas gives the
+first m replicas of any longer run.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 import time
@@ -59,16 +59,13 @@ from .circulant import (
     trace_block,
 )
 from .combinatorics import limiting_variance
-from .ensembles import EnsembleSpec, RandomStream, draw_rows, stream_rows
+from .ensembles import EnsembleSpec, RandomStream, block_rows, draw_rows
 from .errors import SmoothnessRequiredError
 
 MAX_MOMENT_ORDER = 8
 LOW_CONFIDENCE_REPLICAS = 30
-# Both layout constants come from a measured sweep of block size, n and
-# worker count (see CHANGES.md).  Input values per replica block: with the
-# block's spectra and temporaries a worker's arrays peak near 1.3 MB.
-BLOCK_VALUES = 2**15
-# Smallest n at which a second thread shortened a run.
+# Smallest n at which a second thread shortened a run, from the same
+# measured sweep as ensembles.BLOCK_VALUES (see CHANGES.md).
 THREAD_MIN_N = 512
 
 
@@ -79,11 +76,13 @@ def _require_finite(**values) -> None:
             raise ValueError(f"{name} is not finite: it left the float range")
 
 
-def _require_integers(**values) -> None:
-    """Refuse a size, count or seed that is not an integer (bool and float too)."""
+def _require_integers(**values) -> dict[str, int]:
+    """Each size, count or seed as a Python int, by name; refuse one that
+    is not an integer (bool and float too)."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise TypeError(f"{name} must be an integer, not {value!r}")
+    return {name: operator.index(value) for name, value in values.items()}
 
 
 @dataclass(frozen=True)
@@ -98,8 +97,10 @@ class ExperimentConfig:
     worker_count: int = 1
 
     def __post_init__(self) -> None:
-        _require_integers(n=self.n, m=self.m, master_seed=self.master_seed,
-                          worker_count=self.worker_count)
+        for name, value in _require_integers(
+                n=self.n, m=self.m, master_seed=self.master_seed,
+                worker_count=self.worker_count).items():
+            object.__setattr__(self, name, value)
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.m < 2:
@@ -167,13 +168,6 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def block_rows(n: int) -> int:
-    """Replicas per block: BLOCK_VALUES // n rounded down to whole chunks
-    of stream_rows(n), at least one chunk."""
-    chunk = stream_rows(n)
-    return max(BLOCK_VALUES // n // chunk, 1) * chunk
-
-
 def _replica_blocks(
     spec: EnsembleSpec,
     n: int,
@@ -192,7 +186,7 @@ def _replica_blocks(
     pool of worker_count threads capped by the block count and
     available_cpus(); below it they run inline.
     """
-    chunk, rows = stream_rows(n), block_rows(n)
+    rows = block_rows(n)
     starts = range(0, m, rows)
     out = np.empty((width, m))
 
@@ -201,7 +195,7 @@ def _replica_blocks(
         bufs = BlockBuffers(min(rows, m), n)
         for lo in mine:
             k = min(lo + rows, m) - lo
-            block = draw_rows(spec, RandomStream(master_seed, lo // chunk), bufs.raw[:k])
+            block = draw_rows(spec, RandomStream(master_seed, lo // rows), bufs.raw[:k])
             lam = half_spectrum(block, out=bufs.lam[:k])
             out[:, lo : lo + k] = fn(lam, bufs)
 
@@ -360,8 +354,9 @@ def norm_scaling_study(
 
     Every builtin ensemble qualifies; smoothness is not needed here.
     """
-    _require_integers(trials=trials, master_seed=master_seed,
-                      **{f"sizes[{i}]": n for i, n in enumerate(sizes)})
+    trials, master_seed, *sizes = _require_integers(
+        trials=trials, master_seed=master_seed,
+        **{f"sizes[{i}]": n for i, n in enumerate(sizes)}).values()
     if trials < 1:
         raise ValueError("need at least one trial per size")
     RandomStream(master_seed)  # refuses a seed outside [0, 2**64)

@@ -39,8 +39,8 @@ from circulant_clt.ensembles import (
     UNIFORM_HALF_WIDTH,
     EnsembleSpec,
     RandomStream,
+    block_rows,
     draw_rows,
-    stream_rows,
 )
 from circulant_clt.errors import SmoothnessRequiredError
 
@@ -60,10 +60,10 @@ def _check_imag(residual, scale, what: str) -> None:
 
 
 def sample_sequence(spec: EnsembleSpec, n: int, master_seed: int, replica: int) -> np.ndarray:
-    """The raw inputs of one replica: row replica mod stream_rows(n) of its
-    chunk's draw, drawn up to that row alone."""
-    chunk, row = divmod(replica, stream_rows(n))
-    return draw_rows(spec, RandomStream(master_seed, chunk), np.empty((row + 1, n)))[row]
+    """The raw inputs of one replica: row replica mod block_rows(n) of its
+    block's draw, drawn up to that row alone."""
+    block, row = divmod(replica, block_rows(n))
+    return draw_rows(spec, RandomStream(master_seed, block), np.empty((row + 1, n)))[row]
 
 
 def smooth_transform_value(spec: EnsembleSpec, z):

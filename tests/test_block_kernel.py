@@ -26,7 +26,8 @@ from circulant_clt.circulant import (
     half_spectrum,
     trace_block,
 )
-from circulant_clt.ensembles import stream_rows
+from circulant_clt import ensembles
+from circulant_clt.ensembles import block_rows
 from oracles import (
     build_sample,
     gradient_trace_polynomial,
@@ -62,10 +63,10 @@ polynomials = st.lists(
 )
 def test_block_kernel_matches_per_replica_oracles(n, poly, family, extra, seed):
     spec = FAMILIES[family]
-    # blocks of 256 rows keep the per-replica loop short; no result depends
-    # on the layout (test_block_layout_never_changes_a_result)
-    with mock.patch.object(harness, "BLOCK_VALUES", 256 * n):
-        rows = harness.block_rows(n)
+    # blocks of 256 rows keep the per-replica loop short; the oracles read
+    # the same patched layout
+    with mock.patch.object(ensembles, "BLOCK_VALUES", 256 * n):
+        rows = block_rows(n)
         m = rows + extra  # the second block is a short one
         config = ExperimentConfig(n=n, m=m, poly=poly, ensemble=spec, master_seed=seed)
         traces = run_clt_experiment(config).raw_traces
@@ -100,18 +101,15 @@ def test_block_kernel_matches_per_replica_oracles(n, poly, family, extra, seed):
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
 @pytest.mark.parametrize("n", [150, 700])
-def test_blocks_start_on_chunk_boundaries(spec, n):
-    # chunks of 54 (n=150) and 11 (n=700) replicas do not divide
-    # BLOCK_VALUES // n, so the blocks are rounded down to 216 and 44 rows;
-    # a block starting mid-chunk would draw another replica's inputs.
-    # n=700 runs on threads.
-    rows, chunk = harness.block_rows(n), stream_rows(n)
-    assert rows % chunk == 0 and harness.BLOCK_VALUES // n % chunk
-    m = rows + chunk + 1
+def test_replicas_on_both_sides_of_a_block_boundary(spec, n):
+    # BLOCK_VALUES // n is not a power of two: blocks of 218 (n=150) and
+    # 46 (n=700) rows, the third one short; n=700 runs on threads
+    rows = block_rows(n)
+    m = 2 * rows + 3
     config = ExperimentConfig(n=n, m=m, poly=POLY_X2_X3, ensemble=spec,
                               master_seed=17, worker_count=2)
     traces = run_clt_experiment(config).raw_traces
-    for r in (chunk - 1, chunk, rows - 1, rows, rows + chunk, m - 1):
+    for r in (rows - 1, rows, 2 * rows - 1, m - 1):
         lam = build_sample(spec, n, 17, r)
         scale = 1.0 + float(np.sum(np.abs(POLY_X2_X3.evaluate(lam))))
         assert close(traces[r], trace_polynomial(lam, POLY_X2_X3), scale)
@@ -134,12 +132,14 @@ def test_block_kernel_matches_direct_enumeration(n, p, family, seed):
 
 
 def test_block_rows_bound_the_values_per_block():
-    for n in (2, 3, 31, 32, 33, 64, 1000, 4096, 8191):
-        assert 1 <= harness.block_rows(n) * n <= harness.BLOCK_VALUES
-    for n in (2, 32, 64):  # small n fill a block with whole chunks
-        assert harness.block_rows(n) * n == harness.BLOCK_VALUES
-    for n in (harness.BLOCK_VALUES, harness.BLOCK_VALUES + 1, 2**17):
-        assert harness.block_rows(n) == 1
+    for n in (2, 3, 31, 32, 33, 64, 150, 1000, 4096, 8191):
+        assert 1 <= block_rows(n) * n <= ensembles.BLOCK_VALUES
+    for n in (2, 32, 64, 4096):  # powers of two fill a block exactly
+        assert block_rows(n) * n == ensembles.BLOCK_VALUES
+    for n in (ensembles.BLOCK_VALUES, ensembles.BLOCK_VALUES + 1, 2**17):
+        assert block_rows(n) == 1
+    # the benchmark sizes keep their blocks of 512, 8 and 1 rows
+    assert [block_rows(n) for n in (64, 4096, 2**17)] == [512, 8, 1]
 
 
 def traced_peak(kernel, config) -> int:
@@ -184,7 +184,7 @@ def test_peak_memory_of_multi_row_blocks_independent_of_m(kernel, workers):
     # inputs, half spectra and Horner or gradient temporaries, measured at
     # about 1.9 (traces) and 2.5 (kappas) times BLOCK_VALUES * 16 bytes
     n = 4096
-    assert harness.block_rows(n) == 8
+    assert block_rows(n) == 8
     threads = min(workers, harness.available_cpus())
 
     def peak(m):
@@ -193,7 +193,7 @@ def test_peak_memory_of_multi_row_blocks_independent_of_m(kernel, workers):
             master_seed=3, worker_count=workers))
 
     small, large = peak(64), peak(640)
-    assert small <= 3 * harness.BLOCK_VALUES * 16 * threads
-    assert large <= 3 * harness.BLOCK_VALUES * 16 * threads
+    assert small <= 3 * ensembles.BLOCK_VALUES * 16 * threads
+    assert large <= 3 * ensembles.BLOCK_VALUES * 16 * threads
     if threads == 1:  # only per-replica outputs grow, at most 8 floats each
         assert abs(large - small) <= (640 - 64) * 8 * 8

@@ -298,10 +298,13 @@ class TestSimulateCommand:
         ("worker_count", 2.5, "worker_count must be an integer, not 2.5"),
         ("m", True, "m must be an integer, not True"),
         ("poly", "0012", "config key poly must be a list of numbers, not '0012'"),
+        ("family", None, "family must be a string, not None"),
+        ("family", ["gaussian"], "family must be a string, not ['gaussian']"),
     ])
     def test_config_refuses_non_integers_and_non_lists(self, tmp_path, capsys,
                                                        key, value, message):
-        # each value used to be cast (64.9 -> 64) or read digit by digit
+        # each value used to be cast (64.9 -> 64) or read digit by digit, and
+        # a family null or list read as the text 'None' or "['gaussian']"
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**MINIMAL, "n": 32, "m": 20, key: value}))
         assert main(["--out", str(tmp_path), "simulate", "--config", str(path)]) == 2

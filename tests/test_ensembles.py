@@ -10,7 +10,7 @@ from circulant_clt import (
     EnsembleSpec,
     SmoothnessRequiredError,
 )
-from circulant_clt.ensembles import RandomStream, draw_rows, stream_rows
+from circulant_clt.ensembles import RandomStream, block_rows, draw_rows
 from oracles import sample_sequence, smooth_transform_value
 
 SQRT3 = math.sqrt(3.0)
@@ -49,6 +49,12 @@ class TestSpecConstruction:
         with pytest.raises(TypeError):
             EnsembleSpec("gaussian", c1=7.0, c2=3.0)
 
+    @pytest.mark.parametrize("family", [None, ["gaussian"], b"gaussian"])
+    def test_non_string_family_refused_by_name(self, family):
+        # a list used to raise "unhashable type", None to be read as 'None'
+        with pytest.raises(TypeError, match="^family must be a string, not "):
+            EnsembleSpec(family)
+
 
 class TestRandomStream:
     def test_validation(self):
@@ -61,17 +67,17 @@ class TestRandomStream:
         RandomStream(2**64 - 1, 10**9)  # extremes are fine
 
 
-def pinned_chunks(spec, n):
-    """The chunks of a draw of 2 * stream_rows(n) + 3 rows from chunk 5 on."""
-    rows = stream_rows(n)
-    block = draw_rows(spec, RandomStream(9, 5), np.empty((2 * rows + 3, n)))
-    return [block[lo : lo + rows] for lo in range(0, len(block), rows)]
+def pinned_blocks(spec, n):
+    """Blocks 5 and 6 of a run at size n, seed 9, and block 7 cut to 3 rows."""
+    rows = block_rows(n)
+    return [(b, draw_rows(spec, RandomStream(9, b), np.empty((k, n))))
+            for b, k in ((5, rows), (6, rows), (7, 3))]
 
 
-def documented_generator(chunk, n):
-    """The generator README gives for chunk `chunk` of a run at size n, seed 9."""
+def documented_generator(block, n):
+    """The generator README gives for block `block` of a run at size n, seed 9."""
     key = np.random.SeedSequence(9).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, chunk, n]))
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, block, n]))
 
 
 class TestSampling:
@@ -98,36 +104,38 @@ class TestSampling:
         assert abs(xs.mean()) <= 4 / math.sqrt(10**6)
         assert abs(xs.var() - 1.0) <= 0.01
 
-    # n = 33 gives chunks of MAX_STREAM_ROWS rows, n = 1000 of
-    # STREAM_VALUES // n; the last chunk of each draw is a short one
+    # BLOCK_VALUES // n is not a power of two at n = 33, 150 and 1000
+    # (992, 218 and 32 rows); each block's rows are the leading ones of one
+    # call over block_rows(n) * n values of that block's own generator
+    PIN_SIZES = (33, 150, 1000)
+
     def test_uniform_rows_pin_the_stream(self):
-        # each chunk's rows are sqrt(3) * (2U - 1) for the standard uniforms
-        # U of one random() call of that chunk's own generator
-        for n in (33, 1000):
-            for j, chunk in enumerate(pinned_chunks(EnsembleSpec("uniform_symmetric"), n)):
-                u = documented_generator(5 + j, n).random(chunk.size)
-                assert np.array_equal(chunk, SQRT3 * (2.0 * u.reshape(chunk.shape) - 1.0))
+        # rows are sqrt(3) * (2U - 1) for the standard uniforms U of random()
+        for n in self.PIN_SIZES:
+            for b, block in pinned_blocks(EnsembleSpec("uniform_symmetric"), n):
+                u = documented_generator(b, n).random(block_rows(n) * n)[: block.size]
+                assert np.array_equal(block, SQRT3 * (2.0 * u.reshape(block.shape) - 1.0))
 
     def test_gaussian_rows_pin_the_stream(self):
-        for n in (33, 1000):
-            for j, chunk in enumerate(pinned_chunks(EnsembleSpec("gaussian"), n)):
-                z = documented_generator(5 + j, n).standard_normal(chunk.size)
-                assert np.array_equal(chunk, z.reshape(chunk.shape))
+        for n in self.PIN_SIZES:
+            for b, block in pinned_blocks(EnsembleSpec("gaussian"), n):
+                z = documented_generator(b, n).standard_normal(block_rows(n) * n)
+                assert np.array_equal(block, z[: block.size].reshape(block.shape))
 
     def test_rademacher_rows_pin_the_stream(self):
-        # value i of a chunk is 2B - 1 for bit i % 64 of raw word i // 64,
+        # value i of a block is 2B - 1 for bit i % 64 of raw word i // 64,
         # counted from the least significant bit
-        for n in (33, 1000):
-            for j, chunk in enumerate(pinned_chunks(EnsembleSpec("rademacher"), n)):
-                words = documented_generator(5 + j, n).bit_generator.random_raw(
-                    -(-chunk.size // 64))
-                bits = [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(chunk.size)]
-                assert chunk.ravel().tolist() == [2.0 * b - 1.0 for b in bits]
+        for n in self.PIN_SIZES:
+            for b, block in pinned_blocks(EnsembleSpec("rademacher"), n):
+                words = documented_generator(b, n).bit_generator.random_raw(
+                    -(-block_rows(n) * n // 64))
+                bits = [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(block.size)]
+                assert block.ravel().tolist() == [2.0 * bit - 1.0 for bit in bits]
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     @pytest.mark.parametrize("n", [64, 4096])
     def test_sizes_share_no_inputs(self, spec, n):
-        # chunk k at size n and at size 2n are different streams, so the
+        # block k at size n and at size 2n are different streams, so the
         # inputs of replicas 0-1 at n are not those of replica 0 at 2n
         pair = np.concatenate([sample_sequence(spec, n, 21, r) for r in (0, 1)])
         assert not np.array_equal(pair, sample_sequence(spec, 2 * n, 21, 0))

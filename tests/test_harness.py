@@ -19,7 +19,7 @@ from circulant_clt import (
 )
 from circulant_clt import harness
 from circulant_clt.cli import parse_config
-from circulant_clt.ensembles import stream_rows
+from circulant_clt.ensembles import block_rows
 from circulant_clt.harness import ks_distance, standardized_moments
 from oracles import dense_matrix, gradient_trace_polynomial, sample_sequence, spectrum
 
@@ -83,6 +83,17 @@ class TestConfigValidation:
         assert np.array_equal(run_clt_experiment(config).raw_traces,
                               run_clt_experiment(make_config()).raw_traces)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16])
+    def test_stores_sizes_as_python_ints(self, dtype):
+        # a narrow numpy size used to overflow in the block arithmetic
+        # (BLOCK_VALUES // n at int16 is out of bounds)
+        config = make_config(n=dtype(100), m=dtype(40), master_seed=dtype(101),
+                             worker_count=dtype(1))
+        for name in ("n", "m", "master_seed", "worker_count"):
+            assert type(getattr(config, name)) is int
+        assert np.array_equal(run_clt_experiment(config).raw_traces,
+                              run_clt_experiment(make_config(n=100)).raw_traces)
+
     def test_degree_one_polynomials_unrepresentable(self):
         # the harness refuses degree-one statistics at the type level:
         # Tr(C)/sqrt(n) is a single input variable, not a CLT statistic
@@ -108,7 +119,7 @@ class TestRunExperiment:
         # at n = THREAD_MIN_N, 5 * rows - 1 replicas span 5 blocks and
         # 3 * rows - 1 span 3; the pool records its size and runs inline
         n = harness.THREAD_MIN_N
-        rows = harness.block_rows(n)
+        rows = block_rows(n)
         pool_sizes = []
         monkeypatch.setattr(harness, "ThreadPoolExecutor", inline_pool(pool_sizes))
         reference = run_clt_experiment(make_config(n=n, m=5 * rows - 1))
@@ -132,7 +143,7 @@ class TestRunExperiment:
                             raising=False)
         assert parse_config({"n": 4096, "poly": [0, 0, 1, 1], "m": 64}).worker_count == 1
         n = harness.THREAD_MIN_N
-        run_clt_experiment(make_config(n=n, m=3 * harness.block_rows(n),
+        run_clt_experiment(make_config(n=n, m=3 * block_rows(n),
                                        worker_count=100000))
         assert pool_sizes == [1]
 
@@ -149,14 +160,14 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "ThreadPoolExecutor", inline_pool(pool_sizes))
         monkeypatch.setattr(harness, "available_cpus", lambda: 8)
         for n in (2, 64, harness.THREAD_MIN_N - 1):
-            m = 3 * harness.block_rows(n) - 1
+            m = 3 * block_rows(n) - 1
             threaded = make_config(n=n, m=m, worker_count=100000)
             traces = run_clt_experiment(threaded).raw_traces
             assert pool_sizes == []  # three blocks, still run inline
             serial = run_clt_experiment(make_config(n=n, m=m)).raw_traces
             assert np.array_equal(traces, serial)
         n = harness.THREAD_MIN_N
-        run_clt_experiment(make_config(n=n, m=3 * harness.block_rows(n) - 1,
+        run_clt_experiment(make_config(n=n, m=3 * block_rows(n) - 1,
                                        worker_count=100000))
         assert pool_sizes == [3]
 
@@ -165,9 +176,9 @@ class TestRunExperiment:
         # n=513/512 give blocks of 63/64 rows, n=4097/4096 blocks of 7/8,
         # and m = 3 * rows - 1 makes every last block short; threads stay
         # capped at available_cpus()
-        m = 3 * harness.block_rows(n) - 1
+        m = 3 * block_rows(n) - 1
         assert n >= harness.THREAD_MIN_N
-        assert m % harness.block_rows(n) != 0 and m > 2 * harness.block_rows(n)
+        assert m % block_rows(n) != 0 and m > 2 * block_rows(n)
         configs = [make_config(n=n, m=m, poly=POLY_X2_X3,
                                ensemble=EnsembleSpec("uniform_symmetric"),
                                worker_count=w) for w in (1, 2, 3, 7)]
@@ -189,19 +200,18 @@ class TestRunExperiment:
                              ids=lambda s: s.family)
     @pytest.mark.parametrize("n, m", [(63, 2100), (64, 2100), (8191, 40), (8192, 40)])
     def test_block_layout_never_changes_a_result(self, spec, n, m, monkeypatch):
-        # 2**13 values make blocks of 128 rows at n=63/64 and of one row at
-        # n=8191/8192; 2**15 make 512 and 4 rows, 2**17 2048 and 16; each m
-        # spans more than one block of every size
-        config = make_config(n=n, m=m, poly=POLY_X2_X3, ensemble=spec, worker_count=2)
-        results, rows, default_min_n = [], set(), harness.THREAD_MIN_N
-        for block_values in (2**13, 2**15, 2**17):
+        # blocks of 520 and 512 rows at n=63/64 and of 4 at n=8191/8192, so
+        # each m spans more than two blocks; they run inline or on 1, 2, 3
+        # or 7 threads
+        assert m > 2 * block_rows(n)
+        results, default_min_n = [], harness.THREAD_MIN_N
+        for worker_count in (1, 2, 3, 7):
+            config = make_config(n=n, m=m, poly=POLY_X2_X3, ensemble=spec,
+                                 worker_count=worker_count)
             for thread_min_n in (2, default_min_n):
-                monkeypatch.setattr(harness, "BLOCK_VALUES", block_values)
                 monkeypatch.setattr(harness, "THREAD_MIN_N", thread_min_n)
-                rows.add(min(harness.block_rows(n), m))
                 kappas = estimate_kappas(config) if spec.is_smooth else None
                 results.append((run_clt_experiment(config).raw_traces, kappas))
-        assert len(rows) == 3  # three distinct layouts
         traces, kappas = results[0]
         for other_traces, other_kappas in results[1:]:
             assert np.array_equal(other_traces, traces)
@@ -212,10 +222,10 @@ class TestRunExperiment:
                              ids=lambda s: s.family)
     @pytest.mark.parametrize("n", [64, 1000])
     def test_shorter_run_is_a_prefix_of_a_longer_one(self, spec, n):
-        # m one short of a chunk, one past it, and one past a block and a
-        # chunk; n = 1000 runs on threads
-        chunk, block = stream_rows(n), harness.block_rows(n)
-        ms = (chunk - 1, chunk + 1, block + chunk + 1)
+        # m one short of a block, one past it, and one past two blocks;
+        # n = 1000 runs on threads
+        rows = block_rows(n)
+        ms = (rows - 1, rows + 1, 2 * rows + 1)
         runs = [run_clt_experiment(make_config(n=n, m=m, ensemble=spec, worker_count=2))
                 for m in ms]
         for m, run in zip(ms, runs):
@@ -389,10 +399,10 @@ class TestNormScaling:
 
     def test_rows_are_dense_norms_of_their_streams(self):
         # each size reads replicas 0..trials-1 of its own streams; trials = 4
-        # fills part of one chunk of each size, 70 one chunk and part of a
-        # second; n = 200 has chunks of 40 rows, the others of 64
+        # fills part of one block of each size, block_rows(200) + 7 one
+        # block of n = 200 and part of a second
         sizes = [7, 200, 8, 16]
-        for trials in (4, 70):
+        for trials in (4, block_rows(200) + 7):
             rows = norm_scaling_study(EnsembleSpec("uniform_symmetric"), sizes, trials,
                                       master_seed=9)
             assert [row.n for row in rows] == sizes
@@ -419,6 +429,13 @@ class TestNormScaling:
             norm_scaling_study(EnsembleSpec("gaussian"), [1], trials=3)
         with pytest.raises(ValueError):
             norm_scaling_study(EnsembleSpec("gaussian"), [16], trials=0)
+
+    def test_numpy_sizes_read_as_python_ints(self):
+        # np.uint8(100) used to overflow in the block arithmetic
+        spec = EnsembleSpec("gaussian")
+        (row,) = norm_scaling_study(spec, [np.uint8(100)], np.uint8(5), np.int16(3))
+        assert type(row.n) is int and type(row.trials) is int
+        assert row == norm_scaling_study(spec, [100], 5, 3)[0]
 
     @pytest.mark.parametrize("sizes, trials, seed, name", [
         ([64.0], 5, 0, "sizes[0]"), ([16, True], 5, 0, "sizes[1]"),
