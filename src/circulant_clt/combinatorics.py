@@ -33,6 +33,7 @@ from math import comb, factorial
 from sys import float_info
 
 from .circulant import TestPolynomial
+from .errors import require_integers
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,7 @@ def euler_frobenius_density(p: int, s: int) -> Fraction:
 
     f_p(0) = 0 for p >= 2 and sum_{s=0}^{p-1} f_p(s) = 1 exactly.
     """
+    p, s = require_integers(p=p, s=s).values()
     if p < 2:
         raise ValueError("p must be at least 2")
     if not 0 <= s <= p - 1:
@@ -69,6 +71,7 @@ def slice_table(p: int, n: int) -> list[LatticeSliceCount]:
 
     for k > s the upper argument is below p - 1, so those terms are 0.
     """
+    p, n = require_integers(p=p, n=n).values()
     if p < 1:
         raise ValueError(f"p must be at least 1, not {p}")
     if n < 1:

@@ -26,21 +26,18 @@ call, from the substream named by (master_seed, block, n); one rfft
 gives the block's half spectra, and the statistics are reduced from
 those.  Each worker allocates its block arrays once
 (circulant.BlockBuffers) and every block it runs writes into them.
-worker_count and available_cpus() bound the threads.  Below
-n = THREAD_MIN_N the blocks run inline on the calling thread, where a
-measured second thread added CPU without shortening the run.  From
-THREAD_MIN_N they run on pool threads, a single one at worker_count 1:
+Blocks run on pool threads at every n, a single one at worker_count 1:
 numpy's FFT scratch is faulted in again on every call on the main
-thread, and not on a pool thread.  Each block writes into its own slots
-and reductions run in fixed replica order, so results are bit-identical
-for any worker_count or THREAD_MIN_N, and a run of m replicas gives the
+thread, and not on a pool thread.  worker_count, the block count and
+available_cpus() bound the threads.  Each block writes into its own
+slots and reductions run in fixed replica order, so results are
+bit-identical for any worker_count, and a run of m replicas gives the
 first m replicas of any longer run.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import os
 import sys
 import time
@@ -60,13 +57,10 @@ from .circulant import (
 )
 from .combinatorics import limiting_variance
 from .ensembles import EnsembleSpec, RandomStream, block_rows, draw_rows
-from .errors import SmoothnessRequiredError
+from .errors import SmoothnessRequiredError, require_integers
 
 MAX_MOMENT_ORDER = 8
 LOW_CONFIDENCE_REPLICAS = 30
-# Smallest n at which a second thread shortened a run, from the same
-# measured sweep as ensembles.BLOCK_VALUES (see CHANGES.md).
-THREAD_MIN_N = 512
 
 
 def _require_finite(**values) -> None:
@@ -74,15 +68,6 @@ def _require_finite(**values) -> None:
     for name, value in values.items():
         if not np.isfinite(value).all():
             raise ValueError(f"{name} is not finite: it left the float range")
-
-
-def _require_integers(**values) -> dict[str, int]:
-    """Each size, count or seed as a Python int, by name; refuse one that
-    is not an integer (bool and float too)."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, not {value!r}")
-    return {name: operator.index(value) for name, value in values.items()}
 
 
 @dataclass(frozen=True)
@@ -97,7 +82,7 @@ class ExperimentConfig:
     worker_count: int = 1
 
     def __post_init__(self) -> None:
-        for name, value in _require_integers(
+        for name, value in require_integers(
                 n=self.n, m=self.m, master_seed=self.master_seed,
                 worker_count=self.worker_count).items():
             object.__setattr__(self, name, value)
@@ -182,9 +167,8 @@ def _replica_blocks(
     fn maps a (rows, n//2 + 1) block of half spectra and the worker's
     BlockBuffers, which hold that block, to a (width, rows) array; column
     r of the (width, m) result holds replica r.  Blocks start every
-    block_rows(n) replicas.  From n = THREAD_MIN_N the blocks run on a
-    pool of worker_count threads capped by the block count and
-    available_cpus(); below it they run inline.
+    block_rows(n) replicas and run on a pool of worker_count threads,
+    capped by the block count and available_cpus().
     """
     rows = block_rows(n)
     starts = range(0, m, rows)
@@ -199,12 +183,9 @@ def _replica_blocks(
             lam = half_spectrum(block, out=bufs.lam[:k])
             out[:, lo : lo + k] = fn(lam, bufs)
 
-    if n < THREAD_MIN_N:
-        run_blocks(starts)
-    else:
-        workers = min(worker_count, len(starts), available_cpus())
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_blocks, [starts[w::workers] for w in range(workers)]))
+    workers = min(worker_count, len(starts), available_cpus())
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run_blocks, [starts[w::workers] for w in range(workers)]))
     return out
 
 
@@ -354,7 +335,7 @@ def norm_scaling_study(
 
     Every builtin ensemble qualifies; smoothness is not needed here.
     """
-    trials, master_seed, *sizes = _require_integers(
+    trials, master_seed, *sizes = require_integers(
         trials=trials, master_seed=master_seed,
         **{f"sizes[{i}]": n for i, n in enumerate(sizes)}).values()
     if trials < 1:

@@ -103,7 +103,7 @@ def test_block_kernel_matches_per_replica_oracles(n, poly, family, extra, seed):
 @pytest.mark.parametrize("n", [150, 700])
 def test_replicas_on_both_sides_of_a_block_boundary(spec, n):
     # BLOCK_VALUES // n is not a power of two: blocks of 218 (n=150) and
-    # 46 (n=700) rows, the third one short; n=700 runs on threads
+    # 46 (n=700) rows, the third one short
     rows = block_rows(n)
     m = 2 * rows + 3
     config = ExperimentConfig(n=n, m=m, poly=POLY_X2_X3, ensemble=spec,

@@ -360,7 +360,7 @@ class TestTvBoundCommand:
     @pytest.mark.parametrize("n, workers", [(64, "1"), (1024, "2")])
     def test_kappas_beyond_float_range_refused(self, tmp_path, capsys,
                                                coefficient, message, n, workers):
-        # the sums of squared gradients overflow, inline and on pool threads;
+        # the sums of squared gradients overflow, on one worker and on two;
         # at 3e77 so does the float majorant of a degree-2 polynomial.  At
         # 1e-100 the fourth powers of the gradient are 0 and at 1e-80
         # subnormal, so kappa0_hat would read 0 or lose digits; at 3e-78 only

@@ -6,6 +6,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,18 @@ class TestEulerFrobeniusDensity:
         with pytest.raises(ValueError):
             euler_frobenius_density(1, 0)
 
+    def test_accepts_numpy_integers(self):
+        # the binomials of f_30(15) pass the int8 range
+        assert (euler_frobenius_density(np.int8(30), np.int8(15))
+                == euler_frobenius_density(30, 15))
+
+    @pytest.mark.parametrize("name, p, s", [
+        ("p", True, 0), ("p", 3.0, 1), ("s", 3, True), ("s", 3, 1.0),
+    ])
+    def test_rejects_non_integer_arguments(self, name, p, s):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, not "):
+            euler_frobenius_density(p, s)
+
     def test_matches_normalized_counts_at_moderate_n(self):
         # f_3(1) = 1/2, not the unnormalized 3: the counts decide
         n = 500
@@ -110,6 +123,19 @@ class TestSliceCounts:
             slice_table(0, 4)
         with pytest.raises(ValueError, match="n must be at least 1, not 0"):
             slice_table(3, 0)
+
+    def test_accepts_numpy_integers(self):
+        # n ** (p - 1) wraps in int16, without a warning
+        table = slice_table(np.int8(5), np.int16(1000))
+        assert table == slice_table(5, 1000)
+        assert all(type(row.p) is int and type(row.n) is int for row in table)
+
+    @pytest.mark.parametrize("name, p, n", [
+        ("p", True, 5), ("p", 5.0, 5), ("n", 5, True), ("n", 5, 2.0),
+    ])
+    def test_rejects_non_integer_arguments(self, name, p, n):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, not "):
+            slice_table(p, n)
 
     def test_box_binomials_taken_once(self, monkeypatch):
         # each C(j*n + p - 1, p - 1), j < p, is taken once per table, not

@@ -3,6 +3,7 @@ total-variation bound machinery."""
 
 import math
 import re
+import threading
 from statistics import NormalDist
 
 import numpy as np
@@ -116,9 +117,9 @@ class TestRunExperiment:
             assert results[0].ks_distance == other.ks_distance
 
     def test_thread_count_capped_by_cpus(self, monkeypatch):
-        # at n = THREAD_MIN_N, 5 * rows - 1 replicas span 5 blocks and
-        # 3 * rows - 1 span 3; the pool records its size and runs inline
-        n = harness.THREAD_MIN_N
+        # at n = 64, 5 * rows - 1 replicas span 5 blocks and 3 * rows - 1
+        # span 3; the pool records its size and runs inline
+        n = 64
         rows = block_rows(n)
         pool_sizes = []
         monkeypatch.setattr(harness, "ThreadPoolExecutor", inline_pool(pool_sizes))
@@ -142,7 +143,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         assert parse_config({"n": 4096, "poly": [0, 0, 1, 1], "m": 64}).worker_count == 1
-        n = harness.THREAD_MIN_N
+        n = 64
         run_clt_experiment(make_config(n=n, m=3 * block_rows(n),
                                        worker_count=100000))
         assert pool_sizes == [1]
@@ -155,21 +156,25 @@ class TestRunExperiment:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpu_count)
         assert harness.available_cpus() == cpus
 
-    def test_no_threads_below_thread_min_n(self, monkeypatch):
-        pool_sizes = []
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", inline_pool(pool_sizes))
-        monkeypatch.setattr(harness, "available_cpus", lambda: 8)
-        for n in (2, 64, harness.THREAD_MIN_N - 1):
-            m = 3 * block_rows(n) - 1
-            threaded = make_config(n=n, m=m, worker_count=100000)
-            traces = run_clt_experiment(threaded).raw_traces
-            assert pool_sizes == []  # three blocks, still run inline
-            serial = run_clt_experiment(make_config(n=n, m=m)).raw_traces
-            assert np.array_equal(traces, serial)
-        n = harness.THREAD_MIN_N
-        run_clt_experiment(make_config(n=n, m=3 * block_rows(n) - 1,
-                                       worker_count=100000))
-        assert pool_sizes == [3]
+    @pytest.mark.parametrize("worker_count", [1, 2])
+    @pytest.mark.parametrize("n", [2, 64, 511, 512, 4096])
+    def test_no_block_runs_on_the_main_thread(self, n, worker_count, monkeypatch):
+        # on the main thread numpy's FFT scratch is faulted in again on every
+        # call, so every block runs on a pool thread, at every n
+        on_main, draw_rows = [], harness.draw_rows
+
+        def recording_draw_rows(*args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return draw_rows(*args)
+
+        monkeypatch.setattr(harness, "draw_rows", recording_draw_rows)
+        config = make_config(n=n, m=2 * block_rows(n) + 1,
+                             ensemble=EnsembleSpec("uniform_symmetric"),
+                             worker_count=worker_count)
+        run_clt_experiment(config)
+        estimate_kappas(config)
+        norm_scaling_study(config.ensemble, [n], config.m)
+        assert on_main == [False] * 9  # three blocks for each caller
 
     @pytest.mark.parametrize("n", [513, 512, 4097, 4096])
     def test_worker_invariance_with_ragged_last_block(self, n, monkeypatch):
@@ -177,7 +182,6 @@ class TestRunExperiment:
         # and m = 3 * rows - 1 makes every last block short; threads stay
         # capped at available_cpus()
         m = 3 * block_rows(n) - 1
-        assert n >= harness.THREAD_MIN_N
         assert m % block_rows(n) != 0 and m > 2 * block_rows(n)
         configs = [make_config(n=n, m=m, poly=POLY_X2_X3,
                                ensemble=EnsembleSpec("uniform_symmetric"),
@@ -199,19 +203,16 @@ class TestRunExperiment:
                                       ("gaussian", "rademacher", "uniform_symmetric")],
                              ids=lambda s: s.family)
     @pytest.mark.parametrize("n, m", [(63, 2100), (64, 2100), (8191, 40), (8192, 40)])
-    def test_block_layout_never_changes_a_result(self, spec, n, m, monkeypatch):
+    def test_block_layout_never_changes_a_result(self, spec, n, m):
         # blocks of 520 and 512 rows at n=63/64 and of 4 at n=8191/8192, so
-        # each m spans more than two blocks; they run inline or on 1, 2, 3
-        # or 7 threads
+        # each m spans more than two blocks; they run on 1, 2, 3 or 7 threads
         assert m > 2 * block_rows(n)
-        results, default_min_n = [], harness.THREAD_MIN_N
+        results = []
         for worker_count in (1, 2, 3, 7):
             config = make_config(n=n, m=m, poly=POLY_X2_X3, ensemble=spec,
                                  worker_count=worker_count)
-            for thread_min_n in (2, default_min_n):
-                monkeypatch.setattr(harness, "THREAD_MIN_N", thread_min_n)
-                kappas = estimate_kappas(config) if spec.is_smooth else None
-                results.append((run_clt_experiment(config).raw_traces, kappas))
+            kappas = estimate_kappas(config) if spec.is_smooth else None
+            results.append((run_clt_experiment(config).raw_traces, kappas))
         traces, kappas = results[0]
         for other_traces, other_kappas in results[1:]:
             assert np.array_equal(other_traces, traces)
@@ -222,8 +223,7 @@ class TestRunExperiment:
                              ids=lambda s: s.family)
     @pytest.mark.parametrize("n", [64, 1000])
     def test_shorter_run_is_a_prefix_of_a_longer_one(self, spec, n):
-        # m one short of a block, one past it, and one past two blocks;
-        # n = 1000 runs on threads
+        # m one short of a block, one past it, and one past two blocks
         rows = block_rows(n)
         ms = (rows - 1, rows + 1, 2 * rows + 1)
         runs = [run_clt_experiment(make_config(n=n, m=m, ensemble=spec, worker_count=2))
