@@ -39,16 +39,19 @@ def _horner(coeffs: Sequence[float], z, out=None):
     """sum_j coeffs[j] * z^j by Horner's rule; coefficients from degree 0 up.
 
     For an array z every step updates one accumulator in place: out, an
-    array shaped like z, if given, else a new one.  A scalar z gives a
-    scalar.
+    array shaped like z, if given, else a new one.  A zero coefficient
+    takes no addition, which can change only the sign of an exact zero.
+    A scalar z gives a scalar.
     """
     *rest, acc = coeffs
     if rest:
         acc = np.multiply(acc, z, out=out)
-        acc += rest.pop()
+        if a := rest.pop():
+            acc += a
     for a in reversed(rest):
         acc *= z
-        acc += a
+        if a:
+            acc += a
     return acc
 
 
@@ -74,6 +77,10 @@ class TestPolynomial:
         if not all(math.isfinite(a) for a in coeffs):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", coeffs)
+        # Horner's coefficient lists, from degree 0 up, built once
+        object.__setattr__(self, "_dense", (0.0, 0.0, *coeffs))
+        object.__setattr__(self, "_derivative",
+                           (0.0, *(k * a for k, a in enumerate(coeffs, start=2))))
 
     @classmethod
     def from_dense(cls, dense: Sequence[float]) -> "TestPolynomial":
@@ -99,13 +106,13 @@ class TestPolynomial:
         return iter(enumerate(self.coefficients, start=2))
 
     def dense(self) -> list[float]:
-        return [0.0, 0.0, *self.coefficients]
+        return list(self._dense)
 
     def evaluate(self, z, out=None):
-        return _horner(self.dense(), z, out)
+        return _horner(self._dense, z, out)
 
     def derivative_values(self, z, out=None):
-        return _horner([0.0, *(k * a for k, a in self.terms())], z, out)
+        return _horner(self._derivative, z, out)
 
     def second_derivative_majorant(self, z):
         """m2(z) = sum_k k (k-1) |a_k| z^(k-2), nondecreasing for z >= 0."""

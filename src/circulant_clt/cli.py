@@ -39,9 +39,10 @@ from .harness import (
 OUTPUT_DIR_ENV = "CIRCULANT_CLT_OUT"
 CONFIG_KEYS = frozenset({"n", "poly", "family", "seed", "m", "worker_count"})
 DEFAULT_REPLICAS = 2000
-# Largest density-table degree: at p = 72, with n as large as the digit
-# limit allows, a whole run takes about 0.1 s (CHANGES.md).
-MAX_TABLE_P = 72
+# Largest density-table degree: the largest p whose whole run, with n as
+# large as the digit limit allows, stays within about 0.9 s in a fresh
+# interpreter; 0.7-0.8 s at p = 240 (CHANGES.md).
+MAX_TABLE_P = 240
 
 EXIT_OK = 0
 EXIT_REFUSED = 2

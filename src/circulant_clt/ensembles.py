@@ -27,7 +27,12 @@ word 2 the block and words 0-1 advance within a draw, so no two
 substreams overlap, within a run or across sizes.  One generator call
 fills a whole block, and replica r is row r mod block_rows(n) of block
 r // block_rows(n).  Each draw consumes its stream in order, so a run
-of m replicas gives the first m replicas of any longer run.
+of m replicas gives the first m replicas of any longer run.  The
+harness hands blocks out in order to whichever worker is free, and a
+worker builds one generator and moves it from block to block
+(:func:`move_to_block`): it sets counter [0, 0, block, n] and empties
+Philox's 4-word output buffer, so it draws exactly what the block's own
+generator would.
 """
 
 from __future__ import annotations
@@ -117,17 +122,34 @@ class RandomStream:
         )
 
 
-def draw_rows(spec: EnsembleSpec, stream: RandomStream, out: np.ndarray) -> np.ndarray:
-    """Fill out with the leading rows of block stream.block.
+def move_to_block(rng: np.random.Generator, block: int, n: int) -> np.random.Generator:
+    """Move rng, a :meth:`RandomStream.generator` of some block, to the
+    start of block `block` of the same seed at size n, and return it.
 
-    One call of the block's own :meth:`RandomStream.generator` at
-    n = out.shape[1] fills out in row-major order, so a short block takes
-    the leading rows of a full one.  Gaussian rows come from
-    ``standard_normal``; uniform rows are sqrt(3)*(2U - 1) for standard
-    uniforms U from ``random``; Rademacher rows are 2B - 1 for the bits B
-    of the block's ``random_raw`` words, least significant bit first.
+    That start is counter [0, 0, block, n] with Philox's 4-word output
+    buffer empty, the state in which ``RandomStream(seed, block).generator(n)``
+    begins; a draw that stopped inside a buffer leaves no trace.
     """
-    rng = stream.generator(out.shape[1])
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    state["state"]["counter"][:] = (0, 0, block, n)
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    bitgen.state = state
+    return rng
+
+
+def draw_rows(spec: EnsembleSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out with the leading rows of a block, drawn by rng from the
+    start of the block's stream.
+
+    One call of rng, a :meth:`RandomStream.generator` at n = out.shape[1]
+    or one moved by :func:`move_to_block`, fills out in row-major order,
+    so a short block takes the leading rows of a full one.  Gaussian rows
+    come from ``standard_normal``; uniform rows are sqrt(3)*(2U - 1) for
+    standard uniforms U from ``random``; Rademacher rows are 2B - 1 for
+    the bits B of the block's ``random_raw`` words, least significant bit
+    first.
+    """
     if spec.family == "rademacher":
         words = rng.bit_generator.random_raw(-(-out.size // 64)).astype("<u8", copy=False)
         bits = np.unpackbits(words.view(np.uint8), count=out.size, bitorder="little")

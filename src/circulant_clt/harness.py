@@ -29,7 +29,10 @@ those.  Each worker allocates its block arrays once
 Blocks run on pool threads at every n, a single one at worker_count 1:
 numpy's FFT scratch is faulted in again on every call on the main
 thread, and not on a pool thread.  worker_count, the block count and
-available_cpus() bound the threads.  Each block writes into its own
+available_cpus() bound the threads.  The blocks are handed out in order,
+one at a time, to whichever worker asks next.  Each worker builds one
+generator and, before each block it takes, moves it to the start of that
+block's substream (ensembles.move_to_block).  Each block writes into its own
 slots and reductions run in fixed replica order, so results are
 bit-identical for any worker_count, and a run of m replicas gives the
 first m replicas of any longer run.
@@ -40,6 +43,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -56,7 +60,8 @@ from .circulant import (
     trace_block,
 )
 from .combinatorics import limiting_variance
-from .ensembles import EnsembleSpec, RandomStream, block_rows, draw_rows
+from .ensembles import (EnsembleSpec, RandomStream, block_rows, draw_rows,
+                        move_to_block)
 from .errors import SmoothnessRequiredError, require_integers
 
 MAX_MOMENT_ORDER = 8
@@ -168,24 +173,33 @@ def _replica_blocks(
     BlockBuffers, which hold that block, to a (width, rows) array; column
     r of the (width, m) result holds replica r.  Blocks start every
     block_rows(n) replicas and run on a pool of worker_count threads,
-    capped by the block count and available_cpus().
+    capped by the block count and available_cpus().  The blocks are
+    handed out in order, one at a time, to whichever worker asks next.
+    Each worker builds one generator and moves it to the start of each
+    block it takes (ensembles.move_to_block).
     """
     rows = block_rows(n)
     starts = range(0, m, rows)
     out = np.empty((width, m))
+    cursor, cursor_lock = iter(starts), threading.Lock()
 
     @np.errstate(over="ignore", invalid="ignore")  # the records refuse inf and nan
-    def run_blocks(mine: range) -> None:
+    def run_blocks(_worker: int) -> None:
         bufs = BlockBuffers(min(rows, m), n)
-        for lo in mine:
+        rng = RandomStream(master_seed).generator(n)
+        while True:
+            with cursor_lock:
+                lo = next(cursor, None)
+            if lo is None:
+                return
             k = min(lo + rows, m) - lo
-            block = draw_rows(spec, RandomStream(master_seed, lo // rows), bufs.raw[:k])
+            block = draw_rows(spec, move_to_block(rng, lo // rows, n), bufs.raw[:k])
             lam = half_spectrum(block, out=bufs.lam[:k])
             out[:, lo : lo + k] = fn(lam, bufs)
 
     workers = min(worker_count, len(starts), available_cpus())
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run_blocks, [starts[w::workers] for w in range(workers)]))
+        list(pool.map(run_blocks, range(workers)))
     return out
 
 

@@ -63,7 +63,8 @@ def sample_sequence(spec: EnsembleSpec, n: int, master_seed: int, replica: int) 
     """The raw inputs of one replica: row replica mod block_rows(n) of its
     block's draw, drawn up to that row alone."""
     block, row = divmod(replica, block_rows(n))
-    return draw_rows(spec, RandomStream(master_seed, block), np.empty((row + 1, n)))[row]
+    rng = RandomStream(master_seed, block).generator(n)
+    return draw_rows(spec, rng, np.empty((row + 1, n)))[row]
 
 
 def smooth_transform_value(spec: EnsembleSpec, z):

@@ -10,7 +10,7 @@ from circulant_clt import (
     EnsembleSpec,
     SmoothnessRequiredError,
 )
-from circulant_clt.ensembles import RandomStream, block_rows, draw_rows
+from circulant_clt.ensembles import RandomStream, block_rows, draw_rows, move_to_block
 from oracles import sample_sequence, smooth_transform_value
 
 SQRT3 = math.sqrt(3.0)
@@ -66,11 +66,28 @@ class TestRandomStream:
             RandomStream(0, -1)
         RandomStream(2**64 - 1, 10**9)  # extremes are fine
 
+    @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+    @pytest.mark.parametrize("n", [33, 1000])
+    def test_moved_generator_draws_each_block_afresh(self, spec, n):
+        # one generator moved from block to block, out of order and back,
+        # draws what each block's own fresh generator draws.  A ragged block
+        # of 3 rows at n = 33 or 1000 takes 2 or 47 raw Rademacher words,
+        # and 99 uniform or normal values at n = 33, so its draw stops
+        # inside Philox's 4-word output buffer; the move must empty it
+        rows = block_rows(n)
+        rng = RandomStream(9, 4).generator(n)
+        for b, k in ((5, rows), (2, 3), (5, rows), (0, 3), (2, rows), (1, 1)):
+            moved = draw_rows(spec, move_to_block(rng, b, n), np.empty((k, n)))
+            fresh = draw_rows(spec, RandomStream(9, b).generator(n), np.empty((k, n)))
+            assert np.array_equal(moved, fresh), (b, k)
+            if spec.family == "rademacher" and k == 3:
+                assert rng.bit_generator.state["buffer_pos"] < 4
+
 
 def pinned_blocks(spec, n):
     """Blocks 5 and 6 of a run at size n, seed 9, and block 7 cut to 3 rows."""
     rows = block_rows(n)
-    return [(b, draw_rows(spec, RandomStream(9, b), np.empty((k, n))))
+    return [(b, draw_rows(spec, RandomStream(9, b).generator(n), np.empty((k, n))))
             for b, k in ((5, rows), (6, rows), (7, 3))]
 
 

@@ -3,6 +3,7 @@ total-variation bound machinery."""
 
 import math
 import re
+import sys
 import threading
 from statistics import NormalDist
 
@@ -19,6 +20,7 @@ from circulant_clt import (
     run_clt_experiment,
 )
 from circulant_clt import harness
+from circulant_clt.circulant import trace_block
 from circulant_clt.cli import parse_config
 from circulant_clt.ensembles import block_rows
 from circulant_clt.harness import ks_distance, standardized_moments
@@ -188,8 +190,8 @@ class TestRunExperiment:
                                worker_count=w) for w in (1, 2, 3, 7)]
         threaded = [(run_clt_experiment(c).raw_traces, estimate_kappas(c))
                     for c in configs]
-        # the same partitions of the blocks over 1, 2, 3 and 7 workers,
-        # run inline so that no thread starts
+        # 1, 2, 3 and 7 workers run inline, so that no thread starts: the
+        # first worker takes every block and leaves the others none
         monkeypatch.setattr(harness, "ThreadPoolExecutor", inline_pool([]))
         monkeypatch.setattr(harness, "available_cpus", lambda: 8)
         inline = [(run_clt_experiment(c).raw_traces, estimate_kappas(c))
@@ -268,6 +270,80 @@ class TestRunExperiment:
         se = summary.raw_traces.std(ddof=1) / math.sqrt(summary.m)
         assert summary.raw_trace_mean == float(summary.raw_traces.mean())
         assert abs(summary.raw_trace_mean - expected) <= 3 * se
+
+
+def recording_moves(monkeypatch):
+    """Patch the harness's move_to_block to note, per thread, the block it
+    moved to last; return the thread-local record."""
+    moved, move = threading.local(), harness.move_to_block
+
+    def recording_move(rng, block, n):
+        moved.block = block
+        return move(rng, block, n)
+
+    monkeypatch.setattr(harness, "move_to_block", recording_move)
+    return moved
+
+
+class TestBlockCursor:
+    """Blocks go in order to whichever worker asks next."""
+
+    def test_a_slow_block_holds_back_no_other(self, monkeypatch):
+        # block 0 waits until the 5 other blocks have run.  Blocks dealt
+        # out before the run would queue some behind it on its worker, so
+        # the wait could only time out; handed to whichever worker is
+        # free, they all run on the other worker
+        monkeypatch.setattr(harness, "available_cpus", lambda: 2)
+        moved = recording_moves(monkeypatch)
+        spec, n = EnsembleSpec("uniform_symmetric"), 4096
+        m = 6 * block_rows(n) - 3
+        others_ran, lock, ran = threading.Event(), threading.Lock(), []
+
+        def slow_first_block(lam, bufs):
+            if moved.block == 0:
+                assert others_ran.wait(timeout=5), "block 0 waited for blocks behind it"
+            else:
+                with lock:
+                    ran.append(moved.block)
+                    if len(ran) == 5:
+                        others_ran.set()
+            return trace_block(lam, POLY_X2, bufs)
+
+        balanced = harness._replica_blocks(spec, n, 11, m, 2, slow_first_block)
+        assert sorted(ran) == [1, 2, 3, 4, 5]
+        one_worker = harness._replica_blocks(
+            spec, n, 11, m, 1, lambda lam, bufs: trace_block(lam, POLY_X2, bufs))
+        assert np.array_equal(balanced, one_worker)
+
+    def test_cursor_under_constant_thread_switches(self, monkeypatch):
+        # 8 workers race for 65 small blocks, the last one ragged, while the
+        # interpreter switches threads every microsecond: every block runs
+        # once and the result is one worker's, bit for bit
+        monkeypatch.setattr(harness, "available_cpus", lambda: 8)
+        moved = recording_moves(monkeypatch)
+        spec, n = EnsembleSpec("rademacher"), 1024
+        m = 64 * block_rows(n) + 5
+        ran, lock, results = [], threading.Lock(), []
+
+        def recording_trace(lam, bufs):
+            with lock:
+                ran.append(moved.block)
+            return trace_block(lam, POLY_X2_X3, bufs)
+
+        runner = threading.Thread(daemon=True, target=lambda: results.append(
+            harness._replica_blocks(spec, n, 5, m, 8, recording_trace)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "the pool did not finish within 60 s"
+        assert sorted(ran) == list(range(65))
+        one_worker = harness._replica_blocks(
+            spec, n, 5, m, 1, lambda lam, bufs: trace_block(lam, POLY_X2_X3, bufs))
+        assert np.array_equal(results[0], one_worker)
 
 
 class TestKsDistance:
