@@ -81,6 +81,8 @@ class TestPolynomial:
         object.__setattr__(self, "_dense", (0.0, 0.0, *coeffs))
         object.__setattr__(self, "_derivative",
                            (0.0, *(k * a for k, a in enumerate(coeffs, start=2))))
+        object.__setattr__(self, "_second_derivative",
+                           tuple(k * (k - 1) * a for k, a in enumerate(coeffs, start=2)))
 
     @classmethod
     def from_dense(cls, dense: Sequence[float]) -> "TestPolynomial":
@@ -114,11 +116,9 @@ class TestPolynomial:
     def derivative_values(self, z, out=None):
         return _horner(self._derivative, z, out)
 
-    def second_derivative_majorant(self, z):
-        """m2(z) = sum_k k (k-1) |a_k| z^(k-2), nondecreasing for z >= 0."""
-        if np.any(np.asarray(z) < 0):
-            raise ValueError("the majorant is defined for z >= 0")
-        return _horner([k * (k - 1) * abs(a) for k, a in self.terms()], z)
+    def second_derivative_values(self, z, out=None):
+        """P''(z); a scalar 2 a_2 for degree 2, whatever z is."""
+        return _horner(self._second_derivative, z, out)
 
 
 class BlockBuffers:

@@ -103,7 +103,6 @@ def config_echo(config: ExperimentConfig) -> dict:
         "poly": config.poly.dense(),
         "family": config.ensemble.family,
         "seed": config.master_seed,
-        "centering": "sample_mean",
     }
 
 

@@ -1,0 +1,123 @@
+"""Mutants of the package that the test suite must kill.
+
+Each entry names a module of ``src/circulant_clt``, a piece of its text,
+the text that replaces it, and the tests that must fail once it is
+replaced.  For each entry the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, makes the one replacement
+there and runs pytest on the entry's selection.  The mutant is killed
+when pytest reports a failed test.  Nothing outside the temporary
+directory is written.
+
+    python tests/mutants.py          # every entry
+    python tests/mutants.py 0 4      # entries by index
+
+It prints one line per mutant and then killed/total, and exits 1 unless
+every mutant was killed.  A mutant whose text is not in its module
+exactly once, or whose selection pytest cannot run (a renamed test, say),
+counts as not killed.  The file is not a test module: Tier-1 does not
+collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "Philox output buffer kept when a generator moves to a block",
+        "ensembles.py",
+        "    state.update(buffer_pos=4, has_uint32=0, uinteger=0)\n",
+        "",
+        ("tests/test_ensembles.py::TestRandomStream::"
+         "test_moved_generator_draws_each_block_afresh",),
+    ),
+    Mutant(
+        "W scaled by 1.05",
+        "harness.py",
+        "w = (traces - t_bar) / math.sqrt(config.n)",
+        "w = 1.05 * (traces - t_bar) / math.sqrt(config.n)",
+        ("tests/test_harness.py::TestRunExperiment::test_w_is_centered_and_scaled",),
+    ),
+    Mutant(
+        "Hermitian weight 2 at t = 0",
+        "circulant.py",
+        "self.weights[0] = 1.0",
+        "self.weights[0] = 2.0",
+        ("tests/test_block_kernel.py::test_block_kernel_matches_per_replica_oracles",),
+    ),
+    Mutant(
+        "half spectrum not conjugated",
+        "circulant.py",
+        "    np.conjugate(lam, out=lam)\n",
+        "",
+        ("tests/test_circulant.py::TestSpectrum::"
+         "test_half_spectrum_is_the_first_half_bin_by_bin",),
+    ),
+    Mutant(
+        "kappa2 from the majorant m2(max_t |lambda_t|) instead of max_t |P''(lambda_t)|",
+        "harness.py",
+        "        hess = np.abs(second, out=bufs.real[:rows]).max(axis=1)\n",
+        "        hess = np.polynomial.polynomial.polyval(\n"
+        "            np.abs(lam).max(axis=1),\n"
+        "            [k * (k - 1) * abs(a) for k, a in poly.terms()])\n",
+        ("tests/test_harness.py::TestSteinMachinery::"
+         "test_kappa2_majorizes_fd_hessian_of_trace",),
+    ),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived', or why the mutant could not be tested."""
+    with tempfile.TemporaryDirectory(prefix="circulant-clt-mutant-") as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", "*.pyc")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+        module = copy / "src" / "circulant_clt" / mutant.module
+        text = module.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return f"not applied: its text occurs {text.count(mutant.old)} times"
+        module.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=copy, capture_output=True, text=True,
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+    # pytest exits 1 when a test failed and 0 when all passed; anything else
+    # (no test collected, a usage or collection error) tested nothing
+    return {0: "survived", 1: "killed"}.get(
+        proc.returncode, f"not tested: pytest exited {proc.returncode}")
+
+
+def main(argv: list[str]) -> int:
+    chosen = [MUTANTS[int(i)] for i in argv] if argv else list(MUTANTS)
+    killed = 0
+    for mutant in chosen:
+        outcome = run(mutant)
+        killed += outcome == "killed"
+        print(f"{outcome:>9}  {mutant.module}: {mutant.name}", flush=True)
+    print(f"killed {killed}/{len(chosen)}")
+    return 0 if killed == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

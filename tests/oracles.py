@@ -7,7 +7,7 @@ the tests to compare against:
 
 * one replica at a time on its full spectrum lambda = n * ifft(X / sqrt(n))
   (:func:`trace_polynomial`, :func:`gradient_trace_polynomial`,
-  :func:`hessian_norm_bound`);
+  :func:`hessian_norm`, which materializes the Hessian);
 * the defining index sum, with no FFT,
 
       Tr(C^p) = n * sum x_{i_1} ... x_{i_p}   over i_1 + ... + i_p = 0 (mod n),
@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from circulant_clt.circulant import TestPolynomial, spectral_norm
+from circulant_clt.circulant import TestPolynomial
 from circulant_clt.combinatorics import euler_frobenius_density
 from circulant_clt.ensembles import (
     UNIFORM_HALF_WIDTH,
@@ -149,9 +149,17 @@ def gradient_trace_polynomial(lam: np.ndarray, poly: TestPolynomial) -> np.ndarr
     return math.sqrt(n) * d_row.real[(n - m) % n]
 
 
-def hessian_norm_bound(lam: np.ndarray, poly: TestPolynomial) -> float:
-    """m2(||C||), the majorant of the Hessian norm of g(X) = Tr P(C(X))."""
-    return float(poly.second_derivative_majorant(spectral_norm(lam)))
+def hessian_norm(lam: np.ndarray, poly: TestPolynomial) -> float:
+    """Operator norm of the Hessian of g(X) = Tr P(C(X)) from a full
+    spectrum: d lambda_t / dX_j = w^(t j) / sqrt(n), so the materialized
+    n x n Hessian is (1/n) sum_t P''(lambda_t) w^(t(j+k)), with P'' summed
+    term by term, and its largest singular value is taken."""
+    n = len(lam)
+    second = sum(k * (k - 1) * a * lam ** (k - 2) for k, a in poly.terms())
+    modes = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    hess = (modes * second) @ modes / n
+    _check_imag(np.max(np.abs(hess.imag)), np.max(np.abs(hess.real)), "Hessian")
+    return float(np.linalg.norm(hess.real, 2))
 
 
 def _slice_histogram(p: int, n: int) -> np.ndarray:

@@ -217,7 +217,6 @@ class TestSimulateCommand:
             "poly": [0.0, 0.0, 1.0],
             "family": "gaussian",
             "seed": 7,
-            "centering": "sample_mean",
         }
 
     def test_summary_moments_match_samples(self, tmp_path, capsys):
@@ -361,10 +360,10 @@ class TestTvBoundCommand:
     def test_kappas_beyond_float_range_refused(self, tmp_path, capsys,
                                                coefficient, message, n, workers):
         # the sums of squared gradients overflow, on one worker and on two;
-        # at 3e77 so does the float majorant of a degree-2 polynomial.  At
-        # 1e-100 the fourth powers of the gradient are 0 and at 1e-80
-        # subnormal, so kappa0_hat would read 0 or lose digits; at 3e-78 only
-        # those of the Hessian majorant are subnormal
+        # at 3e77 so does the fourth power of a degree-2 polynomial's constant
+        # Hessian norm 2 a_2.  At 1e-100 the fourth powers of the gradient are
+        # 0 and at 1e-80 subnormal, so kappa0_hat would read 0 or lose digits;
+        # at 3e-78 only those of the Hessian norm are subnormal
         assert main(["--out", str(tmp_path), "tv-bound", "--n", str(n),
                      "--poly", f"0,0,{coefficient}", "--family", "gaussian",
                      "--m", "50", "--workers", workers]) == 2
@@ -376,7 +375,7 @@ class TestTvBoundCommand:
 
 @pytest.mark.parametrize("command, experiment, stein", [
     ("simulate", {"n", "m", "raw_trace_mean", "variance_w", "standardized_moments",
-                  "ks_distance", "target_variance", "low_confidence", "wall_time_s",
+                  "ks_distance", "target_variance", "wall_time_s",
                   "target_variance_exact"}, None),
     ("tv-bound", None, {"kappa0_hat", "kappa1_hat", "kappa2_hat", "sigma2_hat", "c1",
                         "c2", "tv_bound", "sigma2_target_scaled"}),
@@ -388,7 +387,7 @@ def test_summary_json_key_sets(tmp_path, command, experiment, stein):
                  "--family", "uniform_symmetric", "--m", "40"]) == 0
     doc = json.loads((tmp_path / "summary.json").read_text())
     assert set(doc) == {"config", "version", "experiment", "stein"}
-    assert set(doc["config"]) == {"n", "m", "poly", "family", "seed", "centering"}
+    assert set(doc["config"]) == {"n", "m", "poly", "family", "seed"}
     assert (doc["experiment"] and set(doc["experiment"])) == experiment
     assert (doc["stein"] and set(doc["stein"])) == stein
 
