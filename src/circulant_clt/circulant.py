@@ -147,12 +147,9 @@ def half_spectrum(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     The remaining eigenvalues are the conjugates lambda_(n-t) = conj(lambda_t).
     """
-    lam = np.fft.rfft(raw, axis=-1, out=out)
+    # "ortho" has pocketfft multiply each output part by 1 / sqrt(n)
+    lam = np.fft.rfft(raw, axis=-1, norm="ortho", out=out)
     np.conjugate(lam, out=lam)
-    # numpy divides a complex array by the real sqrt(n) by multiplying both
-    # parts by 1 / sqrt(n); the float view does that without complex arithmetic
-    parts = lam.view(np.float64)
-    parts *= 1.0 / math.sqrt(raw.shape[-1])
     return lam
 
 

@@ -7,9 +7,10 @@ A subcommand prints the report it writes, once the file is written.
 Configs are JSON key-value documents (or equivalent inline flags) with
 keys n, poly, family, seed, m, worker_count.  Polynomials are dense
 coefficient lists from degree 0 upward; the constant and degree-one
-entries must be zero.  Floats are serialized with their shortest
-round-trip representation, so parsing an emitted document reproduces
-every numeric field bit-exactly.
+entries must be zero.  summary.json and table.csv serialize floats with
+their shortest round-trip representation, samples.csv with 17 significant
+digits; either way parsing an emitted document reproduces every numeric
+field bit-exactly.
 """
 
 from __future__ import annotations
@@ -107,11 +108,12 @@ def config_echo(config: ExperimentConfig) -> dict:
 
 
 def emit_samples_csv(raw_traces, w_values) -> str:
-    # the repr of a float never needs CSV quoting, so rows are joined directly
+    # 17 significant digits parse back to the same double without repr's
+    # shortest-digit search; no cell needs CSV quoting, so rows are joined
     traces = np.asarray(raw_traces, dtype=np.float64).tolist()
     ws = np.asarray(w_values, dtype=np.float64).tolist()
     return "replica,raw_trace,W\n" + "".join(
-        f"{r},{t!r},{w!r}\n" for r, (t, w) in enumerate(zip(traces, ws)))
+        ["%d,%.17g,%.17g\n" % row for row in zip(range(len(traces)), traces, ws)])
 
 
 def emit_summary_json(config: ExperimentConfig, summary=None, stein=None) -> str:

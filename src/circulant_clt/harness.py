@@ -66,7 +66,7 @@ from .ensembles import (EnsembleSpec, RandomStream, block_rows, draw_rows,
                         move_to_block)
 from .errors import SmoothnessRequiredError, require_integers
 
-MAX_MOMENT_ORDER = 8
+MAX_MOMENT_ORDER = 4
 
 
 def _require_finite(**values) -> None:
@@ -111,7 +111,7 @@ class ExperimentSummary:
     raw_traces: np.ndarray
     raw_trace_mean: float
     variance_w: float
-    standardized_moments: tuple[float, ...]  # orders 1..8
+    standardized_moments: tuple[float, ...]  # orders 1..4
     ks_distance: float
     target_variance: float
     wall_time_s: float
@@ -204,8 +204,9 @@ def _replica_blocks(
 
 
 def standardized_moments(samples) -> np.ndarray:
-    """Central sample moments of orders 1..MAX_MOMENT_ORDER, each scaled by
-    sigma^order (population sigma); all zero for constant samples."""
+    """Central sample moments of orders 1..MAX_MOMENT_ORDER = 4, each scaled
+    by sigma^order (population sigma), so orders 3 and 4 are the skewness
+    and kurtosis; all zero for constant samples."""
     xs = np.asarray(samples, dtype=np.float64)
     if xs.size == 0:
         raise ValueError("need at least one sample")

@@ -80,6 +80,43 @@ MUTANTS = (
         ("tests/test_harness.py::TestSteinMachinery::"
          "test_kappa2_majorizes_fd_hessian_of_trace",),
     ),
+    Mutant(
+        "samples.csv cells written at 15 significant digits",
+        "cli.py",
+        '"%d,%.17g,%.17g\\n"',
+        '"%d,%.15g,%.15g\\n"',
+        ("tests/test_cli.py::TestEmitters::"
+         "test_samples_csv_cells_parse_back_to_the_same_double",),
+    ),
+    Mutant(
+        "last samples.csv row dropped",
+        "cli.py",
+        "zip(range(len(traces)), traces, ws)",
+        "zip(range(len(traces) - 1), traces, ws)",
+        ("tests/test_cli.py::TestEmitters::test_csv_round_trip",),
+    ),
+    Mutant(
+        "Hermitian weight 2 at t = n/2",
+        "circulant.py",
+        "            self.weights[-1] = 1.0\n",
+        "            self.weights[-1] = 2.0\n",
+        ("tests/test_block_kernel.py::test_block_kernel_matches_per_replica_oracles",),
+    ),
+    Mutant(
+        "Horner steps swapped: the coefficient added before the multiply",
+        "circulant.py",
+        "        acc *= z\n        if a:\n            acc += a\n",
+        "        if a:\n            acc += a\n        acc *= z\n",
+        ("tests/test_circulant.py::TestTracePolynomial::test_dense_oracle_n64",),
+    ),
+    Mutant(
+        "worker-dependent seed",
+        "harness.py",
+        "rng = RandomStream(master_seed).generator(n)",
+        "rng = RandomStream(master_seed + _worker).generator(n)",
+        ("tests/test_harness.py::TestBlockCursor::"
+         "test_a_slow_block_holds_back_no_other",),
+    ),
 )
 
 
