@@ -6,16 +6,20 @@ replica is just its array X.  Its eigenvalues are
 
     lambda_t = sum_k x_k * w^(t k),   w = exp(2 pi i / n).
 
-As x is real, lambda_(n-t) = conj(lambda_t), so only the half spectrum
-0 <= t <= n/2 of each row of a block of replicas is kept
-(:func:`half_spectrum`, one rfft per block), and
+As x is real, lambda_(n-t) = conj(lambda_t), so only a half spectrum of
+each row of a block of replicas is kept (:func:`half_spectrum`), and
 
     Tr P(C) = sum_t P(lambda_t)
 
-is reduced with the Hermitian weights 1 at t = 0 and t = n/2 (n even),
-2 elsewhere (:func:`trace_block`), P evaluated by Horner's rule.  Those
-two bins are real (lambda_t = conj(lambda_t) there), so P(lambda_t) is real
-at them too and the reduction takes the real part of every bin.
+is reduced with Hermitian weights (:func:`trace_block`), P evaluated by
+Horner's rule.  Below SPLIT_MIN_N one rfft per block gives 0 <= t <= n/2,
+weighted 1 at t = 0 and t = n/2 (n even), 2 elsewhere.  From there on, where
+one rfft outgrows the cache, Bailey's four-step FFT splits n = n2 * n1, n1
+the largest divisor at most sqrt(n) (1 for a prime n: one rfft): an rfft
+along n2 of X as an (n2, n1) array, twiddles w^(-k2 j1), an fft along n1.
+Bin (k2, k1) holds lambda_(k2 + n2 k1) for 0 <= k2 <= n2/2; rows 0 and n2/2
+(n2 even) weigh 1, the others 2.  Weight-1 bins pair into conjugates, so
+the reduction takes the real part of every bin.
 
 The gradient of X -> Tr P(C(X)) is exact matrix calculus: P'(C) is itself
 circulant with first-row symbol d = fft(P'(lambda)) / n, and each X_m
@@ -23,7 +27,8 @@ appears in the n positions of one diagonal class, giving
 
     d/dX_m Tr P(C) = sqrt(n) * d[(n - m) mod n] = sqrt(n) * ifft(P'(lambda))[m],
 
-which :func:`gradient_block` computes as sqrt(n) * irfft of the half spectrum.
+which :func:`gradient_block` computes as sqrt(n) * irfft of the half
+spectrum, or split by the inverse passes.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+
+SPLIT_MIN_N = 2**15  # the smallest n where the split pays (measured sweep)
 
 
 def _horner(coeffs: Sequence[float], z, out=None):
@@ -125,30 +132,58 @@ class BlockBuffers:
     """The arrays one worker reuses for every block of at most `rows`
     replicas of size n: the raw inputs, the half spectra, one complex and
     one real scratch array of the half-spectrum shape, the Hermitian
-    weights and, from the first :func:`gradient_block` call, the (rows, n)
+    weights, the split (n2, n1), its twiddles (two factors, see _twiddle)
+    and, from the first :func:`gradient_block` call, the (rows, n)
     gradient.  A block of k replicas uses the first k rows of each."""
 
     def __init__(self, rows: int, n: int) -> None:
-        half = (rows, n // 2 + 1)
+        n1 = 1
+        if n >= SPLIT_MIN_N:  # the largest divisor of n at most sqrt(n)
+            n1 = next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
+        self.n2, self.n1 = n2, n1 = n // n1, n1
+        half = (rows, (n2 // 2 + 1) * n1)
         self.raw = np.empty((rows, n))
         self.lam = np.empty(half, dtype=complex)
         self.vals = np.empty(half, dtype=complex)
         self.real = np.empty(half)
         self.grad = None
-        self.weights = np.full(half[1], 2.0)
-        self.weights[0] = 1.0
-        if n % 2 == 0:
-            self.weights[-1] = 1.0
+        self.weights = np.full(half[1], 2.0)  # bin k2 n1 + k1 weighs by its row k2
+        self.weights[:n1] = 1.0
+        if n2 % 2 == 0:
+            self.weights[-n1:] = 1.0
+        s = math.isqrt(n2 // 2 + 1)  # w^(-k j1) for k = 0, s, 2s, ... and k < s
+        self.twiddles = None if n1 == 1 else tuple(
+            np.exp(-2j * np.pi / n * (np.outer(ks, np.arange(n1)) % n))
+            for ks in (np.arange(0, n2 // 2 + 1, s), np.arange(s)))
 
 
-def half_spectrum(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """lambda_t for 0 <= t <= n/2 of each row of raw inputs X, by one rfft
-    into out if given.
+def _twiddle(spec: np.ndarray, factors) -> None:
+    """Multiply (rows, n2/2 + 1, n1) split spectra in place by the twiddle
+    w^(-k2 j1) = factors[0][u, j1] * factors[1][v, j1] at k2 = u s + v:
+    two tables of about 2 sqrt(n2/2) n1 values in all, not one of n/2."""
+    t1, t2 = factors
+    u, r = divmod(spec.shape[1], len(t2))
+    body = spec[:, : u * len(t2)].reshape(len(spec), u, len(t2), -1)
+    body *= t1[:u, None]
+    body *= t2
+    spec[:, u * len(t2):] *= t1[u:] * t2[:r]
 
-    The remaining eigenvalues are the conjugates lambda_(n-t) = conj(lambda_t).
-    """
-    # "ortho" has pocketfft multiply each output part by 1 / sqrt(n)
-    lam = np.fft.rfft(raw, axis=-1, norm="ortho", out=out)
+
+def half_spectrum(raw: np.ndarray, bufs: BlockBuffers) -> np.ndarray:
+    """The half spectra of rows of raw inputs X, in bufs.lam: lambda_t for
+    0 <= t <= n/2 by one rfft or, split, lambda_(k2 + n2 k1) at bin k2 n1 + k1
+    for 0 <= k2 <= n2/2 (see the module docstring).  The remaining
+    eigenvalues are the conjugates lambda_(n-t) = conj(lambda_t)."""
+    rows = len(raw)
+    lam = bufs.lam[:rows]
+    # "ortho" has pocketfft multiply each output part by 1 / sqrt(length)
+    if bufs.twiddles is None:
+        np.fft.rfft(raw, axis=-1, norm="ortho", out=lam)
+    else:
+        spec = lam.reshape(rows, -1, bufs.n1)
+        np.fft.rfft(raw.reshape(rows, -1, bufs.n1), axis=1, norm="ortho", out=spec)
+        _twiddle(spec, bufs.twiddles)
+        np.fft.fft(spec, axis=2, norm="ortho", out=spec)
     np.conjugate(lam, out=lam)
     return lam
 
@@ -162,7 +197,7 @@ def spectral_norm(lam: np.ndarray, out: np.ndarray | None = None):
 
 def trace_block(lam: np.ndarray, poly: TestPolynomial, bufs: BlockBuffers) -> np.ndarray:
     """Tr P(C) of each row of half spectra: P(lambda_t) reduced with the
-    Hermitian weights 1 at t = 0 and t = n/2 (n even), 2 elsewhere.
+    Hermitian weights bufs.weights (see the module docstring).
 
     The block's temporaries go to bufs.
     """
@@ -173,12 +208,21 @@ def trace_block(lam: np.ndarray, poly: TestPolynomial, bufs: BlockBuffers) -> np
 
 def gradient_block(lam: np.ndarray, n: int, poly: TestPolynomial,
                    bufs: BlockBuffers) -> np.ndarray:
-    """Gradient of X -> Tr P(C(X)) for each row of half spectra:
-    sqrt(n) * irfft(P'(lambda)), written to bufs.grad (see trace_block)."""
+    """Gradient of X -> Tr P(C(X)) for each row of half spectra, in natural
+    order: sqrt(n) * irfft(P'(lambda)), or split an orthonormal ifft along n1,
+    the conjugate twiddles and an orthonormal irfft along n2; in bufs.grad."""
     rows = len(lam)
     if bufs.grad is None:
         bufs.grad = np.empty((len(bufs.raw), n))
     dvals = poly.derivative_values(lam, out=bufs.vals[:rows])
-    grads = np.fft.irfft(dvals, n=n, axis=-1, out=bufs.grad[:rows])
-    grads *= math.sqrt(n)
+    grads = bufs.grad[:rows]
+    if bufs.twiddles is None:
+        np.fft.irfft(dvals, n=n, axis=-1, out=grads)
+        grads *= math.sqrt(n)
+        return grads
+    spec = dvals.reshape(rows, -1, bufs.n1)
+    np.fft.ifft(spec, axis=2, norm="ortho", out=spec)
+    _twiddle(spec, [t.conj() for t in bufs.twiddles])
+    np.fft.irfft(spec, n=bufs.n2, axis=1, norm="ortho",
+                 out=grads.reshape(rows, bufs.n2, bufs.n1))
     return grads

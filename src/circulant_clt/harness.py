@@ -24,10 +24,11 @@ bound requires a smooth symmetric ensemble.
 
 Replicas run in fixed blocks of ensembles.block_rows(n) consecutive
 indices, whatever the worker count.  A block is drawn with one generator
-call, from the substream named by (master_seed, block, n); one rfft
-gives the block's half spectra, and the statistics are reduced from
-those.  Each worker allocates its block arrays once
-(circulant.BlockBuffers) and every block it runs writes into them.
+call, from the substream named by (master_seed, block, n); one rfft,
+two passes from circulant.SPLIT_MIN_N on, gives the block's half spectra,
+and the statistics are reduced from those.  Each worker allocates its
+block arrays once (circulant.BlockBuffers) and every block it runs
+writes into them.
 Blocks run on pool threads at every n, a single one at worker_count 1:
 numpy's FFT scratch is faulted in again on every call on the main
 thread, and not on a pool thread.  worker_count, the block count and
@@ -169,7 +170,7 @@ def _replica_blocks(
 ) -> np.ndarray:
     """Evaluate fn on the half spectra of replicas 0..m-1, block by block.
 
-    fn maps a (rows, n//2 + 1) block of half spectra and the worker's
+    fn maps a (rows, bins) block of half spectra and the worker's
     BlockBuffers, which hold that block, to a (width, rows) array; column
     r of the (width, m) result holds replica r.  Blocks start every
     block_rows(n) replicas and run on a pool of worker_count threads,
@@ -194,7 +195,7 @@ def _replica_blocks(
                 return
             k = min(lo + rows, m) - lo
             block = draw_rows(spec, move_to_block(rng, lo // rows, n), bufs.raw[:k])
-            lam = half_spectrum(block, out=bufs.lam[:k])
+            lam = half_spectrum(block, bufs)
             out[:, lo : lo + k] = fn(lam, bufs)
 
     workers = min(worker_count, len(starts), available_cpus())

@@ -58,8 +58,8 @@ MUTANTS = (
     Mutant(
         "Hermitian weight 2 at t = 0",
         "circulant.py",
-        "self.weights[0] = 1.0",
-        "self.weights[0] = 2.0",
+        "self.weights[:n1] = 1.0",
+        "self.weights[:n1] = 2.0",
         ("tests/test_block_kernel.py::test_block_kernel_matches_per_replica_oracles",),
     ),
     Mutant(
@@ -98,8 +98,8 @@ MUTANTS = (
     Mutant(
         "Hermitian weight 2 at t = n/2",
         "circulant.py",
-        "            self.weights[-1] = 1.0\n",
-        "            self.weights[-1] = 2.0\n",
+        "            self.weights[-n1:] = 1.0\n",
+        "            self.weights[-n1:] = 2.0\n",
         ("tests/test_block_kernel.py::test_block_kernel_matches_per_replica_oracles",),
     ),
     Mutant(
@@ -116,6 +116,30 @@ MUTANTS = (
         "rng = RandomStream(master_seed + _worker).generator(n)",
         ("tests/test_harness.py::TestBlockCursor::"
          "test_a_slow_block_holds_back_no_other",),
+    ),
+    # the next three reach only the split half spectrum; the first is the
+    # weight line of the t = n/2 entry, which is row n2/2 once n is split
+    Mutant(
+        "weight 2 on split row n2/2",
+        "circulant.py",
+        "            self.weights[-n1:] = 1.0\n",
+        "            self.weights[-n1:] = 2.0\n",
+        ("tests/test_block_kernel.py::test_split_kernel_matches_per_replica_oracles",),
+    ),
+    Mutant(
+        "forward twiddle's sign flipped",
+        "circulant.py",
+        "        _twiddle(spec, bufs.twiddles)\n",
+        "        _twiddle(spec, [t.conj() for t in bufs.twiddles])\n",
+        ("tests/test_circulant.py::TestSpectrum::"
+         "test_split_half_spectrum_is_in_k2_k1_order_bin_by_bin",),
+    ),
+    Mutant(
+        "inverse twiddle not conjugated",
+        "circulant.py",
+        "    _twiddle(spec, [t.conj() for t in bufs.twiddles])\n",
+        "    _twiddle(spec, bufs.twiddles)\n",
+        ("tests/test_block_kernel.py::test_split_kernel_matches_per_replica_oracles",),
     ),
 )
 

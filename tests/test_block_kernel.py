@@ -1,7 +1,8 @@
 """Block replica kernel tests: agreement with the per-replica, dense and
-direct-enumeration oracles across block boundaries, and the memory held
-per block.  The oracle comparisons are what catch a wrong Hermitian
-weight or spectrum convention in the half-spectrum reduction."""
+direct-enumeration oracles across block boundaries, on both the one-rfft
+and the split (four-step) half spectrum, and the memory held per block.
+The oracle comparisons are what catch a wrong Hermitian weight, twiddle or
+spectrum convention in the half-spectrum reduction."""
 
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circulant_clt import (
@@ -19,11 +20,12 @@ from circulant_clt import (
     estimate_kappas,
     run_clt_experiment,
 )
-from circulant_clt import harness
+from circulant_clt import circulant, harness
 from circulant_clt.circulant import (
     BlockBuffers,
     gradient_block,
     half_spectrum,
+    spectral_norm,
     trace_block,
 )
 from circulant_clt import ensembles
@@ -53,27 +55,23 @@ polynomials = st.lists(
 ).filter(lambda c: abs(c[-1]) > 0.1).map(lambda c: TestPolynomial(tuple(c)))
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    n=st.integers(2, 40),
-    poly=polynomials,
-    family=st.integers(0, 2),
-    extra=st.integers(1, 5),
-    seed=st.integers(0, 2**64 - 1),
-)
-def test_block_kernel_matches_per_replica_oracles(n, poly, family, extra, seed):
-    spec = FAMILIES[family]
-    # blocks of 256 rows keep the per-replica loop short; the oracles read
-    # the same patched layout
-    with mock.patch.object(ensembles, "BLOCK_VALUES", 256 * n):
-        rows = block_rows(n)
-        m = rows + extra  # the second block is a short one
+def check_against_per_replica_oracles(n, poly, spec, seed, rows, m):
+    """Every kernel output of replicas 0..m-1, in blocks of `rows`, against
+    the per-replica oracles, and the dense oracle on both sides of the first
+    block boundary and at the last replica."""
+    # the oracles read the same patched block layout
+    with mock.patch.object(ensembles, "BLOCK_VALUES", rows * n):
+        assert block_rows(n) == rows
         config = ExperimentConfig(n=n, m=m, poly=poly, ensemble=spec, master_seed=seed)
         traces = run_clt_experiment(config).raw_traces
         grads = harness._replica_blocks(
             spec, n, seed, m, 1,
             lambda lam, bufs: gradient_block(lam, n, poly, bufs).T, width=n,
         )
+        norms = harness._replica_blocks(
+            spec, n, seed, m, 1,
+            lambda lam, bufs: spectral_norm(lam, out=bufs.real[: len(lam)]),
+        )[0]
         quartic, squared, hess4, oracle_traces = [], [], [], []
         for r in range(m):
             lam = build_sample(spec, n, seed, r)
@@ -83,6 +81,7 @@ def test_block_kernel_matches_per_replica_oracles(n, poly, family, extra, seed):
             grad = gradient_trace_polynomial(lam, poly)
             grad_scale = 1.0 + math.sqrt(n) * float(np.max(np.abs(poly.derivative_values(lam))))
             assert np.all(np.abs(grads[:, r] - grad) <= TOL * grad_scale)
+            assert close(norms[r], np.max(np.abs(lam)), 1.0 + norms[r])
             if r in (0, rows - 1, rows, m - 1):  # both sides of the block boundary
                 raw = sample_sequence(spec, n, seed, r)
                 assert close(traces[r], dense_trace_polynomial(raw, poly), scale)
@@ -98,6 +97,77 @@ def test_block_kernel_matches_per_replica_oracles(n, poly, family, extra, seed):
             assert est.kappa1_hat == pytest.approx(np.mean(squared) ** 0.25, rel=TOL)
             assert est.kappa2_hat == pytest.approx(np.mean(hess4) ** 0.25, rel=TOL)
             assert est.sigma2_hat == pytest.approx(np.var(oracle_traces, ddof=1), rel=TOL)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    poly=polynomials,
+    family=st.integers(0, 2),
+    extra=st.integers(1, 5),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_block_kernel_matches_per_replica_oracles(n, poly, family, extra, seed):
+    # blocks of 256 rows keep the per-replica loop short; the second block
+    # is a short one
+    check_against_per_replica_oracles(n, poly, FAMILIES[family], seed, 256, 256 + extra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 48),
+    poly=polynomials,
+    family=st.integers(0, 2),
+    rows=st.integers(1, 4),
+    extra=st.integers(1, 3),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(n=20, poly=POLY_X2_X3, family=0, rows=3, extra=1, seed=1)  # odd n2 = 5, n1 = 4
+@example(n=36, poly=POLY_X2_X3, family=1, rows=2, extra=1, seed=2)  # n2 = n1 = 6
+@example(n=45, poly=POLY_X2_X3, family=2, rows=3, extra=2, seed=3)  # odd n2 = 9, n1 = 5
+@example(n=31, poly=POLY_X2_X3, family=0, rows=2, extra=1, seed=4)  # prime: n1 = 1
+def test_split_kernel_matches_per_replica_oracles(n, poly, family, rows, extra, seed):
+    # the split half spectrum forced down to every n the oracles can run,
+    # in ragged multi-row blocks: m = 2 * rows + extra replicas
+    with mock.patch.object(circulant, "SPLIT_MIN_N", 2):
+        check_against_per_replica_oracles(n, poly, FAMILIES[family], seed, rows,
+                                          2 * rows + extra)
+
+
+@pytest.mark.parametrize("n, split", [(2**15, (256, 128)), (98304, (384, 256)),
+                                      (32771, (32771, 1))])
+def test_kernel_matches_oracles_at_split_sizes(n, split):
+    # from SPLIT_MIN_N on, blocks of one replica: n2 = 384 is not a power of
+    # two, and the prime 32771 keeps one rfft
+    spec, poly, seed, m = EnsembleSpec("gaussian"), TestPolynomial((1.0, 0.5, -0.25)), 23, 2
+    bufs = BlockBuffers(1, n)
+    assert (bufs.n2, bufs.n1) == split and block_rows(n) == 1
+    config = ExperimentConfig(n=n, m=m, poly=poly, ensemble=spec, master_seed=seed,
+                              worker_count=2)
+    traces = run_clt_experiment(config).raw_traces
+    est = estimate_kappas(config)
+    grads = harness._replica_blocks(
+        spec, n, seed, m, 2, lambda lam, bufs: gradient_block(lam, n, poly, bufs).T, width=n)
+    norms = harness._replica_blocks(
+        spec, n, seed, m, 2, lambda lam, bufs: spectral_norm(lam, out=bufs.real[: len(lam)]))[0]
+    quartic, squared, hess4 = [], [], []
+    for r in range(m):
+        lam = build_sample(spec, n, seed, r)
+        scale = 1.0 + float(np.sum(np.abs(poly.evaluate(lam))))
+        assert close(traces[r], trace_polynomial(lam, poly), scale)
+        assert close(norms[r], np.max(np.abs(lam)), 1.0 + norms[r])
+        grad = gradient_trace_polynomial(lam, poly)
+        grad_scale = 1.0 + math.sqrt(n) * float(np.max(np.abs(poly.derivative_values(lam))))
+        assert np.all(np.abs(grads[:, r] - grad) <= TOL * grad_scale)
+        sq = grad * grad
+        quartic.append(np.sum(sq * sq))
+        squared.append(np.sum(sq) ** 2)
+        # the exact Hessian norm (Criterion 09), over the full spectrum
+        hess4.append(np.max(np.abs(poly.second_derivative_values(lam))) ** 4)
+    assert est.kappa0_hat == pytest.approx(math.sqrt(np.mean(quartic)), rel=TOL)
+    assert est.kappa1_hat == pytest.approx(np.mean(squared) ** 0.25, rel=TOL)
+    assert est.kappa2_hat == pytest.approx(np.mean(hess4) ** 0.25, rel=TOL)
+    assert est.sigma2_hat == pytest.approx(np.var(traces, ddof=1), rel=TOL)
 
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
@@ -122,12 +192,16 @@ def test_replicas_on_both_sides_of_a_block_boundary(spec, n):
     p=st.integers(2, 4),
     family=st.integers(0, 2),
     seed=st.integers(0, 2**64 - 1),
+    split=st.booleans(),
 )
-def test_block_kernel_matches_direct_enumeration(n, p, family, seed):
-    # Tr(C^p) by the defining index sum, with no FFT, against one block row
+def test_block_kernel_matches_direct_enumeration(n, p, family, seed, split):
+    # Tr(C^p) by the defining index sum, with no FFT, against one block row,
+    # on the one-rfft or, forced down to small n, the split half spectrum
     raw = sample_sequence(FAMILIES[family], n, seed, 0)
     power = TestPolynomial((0.0,) * (p - 2) + (1.0,))
-    block = trace_block(half_spectrum(raw[None]), power, BlockBuffers(1, n))[0]
+    with mock.patch.object(circulant, "SPLIT_MIN_N", 2 if split else circulant.SPLIT_MIN_N):
+        bufs = BlockBuffers(1, n)
+    block = trace_block(half_spectrum(raw[None], bufs), power, bufs)[0]
     direct = trace_power_direct(raw, p)
     assert abs(block - direct) <= 1e-10 * max(1.0, abs(block), abs(direct))
 
@@ -160,21 +234,28 @@ def traced_peak(kernel, config) -> int:
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_peak_memory_per_worker_independent_of_m(workers):
-    # a worker holds one block's inputs, half spectra and Horner temporaries:
-    # about 2 * n * 16 bytes at n = 2**15, where a block is one replica
+    # at n = 2**15 a block is one replica, split 256 x 128.  A worker holds
+    # its inputs, half spectra, Horner scratch, weights and twiddle factors
+    # (47 KB), about 2.1 * n * 16 bytes, plus, for the kappas, the gradient
+    # (0.5 * n * 16).  Each broadcast twiddle multiply also has numpy's ufunc
+    # machinery allocate an iteration buffer of up to np.getbufsize() = 8192
+    # values (114 KB here), freed when it returns.  Measured: 2.35 (traces)
+    # and 2.94 (kappas) times n * 16 bytes
     n = 2**15
     threads = min(workers, harness.available_cpus())
 
-    def peak(m):
-        return traced_peak(run_clt_experiment, ExperimentConfig(
-            n=n, m=m, poly=TestPolynomial((1.0, 1.0, 0.0, 0.5)),
-            ensemble=EnsembleSpec("rademacher"), master_seed=3, worker_count=workers))
+    for kernel, family in ((run_clt_experiment, "rademacher"),
+                           (estimate_kappas, "uniform_symmetric")):
+        def peak(m):
+            return traced_peak(kernel, ExperimentConfig(
+                n=n, m=m, poly=TestPolynomial((1.0, 1.0, 0.0, 0.5)),
+                ensemble=EnsembleSpec(family), master_seed=3, worker_count=workers))
 
-    small, large = peak(16), peak(64)
-    assert small <= 3 * n * 16 * threads
-    assert large <= 3 * n * 16 * threads
-    if threads == 1:
-        assert abs(large - small) <= 64 * 8 * 4  # only per-replica outputs grow
+        small, large = peak(16), peak(64)
+        assert small <= 3 * n * 16 * threads
+        assert large <= 3 * n * 16 * threads
+        if threads == 1:
+            assert abs(large - small) <= 64 * 8 * 4  # only per-replica outputs grow
 
 
 @pytest.mark.parametrize("workers", [1, 2])

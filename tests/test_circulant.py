@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from circulant_clt import EnsembleSpec, TestPolynomial
-from circulant_clt.circulant import half_spectrum, spectral_norm
+from circulant_clt import EnsembleSpec, TestPolynomial, circulant
+from circulant_clt.circulant import BlockBuffers, half_spectrum, spectral_norm
 from oracles import (
     ImaginaryResidualError,
     build_sample,
@@ -146,10 +146,40 @@ class TestSpectrum:
         # the oracle's order and sign convention, not their conjugates
         raw = draw(spec, n, 6)
         full = spectrum(raw)
-        half = half_spectrum(raw[None])[0]
+        half = half_spectrum(raw[None], BlockBuffers(1, n))[0]
         assert half.shape == (n // 2 + 1,)
         scale = 1.0 + float(np.max(np.abs(full)))
         assert np.all(np.abs(half - full[: n // 2 + 1]) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("spec", [EnsembleSpec(f) for f in
+                                      ("gaussian", "rademacher", "uniform_symmetric")],
+                             ids=lambda s: s.family)
+    @pytest.mark.parametrize("n, split", [(4, (2, 2)), (12, (4, 3)), (20, (5, 4)),
+                                          (45, (9, 5)), (64, (8, 8)), (2**15, (256, 128))])
+    def test_split_half_spectrum_is_in_k2_k1_order_bin_by_bin(self, spec, n, split,
+                                                               monkeypatch):
+        # the split route (forced down to small n) keeps lambda_(k2 + n2 k1)
+        # at bin k2 * n1 + k1 for 0 <= k2 <= n2/2, with weight 1 on rows 0
+        # and n2/2 (n2 even) and 2 elsewhere, which covers every eigenvalue
+        # once up to conjugation
+        monkeypatch.setattr(circulant, "SPLIT_MIN_N", 4)
+        raw = draw(spec, n, 6)
+        full = spectrum(raw)
+        bufs = BlockBuffers(1, n)
+        n2, n1 = split
+        assert (bufs.n2, bufs.n1) == split
+        half = half_spectrum(raw[None], bufs)[0].reshape(n2 // 2 + 1, n1)
+        k2, k1 = np.arange(n2 // 2 + 1)[:, None], np.arange(n1)[None, :]
+        scale = 1.0 + float(np.max(np.abs(full)))
+        assert np.all(np.abs(half - full[k2 + n2 * k1]) <= 1e-12 * scale)
+        weights = bufs.weights.reshape(n2 // 2 + 1, n1)
+        single = [0, n2 // 2] if n2 % 2 == 0 else [0]
+        assert np.all(weights[single] == 1.0)
+        assert np.all(np.delete(weights, single, axis=0) == 2.0)
+        counts = np.zeros(n)
+        np.add.at(counts, (k2 + n2 * k1).ravel(), 1.0)
+        np.add.at(counts, (-(k2 + n2 * k1) % n)[weights == 2.0], 1.0)
+        assert np.all(counts == 1.0)
 
 
 class TestTracePowers:

@@ -108,8 +108,10 @@ class TestConfigValidation:
 
 class TestRunExperiment:
     def test_deterministic_across_worker_counts(self):
+        # 4100 replicas are eight blocks of 512 and a ragged one of 4 at n = 64,
+        # enough that every worker but the first takes a block in practice
         results = [
-            run_clt_experiment(make_config(worker_count=w)) for w in (1, 2, 4, 7)
+            run_clt_experiment(make_config(m=4100, worker_count=w)) for w in (1, 2, 4, 7)
         ]
         for other in results[1:]:
             assert np.array_equal(results[0].w_values, other.w_values)
@@ -444,8 +446,9 @@ class TestSteinMachinery:
         assert 0 < est.tv_bound < math.inf
 
     def test_deterministic_across_worker_counts(self):
-        a = estimate_kappas(make_config(m=30, worker_count=1))
-        b = estimate_kappas(make_config(m=30, worker_count=5))
+        # nine blocks at n = 64, the last one ragged
+        a = estimate_kappas(make_config(m=4100, worker_count=1))
+        b = estimate_kappas(make_config(m=4100, worker_count=5))
         assert a == b
 
     def test_kappa_scaling_with_n(self):
