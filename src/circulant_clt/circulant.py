@@ -27,8 +27,8 @@ appears in the n positions of one diagonal class, giving
 
     d/dX_m Tr P(C) = sqrt(n) * d[(n - m) mod n] = sqrt(n) * ifft(P'(lambda))[m],
 
-which :func:`gradient_block` computes as sqrt(n) * irfft of the half
-spectrum, or split by the inverse passes.
+which :func:`gradient_block` computes as an orthonormal irfft of the half
+spectrum (sqrt(n) times the plain one), or split by the inverse passes.
 """
 
 from __future__ import annotations
@@ -134,7 +134,8 @@ class BlockBuffers:
     one real scratch array of the half-spectrum shape, the Hermitian
     weights, the split (n2, n1), its twiddles (two factors, see _twiddle)
     and, from the first :func:`gradient_block` call, the (rows, n)
-    gradient.  A block of k replicas uses the first k rows of each."""
+    gradient and the conjugate twiddles.  A block of k replicas uses the
+    first k rows of each."""
 
     def __init__(self, rows: int, n: int) -> None:
         n1 = 1
@@ -146,7 +147,7 @@ class BlockBuffers:
         self.lam = np.empty(half, dtype=complex)
         self.vals = np.empty(half, dtype=complex)
         self.real = np.empty(half)
-        self.grad = None
+        self.grad = self.inverse_twiddles = None
         self.weights = np.full(half[1], 2.0)  # bin k2 n1 + k1 weighs by its row k2
         self.weights[:n1] = 1.0
         if n2 % 2 == 0:
@@ -209,20 +210,21 @@ def trace_block(lam: np.ndarray, poly: TestPolynomial, bufs: BlockBuffers) -> np
 def gradient_block(lam: np.ndarray, n: int, poly: TestPolynomial,
                    bufs: BlockBuffers) -> np.ndarray:
     """Gradient of X -> Tr P(C(X)) for each row of half spectra, in natural
-    order: sqrt(n) * irfft(P'(lambda)), or split an orthonormal ifft along n1,
-    the conjugate twiddles and an orthonormal irfft along n2; in bufs.grad."""
+    order: an orthonormal irfft of P'(lambda), or split an orthonormal ifft
+    along n1, the conjugate twiddles and an orthonormal irfft along n2; in
+    bufs.grad."""
     rows = len(lam)
     if bufs.grad is None:
         bufs.grad = np.empty((len(bufs.raw), n))
+        if bufs.twiddles is not None:
+            bufs.inverse_twiddles = tuple(t.conj() for t in bufs.twiddles)
     dvals = poly.derivative_values(lam, out=bufs.vals[:rows])
     grads = bufs.grad[:rows]
     if bufs.twiddles is None:
-        np.fft.irfft(dvals, n=n, axis=-1, out=grads)
-        grads *= math.sqrt(n)
-        return grads
+        return np.fft.irfft(dvals, n=n, axis=-1, norm="ortho", out=grads)
     spec = dvals.reshape(rows, -1, bufs.n1)
     np.fft.ifft(spec, axis=2, norm="ortho", out=spec)
-    _twiddle(spec, [t.conj() for t in bufs.twiddles])
+    _twiddle(spec, bufs.inverse_twiddles)
     np.fft.irfft(spec, n=bufs.n2, axis=1, norm="ortho",
                  out=grads.reshape(rows, bufs.n2, bufs.n1))
     return grads

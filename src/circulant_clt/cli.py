@@ -109,11 +109,15 @@ def config_echo(config: ExperimentConfig) -> dict:
 
 def emit_samples_csv(raw_traces, w_values) -> str:
     # 17 significant digits parse back to the same double without repr's
-    # shortest-digit search; no cell needs CSV quoting, so rows are joined
+    # shortest-digit search; no cell needs CSV quoting, so the whole table
+    # is one % operation over its cells in row order
     traces = np.asarray(raw_traces, dtype=np.float64).tolist()
-    ws = np.asarray(w_values, dtype=np.float64).tolist()
-    return "replica,raw_trace,W\n" + "".join(
-        ["%d,%.17g,%.17g\n" % row for row in zip(range(len(traces)), traces, ws)])
+    m = len(traces)
+    cells = [0] * (3 * m)
+    cells[::3] = range(m)
+    cells[1::3] = traces
+    cells[2::3] = np.asarray(w_values, dtype=np.float64).tolist()
+    return ("replica,raw_trace,W\n" + "%d,%.17g,%.17g\n" * m) % tuple(cells)
 
 
 def emit_summary_json(config: ExperimentConfig, summary=None, stein=None) -> str:

@@ -219,7 +219,9 @@ def standardized_moments(samples) -> np.ndarray:
     # scaled to |x| <= 1 and then to unit variance, so no power overflows
     scaled = centered / peak
     z = scaled / math.sqrt(float(np.mean(scaled**2)))
-    return np.array([float(np.mean(z**k)) for k in range(1, MAX_MOMENT_ORDER + 1)])
+    # products, not z**3 and z**4, which numpy takes through libm pow
+    z2 = z * z
+    return np.array([float(np.mean(p)) for p in (z, z2, z2 * z, z2 * z2)])
 
 
 def ks_distance(samples, variance: float) -> float:

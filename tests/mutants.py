@@ -14,8 +14,8 @@ directory is written.
 It prints one line per mutant and then killed/total, and exits 1 unless
 every mutant was killed.  A mutant whose text is not in its module
 exactly once, or whose selection pytest cannot run (a renamed test, say),
-counts as not killed.  The file is not a test module: Tier-1 does not
-collect it.
+counts as not killed; tests/test_mutants.py checks both in Tier-1.  The
+file is not a test module: Tier-1 does not collect it.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ MUTANTS = (
     Mutant(
         "last samples.csv row dropped",
         "cli.py",
-        "zip(range(len(traces)), traces, ws)",
-        "zip(range(len(traces) - 1), traces, ws)",
+        '"%d,%.17g,%.17g\\n" * m) % tuple(cells)',
+        '"%d,%.17g,%.17g\\n" * (m - 1)) % tuple(cells[:-3])',
         ("tests/test_cli.py::TestEmitters::test_csv_round_trip",),
     ),
     Mutant(
@@ -137,9 +137,42 @@ MUTANTS = (
     Mutant(
         "inverse twiddle not conjugated",
         "circulant.py",
-        "    _twiddle(spec, [t.conj() for t in bufs.twiddles])\n",
-        "    _twiddle(spec, bufs.twiddles)\n",
+        "bufs.inverse_twiddles = tuple(t.conj() for t in bufs.twiddles)",
+        "bufs.inverse_twiddles = bufs.twiddles",
         ("tests/test_block_kernel.py::test_split_kernel_matches_per_replica_oracles",),
+    ),
+    Mutant(
+        "fourth moment from z2 * z",
+        "harness.py",
+        "z2 * z2)",
+        "z2 * z)",
+        ("tests/test_harness.py::TestMoments::test_matches_manual_computation",),
+    ),
+    # the next two replace the locked cursor of _replica_blocks; the first
+    # keeps the next block start on the shared function object
+    Mutant(
+        "unlocked cursor: the next block start read, then advanced",
+        "harness.py",
+        "            with cursor_lock:\n"
+        "                lo = next(cursor, None)\n",
+        "            lo = getattr(run_blocks, 'next_lo', 0)\n"
+        "            if lo >= m:\n"
+        "                return\n"
+        "            run_blocks.next_lo = lo + rows\n",
+        ("tests/test_harness.py::TestBlockCursor::"
+         "test_cursor_under_constant_thread_switches",),
+    ),
+    Mutant(
+        "round-robin dealing: worker w takes every workers-th block from w",
+        "harness.py",
+        "        while True:\n"
+        "            with cursor_lock:\n"
+        "                lo = next(cursor, None)\n"
+        "            if lo is None:\n"
+        "                return\n",
+        "        for lo in starts[_worker::workers]:\n",
+        ("tests/test_harness.py::TestBlockCursor::"
+         "test_a_slow_block_holds_back_no_other",),
     ),
 )
 

@@ -237,10 +237,11 @@ def test_peak_memory_per_worker_independent_of_m(workers):
     # at n = 2**15 a block is one replica, split 256 x 128.  A worker holds
     # its inputs, half spectra, Horner scratch, weights and twiddle factors
     # (47 KB), about 2.1 * n * 16 bytes, plus, for the kappas, the gradient
-    # (0.5 * n * 16).  Each broadcast twiddle multiply also has numpy's ufunc
-    # machinery allocate an iteration buffer of up to np.getbufsize() = 8192
-    # values (114 KB here), freed when it returns.  Measured: 2.35 (traces)
-    # and 2.94 (kappas) times n * 16 bytes
+    # (0.5 * n * 16) and the conjugate twiddles (47 KB).  Each broadcast
+    # twiddle multiply also has numpy's ufunc machinery allocate an
+    # iteration buffer of up to np.getbufsize() = 8192 values (114 KB here),
+    # freed when it returns.  Measured: 2.35 (traces) and 2.94 (kappas)
+    # times n * 16 bytes
     n = 2**15
     threads = min(workers, harness.available_cpus())
 

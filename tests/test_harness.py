@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import threading
+import time
 from statistics import NormalDist
 
 import numpy as np
@@ -315,8 +316,17 @@ class TestBlockCursor:
 
     def test_cursor_under_constant_thread_switches(self, monkeypatch):
         # 8 workers race for 65 small blocks, the last one ragged, while the
-        # interpreter switches threads every microsecond: every block runs
-        # once and the result is one worker's, bit for bit
+        # interpreter switches threads every microsecond and every line of
+        # a worker's loop yields the GIL, so a cursor read apart from its
+        # advance would hand some block out twice: every block runs once
+        # and the result is one worker's, bit for bit
+        def yield_each_line(frame, event, arg):
+            time.sleep(0)
+            return yield_each_line
+
+        def trace_workers(frame, event, arg):
+            return yield_each_line if frame.f_code.co_name == "run_blocks" else None
+
         monkeypatch.setattr(harness, "available_cpus", lambda: 8)
         moved = recording_moves(monkeypatch)
         spec, n = EnsembleSpec("rademacher"), 1024
@@ -332,10 +342,12 @@ class TestBlockCursor:
             harness._replica_blocks(spec, n, 5, m, 8, recording_trace)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        threading.settrace(trace_workers)  # for threads started from here on
         try:
             runner.start()
             runner.join(timeout=60)
         finally:
+            threading.settrace(None)
             sys.setswitchinterval(interval)
         assert not runner.is_alive(), "the pool did not finish within 60 s"
         assert sorted(ran) == list(range(65))
