@@ -12,14 +12,17 @@ each row of a block of replicas is kept (:func:`half_spectrum`), and
     Tr P(C) = sum_t P(lambda_t)
 
 is reduced with Hermitian weights (:func:`trace_block`), P evaluated by
-Horner's rule.  Below SPLIT_MIN_N one rfft per block gives 0 <= t <= n/2,
-weighted 1 at t = 0 and t = n/2 (n even), 2 elsewhere.  From there on, where
-one rfft outgrows the cache, Bailey's four-step FFT splits n = n2 * n1, n1
-the largest divisor at most sqrt(n) (1 for a prime n: one rfft): an rfft
-along n2 of X as an (n2, n1) array, twiddles w^(-k2 j1), an fft along n1.
-Bin (k2, k1) holds lambda_(k2 + n2 k1) for 0 <= k2 <= n2/2; rows 0 and n2/2
-(n2 even) weigh 1, the others 2.  Weight-1 bins pair into conjugates, so
-the reduction takes the real part of every bin.
+Horner's rule.  The bins are left as numpy's forward transform gives
+them, sum_k x_k w^(-t k) = lambda_(n-t) at bin t: with real coefficients
+Re P, |P''| and |lambda| are the same for conj(lambda).  Below SPLIT_MIN_N
+one rfft per block gives 0 <= t <= n/2, weighted 1 at t = 0 and t = n/2
+(n even), 2 elsewhere.  From there on, where one rfft outgrows the cache,
+Bailey's four-step FFT splits n = n2 * n1, n1 the largest divisor at most
+sqrt(n) (1 for a prime n: one rfft): an rfft along n2 of X as an (n2, n1)
+array, twiddles w^(-k2 j1), an fft along n1.  Bin (k2, k1) holds
+lambda_(-(k2 + n2 k1) mod n) for 0 <= k2 <= n2/2; rows 0 and n2/2 (n2
+even) weigh 1, the others 2.  Weight-1 bins pair into conjugates, so the
+reduction takes the real part of every bin.
 
 The gradient of X -> Tr P(C(X)) is exact matrix calculus: P'(C) is itself
 circulant with first-row symbol d = fft(P'(lambda)) / n, and each X_m
@@ -27,8 +30,9 @@ appears in the n positions of one diagonal class, giving
 
     d/dX_m Tr P(C) = sqrt(n) * d[(n - m) mod n] = sqrt(n) * ifft(P'(lambda))[m],
 
-which :func:`gradient_block` computes as an orthonormal irfft of the half
-spectrum (sqrt(n) times the plain one), or split by the inverse passes.
+which :func:`gradient_block` computes from the conjugates of P' of the
+bins as an orthonormal irfft (sqrt(n) times the plain one), or split by
+the inverse passes.
 """
 
 from __future__ import annotations
@@ -131,11 +135,10 @@ class TestPolynomial:
 class BlockBuffers:
     """The arrays one worker reuses for every block of at most `rows`
     replicas of size n: the raw inputs, the half spectra, one complex and
-    one real scratch array of the half-spectrum shape, the Hermitian
-    weights, the split (n2, n1), its twiddles (two factors, see _twiddle)
-    and, from the first :func:`gradient_block` call, the (rows, n)
-    gradient and the conjugate twiddles.  A block of k replicas uses the
-    first k rows of each."""
+    one real scratch array of the half-spectrum shape, the split (n2, n1),
+    its twiddles (two factors, see _twiddle) and, from the first
+    :func:`gradient_block` call, the (rows, n) gradient and the conjugate
+    twiddles.  A block of k replicas uses the first k rows of each."""
 
     def __init__(self, rows: int, n: int) -> None:
         n1 = 1
@@ -148,10 +151,6 @@ class BlockBuffers:
         self.vals = np.empty(half, dtype=complex)
         self.real = np.empty(half)
         self.grad = self.inverse_twiddles = None
-        self.weights = np.full(half[1], 2.0)  # bin k2 n1 + k1 weighs by its row k2
-        self.weights[:n1] = 1.0
-        if n2 % 2 == 0:
-            self.weights[-n1:] = 1.0
         s = math.isqrt(n2 // 2 + 1)  # w^(-k j1) for k = 0, s, 2s, ... and k < s
         self.twiddles = None if n1 == 1 else tuple(
             np.exp(-2j * np.pi / n * (np.outer(ks, np.arange(n1)) % n))
@@ -171,10 +170,10 @@ def _twiddle(spec: np.ndarray, factors) -> None:
 
 
 def half_spectrum(raw: np.ndarray, bufs: BlockBuffers) -> np.ndarray:
-    """The half spectra of rows of raw inputs X, in bufs.lam: lambda_t for
-    0 <= t <= n/2 by one rfft or, split, lambda_(k2 + n2 k1) at bin k2 n1 + k1
-    for 0 <= k2 <= n2/2 (see the module docstring).  The remaining
-    eigenvalues are the conjugates lambda_(n-t) = conj(lambda_t)."""
+    """The half spectra of rows of raw inputs X, in bufs.lam, unconjugated:
+    lambda_(n-t) at bin t for 0 <= t <= n/2 by one rfft or, split,
+    lambda_(-(k2 + n2 k1) mod n) at bin k2 n1 + k1 for 0 <= k2 <= n2/2 (see
+    the module docstring); the other eigenvalues are their conjugates."""
     rows = len(raw)
     lam = bufs.lam[:rows]
     # "ortho" has pocketfft multiply each output part by 1 / sqrt(length)
@@ -185,7 +184,6 @@ def half_spectrum(raw: np.ndarray, bufs: BlockBuffers) -> np.ndarray:
         np.fft.rfft(raw.reshape(rows, -1, bufs.n1), axis=1, norm="ortho", out=spec)
         _twiddle(spec, bufs.twiddles)
         np.fft.fft(spec, axis=2, norm="ortho", out=spec)
-    np.conjugate(lam, out=lam)
     return lam
 
 
@@ -197,28 +195,32 @@ def spectral_norm(lam: np.ndarray, out: np.ndarray | None = None):
 
 
 def trace_block(lam: np.ndarray, poly: TestPolynomial, bufs: BlockBuffers) -> np.ndarray:
-    """Tr P(C) of each row of half spectra: P(lambda_t) reduced with the
-    Hermitian weights bufs.weights (see the module docstring).
-
-    The block's temporaries go to bufs.
-    """
+    """Tr P(C) of each row of half spectra: Re P of the bins, with the
+    Hermitian weights (see the module docstring) folded into the sum: the
+    weight-1 bins are halved in place in bufs.vals and the plain sum doubled.
+    Scaling by 2 is exact, so that is the weighted sum bit for bit, unless
+    a halved value is subnormal and loses its last bit."""
     rows = len(lam)
-    vals = poly.evaluate(lam, out=bufs.vals[:rows])
-    return np.multiply(vals.real, bufs.weights, out=bufs.real[:rows]).sum(axis=1)
+    re = poly.evaluate(lam, out=bufs.vals[:rows]).real
+    re[:, : bufs.n1] *= 0.5
+    if bufs.n2 % 2 == 0:
+        re[:, -bufs.n1 :] *= 0.5
+    return re.sum(axis=1) * 2.0
 
 
 def gradient_block(lam: np.ndarray, n: int, poly: TestPolynomial,
                    bufs: BlockBuffers) -> np.ndarray:
     """Gradient of X -> Tr P(C(X)) for each row of half spectra, in natural
-    order: an orthonormal irfft of P'(lambda), or split an orthonormal ifft
-    along n1, the conjugate twiddles and an orthonormal irfft along n2; in
-    bufs.grad."""
+    order: P' of the bins, conjugated in place to P'(lambda_t) at bin t,
+    then an orthonormal irfft or, split, an orthonormal ifft along n1, the
+    conjugate twiddles and an orthonormal irfft along n2; in bufs.grad."""
     rows = len(lam)
     if bufs.grad is None:
         bufs.grad = np.empty((len(bufs.raw), n))
         if bufs.twiddles is not None:
             bufs.inverse_twiddles = tuple(t.conj() for t in bufs.twiddles)
     dvals = poly.derivative_values(lam, out=bufs.vals[:rows])
+    np.conjugate(dvals, out=dvals)
     grads = bufs.grad[:rows]
     if bufs.twiddles is None:
         return np.fft.irfft(dvals, n=n, axis=-1, norm="ortho", out=grads)

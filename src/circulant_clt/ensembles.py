@@ -148,19 +148,20 @@ def draw_rows(spec: EnsembleSpec, rng: np.random.Generator, out: np.ndarray) -> 
     come from ``standard_normal``; uniform rows are sqrt(3)*(2U - 1) for
     standard uniforms U from ``random``; Rademacher rows are 2B - 1 for
     the bits B of the block's ``random_raw`` words, least significant bit
-    first.
+    first, mapped to signs in int8 and cast to float once.
     """
     if spec.family == "rademacher":
         words = rng.bit_generator.random_raw(-(-out.size // 64)).astype("<u8", copy=False)
         bits = np.unpackbits(words.view(np.uint8), count=out.size, bitorder="little")
-        np.copyto(out, bits.reshape(out.shape))
+        signs = bits.view(np.int8)
+        signs *= 2
+        signs -= 1
+        np.copyto(out, signs.reshape(out.shape))
     elif spec.family == "gaussian":
         rng.standard_normal(out=out)
     else:
         rng.random(out=out)
-    if spec.family != "gaussian":
         out *= 2.0
         out -= 1.0
-    if spec.family == "uniform_symmetric":
         out *= UNIFORM_HALF_WIDTH
     return out

@@ -58,17 +58,32 @@ MUTANTS = (
     Mutant(
         "Hermitian weight 2 at t = 0",
         "circulant.py",
-        "self.weights[:n1] = 1.0",
-        "self.weights[:n1] = 2.0",
+        "re[:, : bufs.n1] *= 0.5",
+        "re[:, : bufs.n1] *= 1.0",
         ("tests/test_block_kernel.py::test_block_kernel_matches_per_replica_oracles",),
     ),
     Mutant(
-        "half spectrum not conjugated",
+        "P' not conjugated in gradient_block",
         "circulant.py",
-        "    np.conjugate(lam, out=lam)\n",
+        "    np.conjugate(dvals, out=dvals)\n",
         "",
+        ("tests/test_block_kernel.py::test_block_kernel_matches_per_replica_oracles",),
+    ),
+    Mutant(
+        "np.conjugate(lam, out=lam) put back in half_spectrum",
+        "circulant.py",
+        "        np.fft.fft(spec, axis=2, norm=\"ortho\", out=spec)\n    return lam\n",
+        "        np.fft.fft(spec, axis=2, norm=\"ortho\", out=spec)\n"
+        "    np.conjugate(lam, out=lam)\n    return lam\n",
         ("tests/test_circulant.py::TestSpectrum::"
          "test_half_spectrum_is_the_first_half_bin_by_bin",),
+    ),
+    Mutant(
+        "Rademacher bits cast without the sign map",
+        "ensembles.py",
+        "        signs *= 2\n        signs -= 1\n",
+        "",
+        ("tests/test_ensembles.py::TestSampling::test_rademacher_rows_pin_the_stream",),
     ),
     Mutant(
         "kappa2 from the majorant m2(max_t |lambda_t|) instead of max_t |P''(lambda_t)|",
@@ -95,12 +110,14 @@ MUTANTS = (
         '"%d,%.17g,%.17g\\n" * (m - 1)) % tuple(cells[:-3])',
         ("tests/test_cli.py::TestEmitters::test_csv_round_trip",),
     ),
+    # row n2/2 once n is split: one halving line, both kernel oracles
     Mutant(
         "Hermitian weight 2 at t = n/2",
         "circulant.py",
-        "            self.weights[-n1:] = 1.0\n",
-        "            self.weights[-n1:] = 2.0\n",
-        ("tests/test_block_kernel.py::test_block_kernel_matches_per_replica_oracles",),
+        "re[:, -bufs.n1 :] *= 0.5",
+        "re[:, -bufs.n1 :] *= 1.0",
+        ("tests/test_block_kernel.py::test_block_kernel_matches_per_replica_oracles",
+         "tests/test_block_kernel.py::test_split_kernel_matches_per_replica_oracles"),
     ),
     Mutant(
         "Horner steps swapped: the coefficient added before the multiply",
@@ -117,15 +134,7 @@ MUTANTS = (
         ("tests/test_harness.py::TestBlockCursor::"
          "test_a_slow_block_holds_back_no_other",),
     ),
-    # the next three reach only the split half spectrum; the first is the
-    # weight line of the t = n/2 entry, which is row n2/2 once n is split
-    Mutant(
-        "weight 2 on split row n2/2",
-        "circulant.py",
-        "            self.weights[-n1:] = 1.0\n",
-        "            self.weights[-n1:] = 2.0\n",
-        ("tests/test_block_kernel.py::test_split_kernel_matches_per_replica_oracles",),
-    ),
+    # the next two reach only the split half spectrum
     Mutant(
         "forward twiddle's sign flipped",
         "circulant.py",

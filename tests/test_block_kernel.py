@@ -206,6 +206,31 @@ def test_block_kernel_matches_direct_enumeration(n, p, family, seed, split):
     assert abs(block - direct) <= 1e-10 * max(1.0, abs(block), abs(direct))
 
 
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+@pytest.mark.parametrize("n, split, rows", [
+    (2, (2, 1), 1), (3, (3, 1), 1), (64, (64, 1), 1), (65, (65, 1), 1),
+    (2, (2, 1), 5), (64, (64, 1), 4), (65, (65, 1), 3),
+    (36, (6, 6), 1), (36, (6, 6), 3),  # even n2: row n2/2 weighs 1
+    (45, (9, 5), 1), (45, (9, 5), 2),  # odd n2
+    (2**15, (256, 128), 1),  # SPLIT_MIN_N itself: 16512 bins
+])
+def test_trace_block_is_the_weighted_sum_bit_for_bit(spec, n, split, rows):
+    # trace_block halves the weight-1 bins and doubles the plain sum; as
+    # scaling by 2 is exact, that is the sum of the weighted real parts
+    # bit for bit, with weight 1 on rows 0 and n2/2 (n2 even), 2 elsewhere
+    poly = TestPolynomial((0.5, -1.0, 0.75))
+    forced = split[1] > 1 and n < circulant.SPLIT_MIN_N
+    with mock.patch.object(circulant, "SPLIT_MIN_N", 2 if forced else circulant.SPLIT_MIN_N):
+        bufs = BlockBuffers(rows, n)
+    assert (bufs.n2, bufs.n1) == split
+    raw = np.stack([sample_sequence(spec, n, 29, r) for r in range(rows)])
+    lam = half_spectrum(raw, bufs)
+    w = np.full((bufs.n2 // 2 + 1, bufs.n1), 2.0)
+    w[[0, bufs.n2 // 2] if bufs.n2 % 2 == 0 else [0]] = 1.0
+    expected = np.multiply(poly.evaluate(lam).real, w.ravel()).sum(axis=1)
+    assert trace_block(lam, poly, bufs).tobytes() == expected.tobytes()
+
+
 def test_block_rows_bound_the_values_per_block():
     for n in (2, 3, 31, 32, 33, 64, 150, 1000, 4096, 8191):
         assert 1 <= block_rows(n) * n <= ensembles.BLOCK_VALUES
@@ -235,13 +260,13 @@ def traced_peak(kernel, config) -> int:
 @pytest.mark.parametrize("workers", [1, 2])
 def test_peak_memory_per_worker_independent_of_m(workers):
     # at n = 2**15 a block is one replica, split 256 x 128.  A worker holds
-    # its inputs, half spectra, Horner scratch, weights and twiddle factors
-    # (47 KB), about 2.1 * n * 16 bytes, plus, for the kappas, the gradient
-    # (0.5 * n * 16) and the conjugate twiddles (47 KB).  Each broadcast
-    # twiddle multiply also has numpy's ufunc machinery allocate an
-    # iteration buffer of up to np.getbufsize() = 8192 values (114 KB here),
-    # freed when it returns.  Measured: 2.35 (traces) and 2.94 (kappas)
-    # times n * 16 bytes
+    # its inputs, half spectra, Horner scratch, real scratch and twiddle
+    # factors (47 KB), about 1.85 * n * 16 bytes, plus, for the kappas, the
+    # gradient (0.5 * n * 16) and the conjugate twiddles (47 KB).  Each
+    # broadcast twiddle multiply also has numpy's ufunc machinery allocate
+    # an iteration buffer of up to np.getbufsize() = 8192 values (114 KB
+    # here), freed when it returns.  Measured: 2.09 (traces) and 2.68
+    # (kappas) times n * 16 bytes
     n = 2**15
     threads = min(workers, harness.available_cpus())
 
@@ -265,7 +290,7 @@ def test_peak_memory_per_worker_independent_of_m(workers):
 def test_peak_memory_of_multi_row_blocks_independent_of_m(kernel, workers):
     # at n = 4096 a block holds 8 replicas; a worker holds one block's
     # inputs, half spectra and Horner or gradient temporaries, measured at
-    # about 1.9 (traces) and 2.5 (kappas) times BLOCK_VALUES * 16 bytes
+    # about 1.78 (traces) and 2.28-2.32 (kappas) times BLOCK_VALUES * 16 bytes
     n = 4096
     assert block_rows(n) == 8
     threads = min(workers, harness.available_cpus())

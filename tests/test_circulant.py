@@ -142,14 +142,16 @@ class TestSpectrum:
                              ids=lambda s: s.family)
     @pytest.mark.parametrize("n", [2, 3, 8, 9, 64])
     def test_half_spectrum_is_the_first_half_bin_by_bin(self, spec, n):
-        # the block kernel's rfft route keeps lambda_t for 0 <= t <= n/2 in
-        # the oracle's order and sign convention, not their conjugates
+        # the block kernel's rfft route keeps numpy's first n/2 + 1 bins as
+        # they are: bin t holds the oracle's lambda_((n - t) mod n), the
+        # conjugate of lambda_t
         raw = draw(spec, n, 6)
         full = spectrum(raw)
         half = half_spectrum(raw[None], BlockBuffers(1, n))[0]
         assert half.shape == (n // 2 + 1,)
         scale = 1.0 + float(np.max(np.abs(full)))
-        assert np.all(np.abs(half - full[: n // 2 + 1]) <= 1e-12 * scale)
+        t = np.arange(n // 2 + 1)
+        assert np.all(np.abs(half - full[(n - t) % n]) <= 1e-12 * scale)
 
     @pytest.mark.parametrize("spec", [EnsembleSpec(f) for f in
                                       ("gaussian", "rademacher", "uniform_symmetric")],
@@ -158,10 +160,11 @@ class TestSpectrum:
                                           (45, (9, 5)), (64, (8, 8)), (2**15, (256, 128))])
     def test_split_half_spectrum_is_in_k2_k1_order_bin_by_bin(self, spec, n, split,
                                                                monkeypatch):
-        # the split route (forced down to small n) keeps lambda_(k2 + n2 k1)
-        # at bin k2 * n1 + k1 for 0 <= k2 <= n2/2, with weight 1 on rows 0
-        # and n2/2 (n2 even) and 2 elsewhere, which covers every eigenvalue
-        # once up to conjugation
+        # the split route (forced down to small n) keeps
+        # lambda_(-(k2 + n2 k1) mod n) at bin k2 * n1 + k1 for 0 <= k2 <= n2/2;
+        # with weight 1 on rows 0 and n2/2 (n2 even) and 2 elsewhere, as
+        # trace_block weighs them, that covers every eigenvalue once up to
+        # conjugation
         monkeypatch.setattr(circulant, "SPLIT_MIN_N", 4)
         raw = draw(spec, n, 6)
         full = spectrum(raw)
@@ -171,14 +174,13 @@ class TestSpectrum:
         half = half_spectrum(raw[None], bufs)[0].reshape(n2 // 2 + 1, n1)
         k2, k1 = np.arange(n2 // 2 + 1)[:, None], np.arange(n1)[None, :]
         scale = 1.0 + float(np.max(np.abs(full)))
-        assert np.all(np.abs(half - full[k2 + n2 * k1]) <= 1e-12 * scale)
-        weights = bufs.weights.reshape(n2 // 2 + 1, n1)
-        single = [0, n2 // 2] if n2 % 2 == 0 else [0]
-        assert np.all(weights[single] == 1.0)
-        assert np.all(np.delete(weights, single, axis=0) == 2.0)
+        held = -(k2 + n2 * k1) % n
+        assert np.all(np.abs(half - full[held]) <= 1e-12 * scale)
+        weights = np.full((n2 // 2 + 1, n1), 2.0)
+        weights[[0, n2 // 2] if n2 % 2 == 0 else [0]] = 1.0
         counts = np.zeros(n)
-        np.add.at(counts, (k2 + n2 * k1).ravel(), 1.0)
-        np.add.at(counts, (-(k2 + n2 * k1) % n)[weights == 2.0], 1.0)
+        np.add.at(counts, held.ravel(), 1.0)
+        np.add.at(counts, (-held % n)[weights == 2.0], 1.0)
         assert np.all(counts == 1.0)
 
 

@@ -21,7 +21,7 @@ from circulant_clt import (
     run_clt_experiment,
 )
 from circulant_clt import harness
-from circulant_clt.circulant import trace_block
+from circulant_clt.circulant import BlockBuffers, trace_block
 from circulant_clt.cli import parse_config
 from circulant_clt.ensembles import block_rows
 from circulant_clt.harness import ks_distance, standardized_moments
@@ -222,6 +222,26 @@ class TestRunExperiment:
         for other_traces, other_kappas in results[1:]:
             assert np.array_equal(other_traces, traces)
             assert other_kappas == kappas
+
+    @pytest.mark.parametrize("n, split", [(2**15, (256, 128)), (59049, (243, 243))])
+    def test_worker_invariance_at_split_sizes(self, n, split):
+        # from SPLIT_MIN_N on, blocks of one replica on the split half
+        # spectrum, with n2 = 243 odd at 3^10: 5 blocks on 1, 2, 3 or 7
+        # workers, Rademacher traces as in the large-n benchmark and the
+        # kappas of a smooth family
+        bufs = BlockBuffers(1, n)
+        assert (bufs.n2, bufs.n1) == split and block_rows(n) == 1
+        poly = TestPolynomial((1.0, 1.0, 0.0, 0.5))
+        results = []
+        for worker_count in (1, 2, 3, 7):
+            signs, smooth = (make_config(n=n, m=5, poly=poly, ensemble=EnsembleSpec(f),
+                                         worker_count=worker_count)
+                             for f in ("rademacher", "uniform_symmetric"))
+            results.append((run_clt_experiment(signs).raw_traces.tobytes(),
+                            run_clt_experiment(smooth).raw_traces.tobytes(),
+                            estimate_kappas(smooth)))
+        for other in results[1:]:
+            assert other == results[0]
 
     @pytest.mark.parametrize("spec", [EnsembleSpec(f) for f in
                                       ("gaussian", "rademacher", "uniform_symmetric")],
