@@ -1,4 +1,4 @@
-"""Circulant realizations: half spectra, traces, gradients, norms.
+"""Circulant realizations: half spectra, traces, gradients.
 
 A circulant matrix here has entry (i, j) equal to x[(j - i) mod n], where
 x = X / sqrt(n) is the scaled first row built from raw inputs X.  A
@@ -134,8 +134,8 @@ class TestPolynomial:
 
 class BlockBuffers:
     """The arrays one worker reuses for every block of at most `rows`
-    replicas of size n: the raw inputs, the half spectra, one complex and
-    one real scratch array of the half-spectrum shape, the split (n2, n1),
+    replicas of size n: the raw inputs, the half spectra, one complex
+    scratch array of the half-spectrum shape, the split (n2, n1),
     its twiddles (two factors, see _twiddle) and, from the first
     :func:`gradient_block` call, the (rows, n) gradient and the conjugate
     twiddles.  A block of k replicas uses the first k rows of each."""
@@ -149,7 +149,6 @@ class BlockBuffers:
         self.raw = np.empty((rows, n))
         self.lam = np.empty(half, dtype=complex)
         self.vals = np.empty(half, dtype=complex)
-        self.real = np.empty(half)
         self.grad = self.inverse_twiddles = None
         s = math.isqrt(n2 // 2 + 1)  # w^(-k j1) for k = 0, s, 2s, ... and k < s
         self.twiddles = None if n1 == 1 else tuple(
@@ -185,13 +184,6 @@ def half_spectrum(raw: np.ndarray, bufs: BlockBuffers) -> np.ndarray:
         _twiddle(spec, bufs.twiddles)
         np.fft.fft(spec, axis=2, norm="ortho", out=spec)
     return lam
-
-
-def spectral_norm(lam: np.ndarray, out: np.ndarray | None = None):
-    """Operator norm max_t |lambda_t| along the last axis; circulant matrices
-    are normal, and a half spectrum holds every modulus.  out, if given,
-    receives the moduli."""
-    return np.abs(lam, out=out).max(axis=-1)
 
 
 def trace_block(lam: np.ndarray, poly: TestPolynomial, bufs: BlockBuffers) -> np.ndarray:

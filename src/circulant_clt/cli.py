@@ -1,14 +1,14 @@
 """Command-line front end: config parsing, study dispatch, CSV/JSON output.
 
-Subcommands: variance, density-table, simulate, tv-bound, norm-scaling.
+Subcommands: variance, simulate, tv-bound.
 Exit codes: 0 success, 2 refusal or a failed allocation, 3 I/O failure.
 A subcommand prints the report it writes, once the file is written.
 
 Configs are JSON key-value documents (or equivalent inline flags) with
 keys n, poly, family, seed, m, worker_count.  Polynomials are dense
 coefficient lists from degree 0 upward; the constant and degree-one
-entries must be zero.  summary.json and table.csv serialize floats with
-their shortest round-trip representation, samples.csv with 17 significant
+entries must be zero.  summary.json serializes floats with their
+shortest round-trip representation, samples.csv with 17 significant
 digits; either way parsing an emitted document reproduces every numeric
 field bit-exactly.
 """
@@ -26,24 +26,14 @@ import numpy as np
 
 from . import __version__
 from .circulant import TestPolynomial
-from .combinatorics import euler_frobenius_density, limiting_variance, slice_table
+from .combinatorics import limiting_variance
 from .ensembles import EnsembleSpec
 from .errors import ConfigError
-from .harness import (
-    ExperimentConfig,
-    available_cpus,
-    estimate_kappas,
-    norm_scaling_study,
-    run_clt_experiment,
-)
+from .harness import ExperimentConfig, available_cpus, estimate_kappas, run_clt_experiment
 
 OUTPUT_DIR_ENV = "CIRCULANT_CLT_OUT"
 CONFIG_KEYS = frozenset({"n", "poly", "family", "seed", "m", "worker_count"})
 DEFAULT_REPLICAS = 2000
-# Largest density-table degree: the largest p whose whole run, with n as
-# large as the digit limit allows, stays within about 0.9 s in a fresh
-# interpreter; 0.7-0.8 s at p = 240 (CHANGES.md).
-MAX_TABLE_P = 240
 
 EXIT_OK = 0
 EXIT_REFUSED = 2
@@ -149,12 +139,6 @@ def _report(path: Path, content: str) -> None:
     sys.stdout.write(content)
 
 
-def _write_table(out: Path, header, rows) -> None:
-    # ints and float reprs never need CSV quoting, so rows are joined directly
-    _report(out / "table.csv",
-            "".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
-
-
 def _config_from_options(args: argparse.Namespace) -> ExperimentConfig:
     data = {key: getattr(args, key) for key in sorted(CONFIG_KEYS)
             if getattr(args, key) is not None}
@@ -165,40 +149,21 @@ def _config_from_options(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"--config cannot be combined with {flags}")
         return parse_config(Path(args.config).read_text(encoding="utf-8"))
     if "poly" in data:
-        data["poly"] = _parse_list(data["poly"], float, "polynomial coefficients")
+        data["poly"] = _parse_poly(data["poly"])
     return parse_config(data)
 
 
-def _parse_list(text: str, parse, what: str) -> list:
+def _parse_poly(text: str) -> list[float]:
     try:
-        return [parse(part) for part in text.split(",")]
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"could not parse {what} {text!r}") from exc
+        raise ConfigError(f"could not parse polynomial coefficients {text!r}") from exc
 
 
 def _cmd_variance(args: argparse.Namespace, out: Path) -> None:
-    coeffs = _parse_list(args.poly, float, "polynomial coefficients")
-    exact = limiting_variance(TestPolynomial.from_dense(coeffs))
+    exact = limiting_variance(TestPolynomial.from_dense(_parse_poly(args.poly)))
     print(exact)
     print(float(exact))
-
-
-def _cmd_density_table(args: argparse.Namespace, out: Path) -> None:
-    p, n = args.p, args.n
-    if p < 2:
-        raise ConfigError("p must be at least 2")
-    if p > MAX_TABLE_P:
-        raise ConfigError(f"--p {p} is above {MAX_TABLE_P}, the largest table "
-                          f"density-table computes")
-    # 0 (no limit) where Python predates the limit or it is switched off
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digits and n ** (p - 1) >= 10**digits:
-        raise ConfigError(f"--n is too large for --p {p}: counts reach n^(p-1), "
-                          f"more than the {digits} digits Python writes as text")
-    f = [euler_frobenius_density(p, s) for s in range(p)]
-    _write_table(out, ["p", "s", "n", "count", "density", "f_density", "gap"],
-                 ([p, row.s, n, row.count, float(row.density), float(f[row.s]),
-                   float(abs(row.density - f[row.s]))] for row in slice_table(p, n)))
 
 
 def _cmd_simulate(args: argparse.Namespace, out: Path) -> None:
@@ -212,14 +177,6 @@ def _cmd_tv_bound(args: argparse.Namespace, out: Path) -> None:
     config = _config_from_options(args)
     stein = estimate_kappas(config)
     _report(out / "summary.json", emit_summary_json(config, stein=stein))
-
-
-def _cmd_norm_scaling(args: argparse.Namespace, out: Path) -> None:
-    ensemble = EnsembleSpec(args.family)
-    sizes = _parse_list(args.sizes, int, "sizes")
-    rows = norm_scaling_study(ensemble, sizes, args.trials, master_seed=args.seed)
-    _write_table(out, ["n", "trials", "max_ratio", "mean_ratio"],
-                 ([row.n, row.trials, row.max_ratio, row.mean_ratio] for row in rows))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -249,11 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_variance)
     p.add_argument("--poly", required=True)
 
-    p = sub.add_parser("density-table", help="slice counts and densities as CSV")
-    p.set_defaults(run=_cmd_density_table)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
     p = sub.add_parser("simulate", help="run the Monte Carlo CLT experiment")
     p.set_defaults(run=_cmd_simulate)
     add_experiment_flags(p)
@@ -261,13 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tv-bound", help="assemble the total-variation bound")
     p.set_defaults(run=_cmd_tv_bound)
     add_experiment_flags(p)
-
-    p = sub.add_parser("norm-scaling", help="spectral norm vs sqrt(log n)")
-    p.set_defaults(run=_cmd_norm_scaling)
-    p.add_argument("--family", default="gaussian")
-    p.add_argument("--sizes", required=True, help="comma-separated sizes")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
 
     return parser
 

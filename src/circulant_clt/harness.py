@@ -50,7 +50,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -59,7 +59,6 @@ from .circulant import (
     TestPolynomial,
     gradient_block,
     half_spectrum,
-    spectral_norm,
     trace_block,
 )
 from .combinatorics import limiting_variance
@@ -301,9 +300,12 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
         np.square(sq, out=sq)
         squared = sq.sum(axis=1) ** 2
         quartic = np.square(sq, out=sq).sum(axis=1)
-        rows = len(lam)
-        second = poly.second_derivative_values(lam, out=bufs.vals[:rows])
-        hess = np.abs(second, out=bufs.real[:rows]).max(axis=1)
+        # the gradient is read: its first lam.size values take the moduli,
+        # one contiguous (rows, bins) block (lam's shape: P'' of a degree-2
+        # polynomial is a scalar)
+        second = poly.second_derivative_values(lam, out=bufs.vals[: len(lam)])
+        moduli = sq.reshape(-1)[: lam.size].reshape(lam.shape)
+        hess = np.abs(second, out=moduli).max(axis=1)
         return quartic, squared, hess**4, trace_block(lam, poly, bufs)
 
     quartic, squared, hess4, traces = _replica_blocks(
@@ -327,41 +329,3 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
         c1=c1,
         c2=c2,
     )
-
-
-@dataclass(frozen=True)
-class NormScalingRow:
-    n: int
-    trials: int
-    max_ratio: float
-    mean_ratio: float
-
-
-def norm_scaling_study(
-    spec: EnsembleSpec,
-    sizes: Sequence[int],
-    trials: int,
-    master_seed: int = 0,
-) -> list[NormScalingRow]:
-    """Spectral norm against sqrt(log n): max and mean ratio per size.
-
-    Every builtin ensemble qualifies; smoothness is not needed here.
-    """
-    trials, master_seed, *sizes = require_integers(
-        trials=trials, master_seed=master_seed,
-        **{f"sizes[{i}]": n for i, n in enumerate(sizes)}).values()
-    if trials < 1:
-        raise ValueError("need at least one trial per size")
-    RandomStream(master_seed)  # refuses a seed outside [0, 2**64)
-    if any(n < 2 for n in sizes):
-        raise ValueError("sizes must be at least 2")
-    rows = []
-    for n in sizes:
-        norms = _replica_blocks(
-            spec, n, master_seed, trials, 1,
-            lambda lam, bufs: spectral_norm(lam, out=bufs.real[: len(lam)]),
-        )[0]
-        ratios = norms / math.sqrt(math.log(n))
-        rows.append(NormScalingRow(n, trials, float(ratios.max()),
-                                   float(ratios.mean())))
-    return rows

@@ -88,12 +88,33 @@ MUTANTS = (
     Mutant(
         "kappa2 from the majorant m2(max_t |lambda_t|) instead of max_t |P''(lambda_t)|",
         "harness.py",
-        "        hess = np.abs(second, out=bufs.real[:rows]).max(axis=1)\n",
+        "        moduli = sq.reshape(-1)[: lam.size].reshape(lam.shape)\n"
+        "        hess = np.abs(second, out=moduli).max(axis=1)\n",
         "        hess = np.polynomial.polynomial.polyval(\n"
         "            np.abs(lam).max(axis=1),\n"
         "            [k * (k - 1) * abs(a) for k, a in poly.terms()])\n",
         ("tests/test_harness.py::TestSteinMachinery::"
          "test_kappa2_majorizes_fd_hessian_of_trace",),
+    ),
+    Mutant(
+        "Hessian moduli written over the gradient before kappa0 and kappa1 read it",
+        "harness.py",
+        "        np.square(sq, out=sq)\n"
+        "        squared = sq.sum(axis=1) ** 2\n"
+        "        quartic = np.square(sq, out=sq).sum(axis=1)\n"
+        "        # the gradient is read: its first lam.size values take the moduli,\n"
+        "        # one contiguous (rows, bins) block (lam's shape: P'' of a degree-2\n"
+        "        # polynomial is a scalar)\n"
+        "        second = poly.second_derivative_values(lam, out=bufs.vals[: len(lam)])\n"
+        "        moduli = sq.reshape(-1)[: lam.size].reshape(lam.shape)\n"
+        "        hess = np.abs(second, out=moduli).max(axis=1)\n",
+        "        second = poly.second_derivative_values(lam, out=bufs.vals[: len(lam)])\n"
+        "        moduli = sq.reshape(-1)[: lam.size].reshape(lam.shape)\n"
+        "        hess = np.abs(second, out=moduli).max(axis=1)\n"
+        "        np.square(sq, out=sq)\n"
+        "        squared = sq.sum(axis=1) ** 2\n"
+        "        quartic = np.square(sq, out=sq).sum(axis=1)\n",
+        ("tests/test_block_kernel.py::test_block_kernel_matches_per_replica_oracles",),
     ),
     Mutant(
         "samples.csv cells written at 15 significant digits",

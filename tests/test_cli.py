@@ -136,69 +136,6 @@ class TestVarianceCommand:
             assert captured.err == f"error: the limiting variance sum_k a_k^2 k! {reason}\n"
 
 
-class TestDensityTableCommand:
-    def test_table_contents(self, tmp_path, capsys):
-        assert main(["--out", str(tmp_path), "density-table", "--p", "3",
-                     "--n", "200"]) == 0
-        stdout = capsys.readouterr().out
-        assert (tmp_path / "table.csv").read_text() == stdout
-        rows = list(csv.DictReader(io.StringIO(stdout)))
-        assert [r["s"] for r in rows] == ["0", "1", "2"]
-        densities = [float(r["density"]) for r in rows]
-        assert abs(densities[0]) < 0.01
-        assert abs(densities[1] - 0.5) < 0.01
-        assert abs(densities[2] - 0.5) < 0.01
-        assert [float(r["f_density"]) for r in rows] == [0.0, 0.5, 0.5]
-        for r in rows:
-            gap = abs(float(r["density"]) - float(r["f_density"]))
-            assert float(r["gap"]) == pytest.approx(gap, abs=1e-15)
-
-    @pytest.mark.parametrize("p", ["1", "0", "-3"])
-    def test_p_below_two_refused(self, tmp_path, capsys, p):
-        assert main(["--out", str(tmp_path), "density-table", "--p", p,
-                     "--n", "5"]) == 2
-        captured = capsys.readouterr()
-        assert "p must be at least 2" in captured.err
-        assert captured.out == ""
-        assert not (tmp_path / "table.csv").exists()
-
-    @pytest.mark.parametrize("n", ["0", "-3"])
-    def test_n_below_one_refused(self, tmp_path, capsys, n):
-        assert main(["--out", str(tmp_path), "density-table", "--p", "3",
-                     "--n", n]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: n must be at least 1, not {n}\n"
-        assert captured.out == ""
-        assert not (tmp_path / "table.csv").exists()
-
-    @pytest.mark.parametrize("p, n, message", [
-        (cli.MAX_TABLE_P + 1, 5, f"--p {cli.MAX_TABLE_P + 1} is above {cli.MAX_TABLE_P}, "
-                                 f"the largest table density-table computes"),
-        # 10**2150 squared has 4301 digits, one more than Python's default limit
-        (3, 10**2150, "--n is too large for --p 3: counts reach n^(p-1), more than "
-                      "the 4300 digits Python writes as text"),
-    ], ids=["p", "n"])
-    def test_table_beyond_bounds_refused(self, tmp_path, capsys, monkeypatch,
-                                         p, n, message):
-        def no_table(*args):
-            raise AssertionError("a slice was counted before the bounds were checked")
-
-        monkeypatch.setattr(cli, "slice_table", no_table)
-        assert main(["--out", str(tmp_path), "density-table", "--p", str(p),
-                     "--n", str(n)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
-        assert captured.out == ""
-        assert not (tmp_path / "table.csv").exists()
-
-    @pytest.mark.parametrize("p, n", [(cli.MAX_TABLE_P, 5), (3, 10**2150 - 1)],
-                             ids=["p", "n"])
-    def test_largest_tables_accepted(self, tmp_path, capsys, p, n):
-        assert main(["--out", str(tmp_path), "density-table", "--p", str(p),
-                     "--n", str(n)]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == p + 1
-
-
 class TestSimulateCommand:
     def test_writes_artifacts(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "simulate", "--n", "64",
@@ -413,8 +350,6 @@ def test_summary_json_key_sets(tmp_path, command, experiment, stein):
     (["simulate", "--n", "64", "--poly", "0,0,1", "--m", "40"], "summary.json"),
     (["tv-bound", "--n", "64", "--poly", "0,0,1", "--family", "uniform_symmetric",
       "--m", "40"], "summary.json"),
-    (["density-table", "--p", "4", "--n", "9"], "table.csv"),
-    (["norm-scaling", "--sizes", "16,32", "--trials", "4"], "table.csv"),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_stdout_is_the_report_written(tmp_path, capsys, argv, report):
     # one report per command: what is printed is the file, byte for byte
@@ -423,31 +358,20 @@ def test_stdout_is_the_report_written(tmp_path, capsys, argv, report):
 
 
 class TestOtherCommands:
-    def test_norm_scaling_table(self, tmp_path, capsys):
-        code = main(["--out", str(tmp_path), "norm-scaling", "--family",
-                     "rademacher", "--sizes", "16,32", "--trials", "4",
-                     "--seed", "2"])
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO((tmp_path / "table.csv").read_text())))
-        assert [r["n"] for r in rows] == ["16", "32"]
-        assert all(float(r["max_ratio"]) >= float(r["mean_ratio"]) for r in rows)
-
     def test_io_failure_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
-        # tv-bound and density-table write nothing before their report, so a
-        # report echoed before its write would show here
+        # tv-bound writes nothing before its report, so a report echoed
+        # before its write would show here
         for argv in (["simulate", "--n", "16", "--poly", "0,0,1", "--m", "10"],
-                     ["tv-bound", "--n", "16", "--poly", "0,0,1", "--m", "10"],
-                     ["density-table", "--p", "3", "--n", "5"]):
+                     ["tv-bound", "--n", "16", "--poly", "0,0,1", "--m", "10"]):
             assert main(["--out", str(blocker / "sub"), *argv]) == 3
             assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--n", "2", "--poly", "0,0,1", "--m", str(2**50)],
         ["tv-bound", "--n", "2", "--poly", "0,0,1", "--m", str(2**50)],
-        ["norm-scaling", "--sizes", str(2**47), "--trials", "1"],
-    ], ids=["simulate", "tv-bound", "norm-scaling"])
+    ], ids=["simulate", "tv-bound"])
     def test_impossible_allocation_refused(self, tmp_path, capsys, argv):
         # each request is larger than a 2**47-byte address space, so its
         # first array cannot be allocated and no memory is touched
@@ -460,31 +384,18 @@ class TestOtherCommands:
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CIRCULANT_CLT_OUT", str(tmp_path / "from-env"))
-        assert main(["density-table", "--p", "2", "--n", "10"]) == 0
-        assert (tmp_path / "from-env" / "table.csv").exists()
-
-
-def table_for(tmp_path, name, argv):
-    out = tmp_path / name
-    assert main(["--out", str(out), *argv]) == 0
-    return (out / "table.csv").read_text()
+        assert main(["tv-bound", "--n", "16", "--poly", "0,0,1", "--m", "10"]) == 0
+        assert (tmp_path / "from-env" / "summary.json").exists()
 
 
 class TestDefaults:
-    """The argparse defaults are the only defaults: an omitted flag runs as
-    its stated default, and an invalid value is refused, not replaced."""
-
-    def test_norm_scaling_defaults(self, tmp_path, capsys):
-        implicit = table_for(tmp_path, "implicit", ["norm-scaling", "--sizes", "16,32"])
-        explicit = table_for(tmp_path, "explicit", [
-            "norm-scaling", "--sizes", "16,32", "--family", "gaussian",
-            "--trials", "50", "--seed", "0"])
-        assert implicit == explicit
+    """An invalid value is refused before any replica runs, not replaced by
+    a default."""
 
     @pytest.mark.parametrize("argv, message", [
-        (["norm-scaling", "--sizes", "16", "--trials", "0"],
-         "need at least one trial per size"),
-        (["norm-scaling", "--sizes", "16", "--family", ""],
+        (["simulate", "--n", "16", "--poly", "0,0,1", "--m", "1"],
+         "need at least 2 replicas"),
+        (["simulate", "--n", "16", "--poly", "0,0,1", "--family", ""],
          "unknown ensemble family"),
     ])
     def test_invalid_value_refused(self, tmp_path, capsys, argv, message):
@@ -492,12 +403,13 @@ class TestDefaults:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
-        assert not (tmp_path / "table.csv").exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--n", "16", "--poly", "0,0,1", "--m", "10", "--seed", "-1"],
-        ["norm-scaling", "--sizes", "16", "--seed", "18446744073709551616"],
-    ], ids=["simulate", "norm-scaling"])
+        ["tv-bound", "--n", "16", "--poly", "0,0,1", "--m", "10",
+         "--seed", "18446744073709551616"],
+    ], ids=["simulate", "tv-bound"])
     def test_seed_range_checked_before_any_replica(self, tmp_path, capsys,
                                                    monkeypatch, argv):
         def no_replicas(*args):
@@ -525,8 +437,6 @@ def test_option_strings_of_each_subcommand():
     assert options(parser) == ["--help", "--out", "-h"]
     assert {name: options(sub) for name, sub in subparsers.choices.items()} == {
         "variance": ["--help", "--poly", "-h"],
-        "density-table": ["--help", "--n", "--p", "-h"],
         "simulate": experiment,
         "tv-bound": experiment,
-        "norm-scaling": ["--family", "--help", "--seed", "--sizes", "--trials", "-h"],
     }

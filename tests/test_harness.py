@@ -2,7 +2,6 @@
 total-variation bound machinery."""
 
 import math
-import re
 import sys
 import threading
 import time
@@ -17,7 +16,6 @@ from circulant_clt import (
     SmoothnessRequiredError,
     TestPolynomial,
     estimate_kappas,
-    norm_scaling_study,
     run_clt_experiment,
 )
 from circulant_clt import harness
@@ -178,8 +176,7 @@ class TestRunExperiment:
                              worker_count=worker_count)
         run_clt_experiment(config)
         estimate_kappas(config)
-        norm_scaling_study(config.ensemble, [n], config.m)
-        assert on_main == [False] * 9  # three blocks for each caller
+        assert on_main == [False] * 6  # three blocks for each caller
 
     @pytest.mark.parametrize("n", [513, 512, 4097, 4096])
     def test_worker_invariance_with_ragged_last_block(self, n, monkeypatch):
@@ -491,63 +488,3 @@ class TestSteinMachinery:
             r_small = getattr(small, field) / math.sqrt(64)
             r_large = getattr(large, field) / math.sqrt(256)
             assert 0.5 <= r_small / r_large <= 2.0
-
-
-class TestNormScaling:
-    def test_rademacher_accepted(self):
-        rows = norm_scaling_study(EnsembleSpec("rademacher"), [16, 64], trials=5,
-                                  master_seed=3)
-        assert [r.n for r in rows] == [16, 64]
-        assert all(r.max_ratio >= r.mean_ratio > 0 for r in rows)
-
-    def test_smallest_size_well_posed(self):
-        (row,) = norm_scaling_study(EnsembleSpec("gaussian"), [2], trials=3, master_seed=4)
-        assert math.isfinite(row.max_ratio) and row.max_ratio > 0
-
-    def test_rows_are_dense_norms_of_their_streams(self):
-        # each size reads replicas 0..trials-1 of its own streams; trials = 4
-        # fills part of one block of each size, block_rows(200) + 7 one
-        # block of n = 200 and part of a second
-        sizes = [7, 200, 8, 16]
-        for trials in (4, block_rows(200) + 7):
-            rows = norm_scaling_study(EnsembleSpec("uniform_symmetric"), sizes, trials,
-                                      master_seed=9)
-            assert [row.n for row in rows] == sizes
-            for n, row in zip(sizes, rows):
-                ratios = [
-                    np.linalg.norm(dense_matrix(sample_sequence(
-                        EnsembleSpec("uniform_symmetric"), n, 9, r)), 2)
-                    / math.sqrt(math.log(n))
-                    for r in range(trials)
-                ]
-                assert row.trials == trials
-                assert row.max_ratio == pytest.approx(max(ratios), rel=1e-10)
-                assert row.mean_ratio == pytest.approx(np.mean(ratios), rel=1e-10)
-
-    @pytest.mark.parametrize("spec", [EnsembleSpec(f) for f in
-                                      ("gaussian", "rademacher", "uniform_symmetric")],
-                             ids=lambda s: s.family)
-    def test_row_independent_of_the_other_sizes(self, spec):
-        (alone,) = norm_scaling_study(spec, [64], trials=70, master_seed=5)
-        assert norm_scaling_study(spec, [32, 64], trials=70, master_seed=5)[1] == alone
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            norm_scaling_study(EnsembleSpec("gaussian"), [1], trials=3)
-        with pytest.raises(ValueError):
-            norm_scaling_study(EnsembleSpec("gaussian"), [16], trials=0)
-
-    def test_numpy_sizes_read_as_python_ints(self):
-        # np.uint8(100) used to overflow in the block arithmetic
-        spec = EnsembleSpec("gaussian")
-        (row,) = norm_scaling_study(spec, [np.uint8(100)], np.uint8(5), np.int16(3))
-        assert type(row.n) is int and type(row.trials) is int
-        assert row == norm_scaling_study(spec, [100], 5, 3)[0]
-
-    @pytest.mark.parametrize("sizes, trials, seed, name", [
-        ([64.0], 5, 0, "sizes[0]"), ([16, True], 5, 0, "sizes[1]"),
-        ([16], 5.0, 0, "trials"), ([16], 5, 2.0, "master_seed"),
-    ])
-    def test_rejects_non_integers(self, sizes, trials, seed, name):
-        with pytest.raises(TypeError, match=rf"^{re.escape(name)} must be an integer"):
-            norm_scaling_study(EnsembleSpec("gaussian"), sizes, trials, master_seed=seed)
