@@ -141,12 +141,14 @@ class BlockBuffers:
     twiddles.  A block of k replicas uses the first k rows of each."""
 
     def __init__(self, rows: int, n: int) -> None:
+        # first, so a size too large to allocate is refused before the
+        # search below, which takes up to sqrt(n) steps for a prime n
+        self.raw = np.empty((rows, n))
         n1 = 1
         if n >= SPLIT_MIN_N:  # the largest divisor of n at most sqrt(n)
             n1 = next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
         self.n2, self.n1 = n2, n1 = n // n1, n1
         half = (rows, (n2 // 2 + 1) * n1)
-        self.raw = np.empty((rows, n))
         self.lam = np.empty(half, dtype=complex)
         self.vals = np.empty(half, dtype=complex)
         self.grad = self.inverse_twiddles = None

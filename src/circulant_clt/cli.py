@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -31,7 +30,6 @@ from .ensembles import EnsembleSpec
 from .errors import ConfigError
 from .harness import ExperimentConfig, available_cpus, estimate_kappas, run_clt_experiment
 
-OUTPUT_DIR_ENV = "CIRCULANT_CLT_OUT"
 CONFIG_KEYS = frozenset({"n", "poly", "family", "seed", "m", "worker_count"})
 DEFAULT_REPLICAS = 2000
 
@@ -184,11 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="circulant-clt",
         description="CLT verification studies for circulant-matrix trace statistics",
     )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help=f"output directory (default: ${OUTPUT_DIR_ENV} or the working directory)",
-    )
+    parser.add_argument("--out", default=".",
+                        help="output directory (default: the working directory)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_experiment_flags(p: argparse.ArgumentParser) -> None:
@@ -220,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand; refusals and I/O failures map to exit codes."""
     args = _build_parser().parse_args(argv)
-    out = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or ".")
+    out = Path(args.out)
     try:
         args.run(args, out)
     except OSError as exc:

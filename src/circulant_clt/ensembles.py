@@ -29,10 +29,10 @@ fills a whole block, and replica r is row r mod block_rows(n) of block
 r // block_rows(n).  Each draw consumes its stream in order, so a run
 of m replicas gives the first m replicas of any longer run.  The
 harness hands blocks out in order to whichever worker is free, and a
-worker builds one generator and moves it from block to block
-(:func:`move_to_block`): it sets counter [0, 0, block, n] and empties
-Philox's 4-word output buffer, so it draws exactly what the block's own
-generator would.
+worker builds one generator (:func:`worker_generator`), which
+:func:`draw_rows` moves to each block's counter [0, 0, block, n], with
+Philox's 4-word output buffer emptied, before it draws: exactly what a
+fresh generator at that counter would draw.
 """
 
 from __future__ import annotations
@@ -96,62 +96,34 @@ def block_rows(n: int) -> int:
     return max(BLOCK_VALUES // n, 1)
 
 
-@dataclass(frozen=True)
-class RandomStream:
-    """Name of one block of replicas, whose substream also depends on n.
-
-    The generator is a pure function of (master_seed, block, n): blocks
-    and sizes never share state, so draws are identical under any degree
-    of parallelism or execution order.
-    """
-
-    master_seed: int
-    block: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if not 0 <= self.block < 2**64:
-            raise ValueError("block must be a 64-bit unsigned integer")
-
-    def generator(self, n: int) -> np.random.Generator:
-        """Philox keyed by the master seed, at counter [0, 0, block, n]."""
-        key = np.random.SeedSequence(self.master_seed).generate_state(2, np.uint64)
-        return np.random.Generator(
-            np.random.Philox(key=key, counter=[0, 0, self.block, n])
-        )
+def worker_generator(master_seed: int) -> np.random.Generator:
+    """A worker's Philox generator, keyed by the master seed; :func:`draw_rows`
+    moves it to each block it draws."""
+    key = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def move_to_block(rng: np.random.Generator, block: int, n: int) -> np.random.Generator:
-    """Move rng, a :meth:`RandomStream.generator` of some block, to the
-    start of block `block` of the same seed at size n, and return it.
+def draw_rows(spec: EnsembleSpec, rng: np.random.Generator, block: int,
+              out: np.ndarray) -> np.ndarray:
+    """Fill out with the leading rows of block `block` at n = out.shape[1]
+    of the stream of rng, a :func:`worker_generator`.
 
-    That start is counter [0, 0, block, n] with Philox's 4-word output
-    buffer empty, the state in which ``RandomStream(seed, block).generator(n)``
-    begins; a draw that stopped inside a buffer leaves no trace.
+    rng moves to the block's counter [0, 0, block, n] with Philox's 4-word
+    output buffer emptied, so a draw that stopped inside a buffer leaves no
+    trace, and one call of it fills out in row-major order: a short block
+    takes the leading rows of a full one.  Gaussian rows come from
+    ``standard_normal``; uniform rows are sqrt(3)*(2U - 1) for standard
+    uniforms U from ``random``; Rademacher rows are 2B - 1 for the bits B
+    of the block's ``random_raw`` words, least significant bit first,
+    mapped to signs in int8 and cast to float once.
     """
     bitgen = rng.bit_generator
     state = bitgen.state
-    state["state"]["counter"][:] = (0, 0, block, n)
+    state["state"]["counter"][:] = (0, 0, block, out.shape[1])
     state.update(buffer_pos=4, has_uint32=0, uinteger=0)
     bitgen.state = state
-    return rng
-
-
-def draw_rows(spec: EnsembleSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill out with the leading rows of a block, drawn by rng from the
-    start of the block's stream.
-
-    One call of rng, a :meth:`RandomStream.generator` at n = out.shape[1]
-    or one moved by :func:`move_to_block`, fills out in row-major order,
-    so a short block takes the leading rows of a full one.  Gaussian rows
-    come from ``standard_normal``; uniform rows are sqrt(3)*(2U - 1) for
-    standard uniforms U from ``random``; Rademacher rows are 2B - 1 for
-    the bits B of the block's ``random_raw`` words, least significant bit
-    first, mapped to signs in int8 and cast to float once.
-    """
     if spec.family == "rademacher":
-        words = rng.bit_generator.random_raw(-(-out.size // 64)).astype("<u8", copy=False)
+        words = bitgen.random_raw(-(-out.size // 64)).astype("<u8", copy=False)
         bits = np.unpackbits(words.view(np.uint8), count=out.size, bitorder="little")
         signs = bits.view(np.int8)
         signs *= 2

@@ -34,11 +34,11 @@ numpy's FFT scratch is faulted in again on every call on the main
 thread, and not on a pool thread.  worker_count, the block count and
 available_cpus() bound the threads.  The blocks are handed out in order,
 one at a time, to whichever worker asks next.  Each worker builds one
-generator and, before each block it takes, moves it to the start of that
-block's substream (ensembles.move_to_block).  Each block writes into its own
-slots and reductions run in fixed replica order, so results are
-bit-identical for any worker_count, and a run of m replicas gives the
-first m replicas of any longer run.
+generator (ensembles.worker_generator), which ensembles.draw_rows moves
+to the start of each block's substream before it draws.  Each block
+writes into its own slots and reductions run in fixed replica order, so
+results are bit-identical for any worker_count, and a run of m replicas
+gives the first m replicas of any longer run.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ from .circulant import (
     trace_block,
 )
 from .combinatorics import limiting_variance
-from .ensembles import (EnsembleSpec, RandomStream, block_rows, draw_rows,
-                        move_to_block)
+from .ensembles import EnsembleSpec, block_rows, draw_rows, worker_generator
 from .errors import SmoothnessRequiredError, require_integers
 
 MAX_MOMENT_ORDER = 4
@@ -98,7 +97,8 @@ class ExperimentConfig:
             raise ValueError("need at least 2 replicas")
         if self.worker_count < 1:
             raise ValueError("worker_count must be positive")
-        RandomStream(self.master_seed)  # refuses a seed outside [0, 2**64)
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError("master_seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,11 +159,7 @@ def available_cpus() -> int:
 
 
 def _replica_blocks(
-    spec: EnsembleSpec,
-    n: int,
-    master_seed: int,
-    m: int,
-    worker_count: int,
+    config: ExperimentConfig,
     fn: Callable[[np.ndarray, BlockBuffers], np.ndarray],
     width: int = 1,
 ) -> np.ndarray:
@@ -175,9 +171,10 @@ def _replica_blocks(
     block_rows(n) replicas and run on a pool of worker_count threads,
     capped by the block count and available_cpus().  The blocks are
     handed out in order, one at a time, to whichever worker asks next.
-    Each worker builds one generator and moves it to the start of each
-    block it takes (ensembles.move_to_block).
+    Each worker builds one generator, which ensembles.draw_rows moves to
+    the start of each block it takes.
     """
+    n, m = config.n, config.m
     rows = block_rows(n)
     starts = range(0, m, rows)
     out = np.empty((width, m))
@@ -186,18 +183,18 @@ def _replica_blocks(
     @np.errstate(over="ignore", invalid="ignore")  # the records refuse inf and nan
     def run_blocks(_worker: int) -> None:
         bufs = BlockBuffers(min(rows, m), n)
-        rng = RandomStream(master_seed).generator(n)
+        rng = worker_generator(config.master_seed)
         while True:
             with cursor_lock:
                 lo = next(cursor, None)
             if lo is None:
                 return
             k = min(lo + rows, m) - lo
-            block = draw_rows(spec, move_to_block(rng, lo // rows, n), bufs.raw[:k])
+            block = draw_rows(config.ensemble, rng, lo // rows, bufs.raw[:k])
             lam = half_spectrum(block, bufs)
             out[:, lo : lo + k] = fn(lam, bufs)
 
-    workers = min(worker_count, len(starts), available_cpus())
+    workers = min(config.worker_count, len(starts), available_cpus())
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run_blocks, range(workers)))
     return out
@@ -250,9 +247,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentSummary:
     t0 = time.perf_counter()
     target = float(limiting_variance(config.poly))  # refused before any replica runs
     traces = _replica_blocks(
-        config.ensemble, config.n, config.master_seed, config.m, config.worker_count,
-        lambda lam, bufs: trace_block(lam, config.poly, bufs),
-    )[0]
+        config, lambda lam, bufs: trace_block(lam, config.poly, bufs))[0]
     t_bar = float(traces.mean())
     w = (traces - t_bar) / math.sqrt(config.n)
     return ExperimentSummary(
@@ -308,10 +303,7 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
         hess = np.abs(second, out=moduli).max(axis=1)
         return quartic, squared, hess**4, trace_block(lam, poly, bufs)
 
-    quartic, squared, hess4, traces = _replica_blocks(
-        config.ensemble, n, config.master_seed, config.m, config.worker_count,
-        per_block, width=4,
-    )
+    quartic, squared, hess4, traces = _replica_blocks(config, per_block, width=4)
     means = [float(a.mean()) for a in (quartic, squared, hess4)]
     for k, mean in enumerate(means):
         # a zero or subnormal mean has lost digits; the bound is invariant

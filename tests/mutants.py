@@ -148,10 +148,33 @@ MUTANTS = (
     Mutant(
         "worker-dependent seed",
         "harness.py",
-        "rng = RandomStream(master_seed).generator(n)",
-        "rng = RandomStream(master_seed + _worker).generator(n)",
+        "rng = worker_generator(config.master_seed)",
+        "rng = worker_generator(config.master_seed + _worker)",
         ("tests/test_harness.py::TestBlockCursor::"
          "test_a_slow_block_holds_back_no_other",),
+    ),
+    Mutant(
+        "seed range < 2**64 read as <= 2**64 in ExperimentConfig",
+        "harness.py",
+        "0 <= self.master_seed < 2**64",
+        "0 <= self.master_seed <= 2**64",
+        ("tests/test_harness.py::TestConfigValidation::test_seed_range",),
+    ),
+    Mutant(
+        "zero coefficients not skipped in limiting_variance",
+        "combinatorics.py",
+        "        if a:\n            total += Fraction(a) ** 2 * factorial(ell)\n",
+        "        total += Fraction(a) ** 2 * factorial(ell)\n",
+        ("tests/test_combinatorics.py::TestLimitingVariance::"
+         "test_factorials_taken_for_nonzero_terms_in_range",),
+    ),
+    Mutant(
+        "limiting_variance summed on past the largest float",
+        "combinatorics.py",
+        "        if total > float_info.max:\n            break\n",
+        "",
+        ("tests/test_combinatorics.py::TestLimitingVariance::"
+         "test_factorials_taken_for_nonzero_terms_in_range",),
     ),
     # the next three reach only the split half spectrum; the first is the
     # halving line of the t = n/2 entry, which is row n2/2 once n is split

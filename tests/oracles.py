@@ -5,6 +5,8 @@ The package runs one route: a block of replicas drawn by
 spectrum.  The routes here recompute the same quantities another way for
 the tests to compare against:
 
+* a fresh generator per block at the counter README gives, in place of a
+  worker's generator moved from block to block (:func:`documented_generator`);
 * one replica at a time on its full spectrum lambda = n * ifft(X / sqrt(n))
   (:func:`trace_polynomial`, :func:`gradient_trace_polynomial`,
   :func:`hessian_norm`, which materializes the Hessian);
@@ -45,7 +47,6 @@ from circulant_clt.circulant import TestPolynomial
 from circulant_clt.ensembles import (
     UNIFORM_HALF_WIDTH,
     EnsembleSpec,
-    RandomStream,
     block_rows,
     draw_rows,
 )
@@ -66,12 +67,20 @@ def _check_imag(residual, scale, what: str) -> None:
         )
 
 
+def documented_generator(master_seed: int, block: int, n: int) -> np.random.Generator:
+    """The generator README gives for block `block` of a run at size n:
+    Philox keyed by the master seed, at counter [0, 0, block, n]."""
+    key = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, block, n]))
+
+
 def sample_sequence(spec: EnsembleSpec, n: int, master_seed: int, replica: int) -> np.ndarray:
     """The raw inputs of one replica: row replica mod block_rows(n) of its
-    block's draw, drawn up to that row alone."""
+    block's draw from the block's documented generator, drawn up to that
+    row alone."""
     block, row = divmod(replica, block_rows(n))
-    rng = RandomStream(master_seed, block).generator(n)
-    return draw_rows(spec, rng, np.empty((row + 1, n)))[row]
+    rng = documented_generator(master_seed, block, n)
+    return draw_rows(spec, rng, block, np.empty((row + 1, n)))[row]
 
 
 def smooth_transform_value(spec: EnsembleSpec, z):

@@ -70,10 +70,8 @@ def check_against_per_replica_oracles(n, poly, spec, seed, rows, m):
         config = ExperimentConfig(n=n, m=m, poly=poly, ensemble=spec, master_seed=seed)
         traces = run_clt_experiment(config).raw_traces
         grads = harness._replica_blocks(
-            spec, n, seed, m, 1,
-            lambda lam, bufs: gradient_block(lam, n, poly, bufs).T, width=n,
-        )
-        norms = harness._replica_blocks(spec, n, seed, m, 1, max_modulus)[0]
+            config, lambda lam, bufs: gradient_block(lam, n, poly, bufs).T, width=n)
+        norms = harness._replica_blocks(config, max_modulus)[0]
         quartic, squared, hess4, oracle_traces = [], [], [], []
         for r in range(m):
             lam = build_sample(spec, n, seed, r)
@@ -149,8 +147,8 @@ def test_kernel_matches_oracles_at_split_sizes(n, split):
     traces = run_clt_experiment(config).raw_traces
     est = estimate_kappas(config)
     grads = harness._replica_blocks(
-        spec, n, seed, m, 2, lambda lam, bufs: gradient_block(lam, n, poly, bufs).T, width=n)
-    norms = harness._replica_blocks(spec, n, seed, m, 2, max_modulus)[0]
+        config, lambda lam, bufs: gradient_block(lam, n, poly, bufs).T, width=n)
+    norms = harness._replica_blocks(config, max_modulus)[0]
     quartic, squared, hess4 = [], [], []
     for r in range(m):
         lam = build_sample(spec, n, seed, r)

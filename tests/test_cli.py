@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -127,10 +128,12 @@ class TestVarianceCommand:
         assert "degree" in capsys.readouterr().err
 
     def test_variance_beyond_float_range_refused(self, capsys):
-        # 2e320 and 2e-400 are exact as rationals but have no normal float
-        for coefficient, reason in (("1e160", "exceeds the float range"),
-                                    ("1e-200", "is below the float range")):
-            assert main(["variance", "--poly", f"0,0,{coefficient}"]) == 2
+        # 2e320 and 2e-400 are exact as rationals but have no normal float;
+        # so is sum_k k! over degrees 2-20000, refused once it passes the range
+        for coefficients, reason in (("1e160", "exceeds the float range"),
+                                     ("1e-200", "is below the float range"),
+                                     (",".join(["1"] * 19999), "exceeds the float range")):
+            assert main(["variance", "--poly", f"0,0,{coefficients}"]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: the limiting variance sum_k a_k^2 k! {reason}\n"
@@ -382,10 +385,21 @@ class TestOtherCommands:
         assert captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    def test_output_dir_env_var(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CIRCULANT_CLT_OUT", str(tmp_path / "from-env"))
-        assert main(["tv-bound", "--n", "16", "--poly", "0,0,1", "--m", "10"]) == 0
-        assert (tmp_path / "from-env" / "summary.json").exists()
+    def test_huge_prime_size_refused_before_a_divisor_search(self, tmp_path, capsys):
+        # 10**30 + 57 is prime, so the search for the split's divisor would
+        # step down from isqrt(n) some 10**15 times; the inputs' array,
+        # whose shape does not depend on the split, is refused first
+        argv = ["--out", str(tmp_path), "simulate", "--n", str(10**30 + 57),
+                "--poly", "0,0,1", "--m", "2"]
+        codes = []
+        runner = threading.Thread(daemon=True, target=lambda: codes.append(main(argv)))
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "the size was not refused within 60 s"
+        assert codes == [2]
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDefaults:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from circulant_clt import TestPolynomial, limiting_variance
+from circulant_clt import TestPolynomial, combinatorics, limiting_variance
 from oracles import (
     LatticeSliceCount,
     count_slice_bruteforce,
@@ -205,6 +205,26 @@ class TestLimitingVariance:
     def test_coefficient_scaling(self):
         # variance is quadratic in each coefficient
         assert limiting_variance(TestPolynomial((3.0,))) == 18
+
+    def test_factorials_taken_for_nonzero_terms_in_range(self, monkeypatch):
+        # a zero coefficient takes no factorial, and the sum, whose terms
+        # are >= 0, stops once it passes the largest float: sum_k k! does
+        # at degree 171, as 170! < 1.8e308 < 171!
+        calls = []
+
+        def counted_factorial(k):
+            calls.append(k)
+            return math.factorial(k)
+
+        monkeypatch.setattr(combinatorics, "factorial", counted_factorial)
+        assert limiting_variance(TestPolynomial((0.0, 1.0, 0.0, 2.0))) == 6 + 4 * 120
+        assert calls == [3, 5]
+        for coeffs, taken in (((0.0,) * 3998 + (1.0,), [4000]),
+                              ((1.0,) * 19999, list(range(2, 172)))):
+            calls.clear()
+            with pytest.raises(ValueError, match="exceeds the float range$"):
+                limiting_variance(TestPolynomial(coeffs))
+            assert calls == taken
 
     @settings(deadline=None, max_examples=60)
     @given(st.lists(st.fractions(-8, 8, max_denominator=64), min_size=1, max_size=11)

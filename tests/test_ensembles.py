@@ -10,8 +10,8 @@ from circulant_clt import (
     EnsembleSpec,
     SmoothnessRequiredError,
 )
-from circulant_clt.ensembles import RandomStream, block_rows, draw_rows, move_to_block
-from oracles import sample_sequence, smooth_transform_value
+from circulant_clt.ensembles import block_rows, draw_rows, worker_generator
+from oracles import documented_generator, sample_sequence, smooth_transform_value
 
 SQRT3 = math.sqrt(3.0)
 ALL_FAMILIES = [EnsembleSpec(f) for f in ("gaussian", "rademacher", "uniform_symmetric")]
@@ -57,44 +57,31 @@ class TestSpecConstruction:
 
 
 class TestRandomStream:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RandomStream(-1, 0)
-        with pytest.raises(ValueError):
-            RandomStream(2**64, 0)
-        with pytest.raises(ValueError):
-            RandomStream(0, -1)
-        RandomStream(2**64 - 1, 10**9)  # extremes are fine
-
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     @pytest.mark.parametrize("n", [33, 1000])
     def test_moved_generator_draws_each_block_afresh(self, spec, n):
-        # one generator moved from block to block, out of order and back,
-        # draws what each block's own fresh generator draws.  A ragged block
-        # of 3 rows at n = 33 or 1000 takes 2 or 47 raw Rademacher words,
-        # and 99 uniform or normal values at n = 33, so its draw stops
-        # inside Philox's 4-word output buffer; the move must empty it
+        # one worker's generator, moved by draw_rows from block to block, out
+        # of order and back, draws what the documented generator of each
+        # block draws.  A ragged block of 3 rows at n = 33 or 1000 takes 2 or
+        # 47 raw Rademacher words, and 99 uniform or normal values at n = 33,
+        # so its draw stops inside Philox's 4-word output buffer; the move
+        # must empty it
         rows = block_rows(n)
-        rng = RandomStream(9, 4).generator(n)
+        rng = worker_generator(9)
         for b, k in ((5, rows), (2, 3), (5, rows), (0, 3), (2, rows), (1, 1)):
-            moved = draw_rows(spec, move_to_block(rng, b, n), np.empty((k, n)))
-            fresh = draw_rows(spec, RandomStream(9, b).generator(n), np.empty((k, n)))
+            moved = draw_rows(spec, rng, b, np.empty((k, n)))
+            fresh = draw_rows(spec, documented_generator(9, b, n), b, np.empty((k, n)))
             assert np.array_equal(moved, fresh), (b, k)
             if spec.family == "rademacher" and k == 3:
                 assert rng.bit_generator.state["buffer_pos"] < 4
 
 
 def pinned_blocks(spec, n):
-    """Blocks 5 and 6 of a run at size n, seed 9, and block 7 cut to 3 rows."""
+    """Blocks 5 and 6 of a run at size n, seed 9, and block 7 cut to 3 rows,
+    each drawn by a fresh worker's generator."""
     rows = block_rows(n)
-    return [(b, draw_rows(spec, RandomStream(9, b).generator(n), np.empty((k, n))))
+    return [(b, draw_rows(spec, worker_generator(9), b, np.empty((k, n))))
             for b, k in ((5, rows), (6, rows), (7, 3))]
-
-
-def documented_generator(block, n):
-    """The generator README gives for block `block` of a run at size n, seed 9."""
-    key = np.random.SeedSequence(9).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, block, n]))
 
 
 class TestSampling:
@@ -130,13 +117,13 @@ class TestSampling:
         # rows are sqrt(3) * (2U - 1) for the standard uniforms U of random()
         for n in self.PIN_SIZES:
             for b, block in pinned_blocks(EnsembleSpec("uniform_symmetric"), n):
-                u = documented_generator(b, n).random(block_rows(n) * n)[: block.size]
+                u = documented_generator(9, b, n).random(block_rows(n) * n)[: block.size]
                 assert np.array_equal(block, SQRT3 * (2.0 * u.reshape(block.shape) - 1.0))
 
     def test_gaussian_rows_pin_the_stream(self):
         for n in self.PIN_SIZES:
             for b, block in pinned_blocks(EnsembleSpec("gaussian"), n):
-                z = documented_generator(b, n).standard_normal(block_rows(n) * n)
+                z = documented_generator(9, b, n).standard_normal(block_rows(n) * n)
                 assert np.array_equal(block, z[: block.size].reshape(block.shape))
 
     def test_rademacher_rows_pin_the_stream(self):
@@ -144,7 +131,7 @@ class TestSampling:
         # counted from the least significant bit
         for n in self.PIN_SIZES:
             for b, block in pinned_blocks(EnsembleSpec("rademacher"), n):
-                words = documented_generator(b, n).bit_generator.random_raw(
+                words = documented_generator(9, b, n).bit_generator.random_raw(
                     -(-block_rows(n) * n // 64))
                 bits = [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(block.size)]
                 assert block.ravel().tolist() == [2.0 * bit - 1.0 for bit in bits]

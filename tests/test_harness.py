@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -69,6 +70,14 @@ class TestConfigValidation:
             make_config(m=1)
         with pytest.raises(ValueError):
             make_config(worker_count=0)
+
+    def test_seed_range(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError,
+                               match="^master_seed must be a 64-bit unsigned integer$"):
+                make_config(master_seed=seed)
+        for seed in (0, 2**64 - 1):  # the extremes are fine
+            assert make_config(master_seed=seed).master_seed == seed
 
     @pytest.mark.parametrize("field, value", [
         ("n", 64.0), ("m", 100.0), ("master_seed", 1.0), ("worker_count", 2.0),
@@ -289,15 +298,15 @@ class TestRunExperiment:
 
 
 def recording_moves(monkeypatch):
-    """Patch the harness's move_to_block to note, per thread, the block it
+    """Patch the harness's draw_rows to note, per thread, the block it
     moved to last; return the thread-local record."""
-    moved, move = threading.local(), harness.move_to_block
+    moved, draw = threading.local(), harness.draw_rows
 
-    def recording_move(rng, block, n):
+    def recording_draw(spec, rng, block, out):
         moved.block = block
-        return move(rng, block, n)
+        return draw(spec, rng, block, out)
 
-    monkeypatch.setattr(harness, "move_to_block", recording_move)
+    monkeypatch.setattr(harness, "draw_rows", recording_draw)
     return moved
 
 
@@ -311,8 +320,9 @@ class TestBlockCursor:
         # free, they all run on the other worker
         monkeypatch.setattr(harness, "available_cpus", lambda: 2)
         moved = recording_moves(monkeypatch)
-        spec, n = EnsembleSpec("uniform_symmetric"), 4096
-        m = 6 * block_rows(n) - 3
+        n = 4096
+        config = make_config(n=n, m=6 * block_rows(n) - 3, master_seed=11,
+                             ensemble=EnsembleSpec("uniform_symmetric"), worker_count=2)
         others_ran, lock, ran = threading.Event(), threading.Lock(), []
 
         def slow_first_block(lam, bufs):
@@ -325,10 +335,11 @@ class TestBlockCursor:
                         others_ran.set()
             return trace_block(lam, POLY_X2, bufs)
 
-        balanced = harness._replica_blocks(spec, n, 11, m, 2, slow_first_block)
+        balanced = harness._replica_blocks(config, slow_first_block)
         assert sorted(ran) == [1, 2, 3, 4, 5]
         one_worker = harness._replica_blocks(
-            spec, n, 11, m, 1, lambda lam, bufs: trace_block(lam, POLY_X2, bufs))
+            replace(config, worker_count=1),
+            lambda lam, bufs: trace_block(lam, POLY_X2, bufs))
         assert np.array_equal(balanced, one_worker)
 
     def test_cursor_under_constant_thread_switches(self, monkeypatch):
@@ -346,8 +357,9 @@ class TestBlockCursor:
 
         monkeypatch.setattr(harness, "available_cpus", lambda: 8)
         moved = recording_moves(monkeypatch)
-        spec, n = EnsembleSpec("rademacher"), 1024
-        m = 64 * block_rows(n) + 5
+        n = 1024
+        config = make_config(n=n, m=64 * block_rows(n) + 5, master_seed=5,
+                             ensemble=EnsembleSpec("rademacher"), worker_count=8)
         ran, lock, results = [], threading.Lock(), []
 
         def recording_trace(lam, bufs):
@@ -356,7 +368,7 @@ class TestBlockCursor:
             return trace_block(lam, POLY_X2_X3, bufs)
 
         runner = threading.Thread(daemon=True, target=lambda: results.append(
-            harness._replica_blocks(spec, n, 5, m, 8, recording_trace)))
+            harness._replica_blocks(config, recording_trace)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         threading.settrace(trace_workers)  # for threads started from here on
@@ -369,7 +381,8 @@ class TestBlockCursor:
         assert not runner.is_alive(), "the pool did not finish within 60 s"
         assert sorted(ran) == list(range(65))
         one_worker = harness._replica_blocks(
-            spec, n, 5, m, 1, lambda lam, bufs: trace_block(lam, POLY_X2_X3, bufs))
+            replace(config, worker_count=1),
+            lambda lam, bufs: trace_block(lam, POLY_X2_X3, bufs))
         assert np.array_equal(results[0], one_worker)
 
 
