@@ -14,15 +14,15 @@ each row of a block of replicas is kept (:func:`half_spectrum`), and
 is reduced with Hermitian weights (:func:`trace_block`), P evaluated by
 Horner's rule.  The bins are left as numpy's forward transform gives
 them, sum_k x_k w^(-t k) = lambda_(n-t) at bin t: with real coefficients
-Re P, |P''| and |lambda| are the same for conj(lambda).  Below SPLIT_MIN_N
-one rfft per block gives 0 <= t <= n/2, weighted 1 at t = 0 and t = n/2
-(n even), 2 elsewhere.  From there on, where one rfft outgrows the cache,
-Bailey's four-step FFT splits n = n2 * n1, n1 the largest divisor at most
-sqrt(n) (1 for a prime n: one rfft): an rfft along n2 of X as an (n2, n1)
-array, twiddles w^(-k2 j1), an fft along n1.  Bin (k2, k1) holds
-lambda_(-(k2 + n2 k1) mod n) for 0 <= k2 <= n2/2; rows 0 and n2/2 (n2
-even) weigh 1, the others 2.  Weight-1 bins pair into conjugates, so the
-reduction takes the real part of every bin.
+Re P, |P''| and |lambda| are the same for conj(lambda).  One FFT path
+serves every n: Bailey's four-step FFT with n = n2 * n1, an rfft along n2
+of X as an (n2, n1) array, twiddles w^(-k2 j1) and an fft along n1.  From
+SPLIT_MIN_N on, where one rfft outgrows the cache, n1 is the largest
+divisor of n at most sqrt(n); below it, and for a prime n, n1 = 1 and the
+path is one rfft.  Bin (k2, k1) holds lambda_(-(k2 + n2 k1) mod n) for
+0 <= k2 <= n2/2; rows 0 and n2/2 (n2 even) weigh 1, the others 2.
+Weight-1 bins pair into conjugates, so the reduction takes the real part
+of every bin.
 
 The gradient of X -> Tr P(C(X)) is exact matrix calculus: P'(C) is itself
 circulant with first-row symbol d = fft(P'(lambda)) / n, and each X_m
@@ -30,14 +30,16 @@ appears in the n positions of one diagonal class, giving
 
     d/dX_m Tr P(C) = sqrt(n) * d[(n - m) mod n] = sqrt(n) * ifft(P'(lambda))[m],
 
-which :func:`gradient_block` computes from the conjugates of P' of the
-bins as an orthonormal irfft (sqrt(n) times the plain one), or split by
-the inverse passes.
+an orthonormal inverse FFT (sqrt(n) times the plain one).  As
+ifft_ortho(conj a) = conj(fft_ortho(a)), :func:`gradient_block` runs the
+split passes backwards with the forward twiddle table: an fft along n1 of
+P' of the bins, the twiddles, one conjugation, an irfft along n2.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -66,6 +68,22 @@ def _horner(coeffs: Sequence[float], z, out=None):
     return acc
 
 
+def _floats(coeffs: Sequence[float], degree: int) -> list[float]:
+    """Coefficients from `degree` up as floats: a string, a bool or a non-real
+    is a TypeError, an int or a fraction beyond the float range a ValueError."""
+    if isinstance(coeffs, (str, bytes)):
+        raise TypeError(f"coefficients must be a sequence of numbers, not {coeffs!r}")
+    out = []
+    for k, a in enumerate(coeffs, start=degree):
+        if isinstance(a, bool) or not isinstance(a, numbers.Real):
+            raise TypeError(f"coefficients must be real numbers, not {a!r}")
+        try:
+            out.append(float(a))
+        except OverflowError:
+            raise ValueError(f"coefficients leave the float range at degree {k}") from None
+    return out
+
+
 @dataclass(frozen=True)
 class TestPolynomial:
     """Real polynomial sum_{k=2}^{d} a_k x^k with no constant or linear term.
@@ -80,7 +98,7 @@ class TestPolynomial:
     coefficients: tuple[float, ...]  # (a_2, ..., a_d)
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(a) for a in self.coefficients)
+        coeffs = tuple(_floats(self.coefficients, 2))
         if len(coeffs) == 0:
             raise ValueError("need at least the degree-2 coefficient")
         if coeffs[-1] == 0.0:
@@ -97,21 +115,14 @@ class TestPolynomial:
 
     @classmethod
     def from_dense(cls, dense: Sequence[float]) -> "TestPolynomial":
-        """Build from coefficients listed from degree 0 upward.
-
-        Positions 0 and 1 must be present and zero: test polynomials start
-        at degree 2.
-        """
-        dense = [float(a) for a in dense]
+        """Build from coefficients listed from degree 0 upward, of which the
+        first two must be present and zero."""
+        dense = _floats(dense, 0)
         if len(dense) < 3:
-            raise ValueError(
-                "dense coefficient list must reach degree 2 (at least 3 entries)"
-            )
+            raise ValueError("dense coefficients must reach degree 2 (at least 3 entries)")
         if dense[0] != 0.0 or dense[1] != 0.0:
-            raise ValueError(
-                "constant and degree-one coefficients must be zero: test "
-                "polynomials contain only terms of degree 2 and higher"
-            )
+            raise ValueError("constant and degree-one coefficients must be zero: test "
+                             "polynomials contain only terms of degree 2 and higher")
         return cls(tuple(dense[2:]))
 
     def terms(self) -> Iterator[tuple[int, float]]:
@@ -134,11 +145,11 @@ class TestPolynomial:
 
 class BlockBuffers:
     """The arrays one worker reuses for every block of at most `rows`
-    replicas of size n: the raw inputs, the half spectra, one complex
-    scratch array of the half-spectrum shape, the split (n2, n1),
-    its twiddles (two factors, see _twiddle) and, from the first
-    :func:`gradient_block` call, the (rows, n) gradient and the conjugate
-    twiddles.  A block of k replicas uses the first k rows of each."""
+    replicas of size n, all made here: the raw inputs (held only until
+    :func:`gradient_block` writes over them), the split (n2, n1), its
+    twiddles w^(-k2 j1) as an (n2/2 + 1, n1) table (None when n1 = 1), the
+    half spectra and one complex scratch array of their shape.  A block of
+    k replicas uses the first k rows of each."""
 
     def __init__(self, rows: int, n: int) -> None:
         # first, so a size too large to allocate is refused before the
@@ -148,42 +159,27 @@ class BlockBuffers:
         if n >= SPLIT_MIN_N:  # the largest divisor of n at most sqrt(n)
             n1 = next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
         self.n2, self.n1 = n2, n1 = n // n1, n1
+        self.twiddles = None
+        if n1 > 1:  # before the spectra exist, so its temporaries raise no peak
+            tw = np.outer(np.arange(n2 // 2 + 1), np.arange(n1)) % n * (-2j * np.pi / n)
+            self.twiddles = np.exp(tw, out=tw)
         half = (rows, (n2 // 2 + 1) * n1)
         self.lam = np.empty(half, dtype=complex)
         self.vals = np.empty(half, dtype=complex)
-        self.grad = self.inverse_twiddles = None
-        s = math.isqrt(n2 // 2 + 1)  # w^(-k j1) for k = 0, s, 2s, ... and k < s
-        self.twiddles = None if n1 == 1 else tuple(
-            np.exp(-2j * np.pi / n * (np.outer(ks, np.arange(n1)) % n))
-            for ks in (np.arange(0, n2 // 2 + 1, s), np.arange(s)))
-
-
-def _twiddle(spec: np.ndarray, factors) -> None:
-    """Multiply (rows, n2/2 + 1, n1) split spectra in place by the twiddle
-    w^(-k2 j1) = factors[0][u, j1] * factors[1][v, j1] at k2 = u s + v:
-    two tables of about 2 sqrt(n2/2) n1 values in all, not one of n/2."""
-    t1, t2 = factors
-    u, r = divmod(spec.shape[1], len(t2))
-    body = spec[:, : u * len(t2)].reshape(len(spec), u, len(t2), -1)
-    body *= t1[:u, None]
-    body *= t2
-    spec[:, u * len(t2):] *= t1[u:] * t2[:r]
 
 
 def half_spectrum(raw: np.ndarray, bufs: BlockBuffers) -> np.ndarray:
     """The half spectra of rows of raw inputs X, in bufs.lam, unconjugated:
-    lambda_(n-t) at bin t for 0 <= t <= n/2 by one rfft or, split,
-    lambda_(-(k2 + n2 k1) mod n) at bin k2 n1 + k1 for 0 <= k2 <= n2/2 (see
-    the module docstring); the other eigenvalues are their conjugates."""
+    an rfft along n2 of X as (n2, n1), then split the twiddles and an fft
+    along n1.  Bin k2 n1 + k1 holds lambda_(-(k2 + n2 k1) mod n) for
+    0 <= k2 <= n2/2 (see the module docstring)."""
     rows = len(raw)
     lam = bufs.lam[:rows]
+    spec = lam.reshape(rows, -1, bufs.n1)
     # "ortho" has pocketfft multiply each output part by 1 / sqrt(length)
-    if bufs.twiddles is None:
-        np.fft.rfft(raw, axis=-1, norm="ortho", out=lam)
-    else:
-        spec = lam.reshape(rows, -1, bufs.n1)
-        np.fft.rfft(raw.reshape(rows, -1, bufs.n1), axis=1, norm="ortho", out=spec)
-        _twiddle(spec, bufs.twiddles)
+    np.fft.rfft(raw.reshape(rows, -1, bufs.n1), axis=1, norm="ortho", out=spec)
+    if bufs.n1 > 1:
+        spec *= bufs.twiddles
         np.fft.fft(spec, axis=2, norm="ortho", out=spec)
     return lam
 
@@ -202,25 +198,16 @@ def trace_block(lam: np.ndarray, poly: TestPolynomial, bufs: BlockBuffers) -> np
     return re.sum(axis=1) * 2.0
 
 
-def gradient_block(lam: np.ndarray, n: int, poly: TestPolynomial,
+def gradient_block(lam: np.ndarray, poly: TestPolynomial,
                    bufs: BlockBuffers) -> np.ndarray:
     """Gradient of X -> Tr P(C(X)) for each row of half spectra, in natural
-    order: P' of the bins, conjugated in place to P'(lambda_t) at bin t,
-    then an orthonormal irfft or, split, an orthonormal ifft along n1, the
-    conjugate twiddles and an orthonormal irfft along n2; in bufs.grad."""
+    order, over the block's inputs in bufs.raw: P' of the bins, then split
+    an fft along n1 and the twiddles, one conjugation, an irfft along n2."""
     rows = len(lam)
-    if bufs.grad is None:
-        bufs.grad = np.empty((len(bufs.raw), n))
-        if bufs.twiddles is not None:
-            bufs.inverse_twiddles = tuple(t.conj() for t in bufs.twiddles)
-    dvals = poly.derivative_values(lam, out=bufs.vals[:rows])
-    np.conjugate(dvals, out=dvals)
-    grads = bufs.grad[:rows]
-    if bufs.twiddles is None:
-        return np.fft.irfft(dvals, n=n, axis=-1, norm="ortho", out=grads)
-    spec = dvals.reshape(rows, -1, bufs.n1)
-    np.fft.ifft(spec, axis=2, norm="ortho", out=spec)
-    _twiddle(spec, bufs.inverse_twiddles)
-    np.fft.irfft(spec, n=bufs.n2, axis=1, norm="ortho",
-                 out=grads.reshape(rows, bufs.n2, bufs.n1))
-    return grads
+    spec = poly.derivative_values(lam, out=bufs.vals[:rows]).reshape(rows, -1, bufs.n1)
+    if bufs.n1 > 1:
+        np.fft.fft(spec, axis=2, norm="ortho", out=spec)
+        spec *= bufs.twiddles
+    np.conjugate(spec, out=spec)
+    out = bufs.raw[:rows].reshape(rows, -1, bufs.n1)
+    return np.fft.irfft(spec, n=bufs.n2, axis=1, norm="ortho", out=out).reshape(rows, -1)

@@ -24,11 +24,10 @@ bound requires a smooth symmetric ensemble.
 
 Replicas run in fixed blocks of ensembles.block_rows(n) consecutive
 indices, whatever the worker count.  A block is drawn with one generator
-call, from the substream named by (master_seed, block, n); one rfft,
-two passes from circulant.SPLIT_MIN_N on, gives the block's half spectra,
-and the statistics are reduced from those.  Each worker allocates its
-block arrays once (circulant.BlockBuffers) and every block it runs
-writes into them.
+call, from the substream named by (master_seed, block, n), and the
+statistics are reduced from its half spectra (circulant.half_spectrum).
+Each worker allocates its block arrays once (circulant.BlockBuffers) and
+every block it runs writes into them.
 Blocks run on pool threads at every n, a single one at worker_count 1:
 numpy's FFT scratch is faulted in again on every call on the main
 thread, and not on a pool thread.  worker_count, the block count and
@@ -288,10 +287,10 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
     variance of g, so all four describe the same function.
     """
     c1, c2 = _require_smooth_symmetric(config.ensemble)
-    n, poly = config.n, config.poly
+    poly = config.poly
 
     def per_block(lam: np.ndarray, bufs: BlockBuffers) -> tuple[np.ndarray, ...]:
-        sq = gradient_block(lam, n, poly, bufs)
+        sq = gradient_block(lam, poly, bufs)
         np.square(sq, out=sq)
         squared = sq.sum(axis=1) ** 2
         quartic = np.square(sq, out=sq).sum(axis=1)

@@ -65,7 +65,7 @@ MUTANTS = (
     Mutant(
         "P' not conjugated in gradient_block",
         "circulant.py",
-        "    np.conjugate(dvals, out=dvals)\n",
+        "    np.conjugate(spec, out=spec)\n",
         "",
         ("tests/test_block_kernel.py::test_block_kernel_matches_per_replica_oracles",),
     ),
@@ -176,8 +176,10 @@ MUTANTS = (
         ("tests/test_combinatorics.py::TestLimitingVariance::"
          "test_factorials_taken_for_nonzero_terms_in_range",),
     ),
-    # the next three reach only the split half spectrum; the first is the
-    # halving line of the t = n/2 entry, which is row n2/2 once n is split
+    # the next four reach only the split path; the first is the halving
+    # line of the t = n/2 entry, which is row n2/2 once n is split.  The
+    # gradient conjugates after its twiddle multiply, so multiplying there
+    # by the conjugate table leaves the inverse with unconjugated twiddles
     Mutant(
         "weight 2 on split row n2/2",
         "circulant.py",
@@ -188,16 +190,27 @@ MUTANTS = (
     Mutant(
         "forward twiddle's sign flipped",
         "circulant.py",
-        "        _twiddle(spec, bufs.twiddles)\n",
-        "        _twiddle(spec, [t.conj() for t in bufs.twiddles])\n",
+        "(-2j * np.pi / n)",
+        "(2j * np.pi / n)",
         ("tests/test_circulant.py::TestSpectrum::"
          "test_split_half_spectrum_is_in_k2_k1_order_bin_by_bin",),
     ),
     Mutant(
         "inverse twiddle not conjugated",
         "circulant.py",
-        "bufs.inverse_twiddles = tuple(t.conj() for t in bufs.twiddles)",
-        "bufs.inverse_twiddles = bufs.twiddles",
+        "        np.fft.fft(spec, axis=2, norm=\"ortho\", out=spec)\n"
+        "        spec *= bufs.twiddles\n",
+        "        np.fft.fft(spec, axis=2, norm=\"ortho\", out=spec)\n"
+        "        spec *= bufs.twiddles.conj()\n",
+        ("tests/test_block_kernel.py::test_split_kernel_matches_per_replica_oracles",),
+    ),
+    Mutant(
+        "gradient's twiddle multiply moved before its n1 fft",
+        "circulant.py",
+        "        np.fft.fft(spec, axis=2, norm=\"ortho\", out=spec)\n"
+        "        spec *= bufs.twiddles\n",
+        "        spec *= bufs.twiddles\n"
+        "        np.fft.fft(spec, axis=2, norm=\"ortho\", out=spec)\n",
         ("tests/test_block_kernel.py::test_split_kernel_matches_per_replica_oracles",),
     ),
     Mutant(

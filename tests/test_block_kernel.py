@@ -70,7 +70,7 @@ def check_against_per_replica_oracles(n, poly, spec, seed, rows, m):
         config = ExperimentConfig(n=n, m=m, poly=poly, ensemble=spec, master_seed=seed)
         traces = run_clt_experiment(config).raw_traces
         grads = harness._replica_blocks(
-            config, lambda lam, bufs: gradient_block(lam, n, poly, bufs).T, width=n)
+            config, lambda lam, bufs: gradient_block(lam, poly, bufs).T, width=n)
         norms = harness._replica_blocks(config, max_modulus)[0]
         quartic, squared, hess4, oracle_traces = [], [], [], []
         for r in range(m):
@@ -147,7 +147,7 @@ def test_kernel_matches_oracles_at_split_sizes(n, split):
     traces = run_clt_experiment(config).raw_traces
     est = estimate_kappas(config)
     grads = harness._replica_blocks(
-        config, lambda lam, bufs: gradient_block(lam, n, poly, bufs).T, width=n)
+        config, lambda lam, bufs: gradient_block(lam, poly, bufs).T, width=n)
     norms = harness._replica_blocks(config, max_modulus)[0]
     quartic, squared, hess4 = [], [], []
     for r in range(m):
@@ -259,15 +259,13 @@ def traced_peak(kernel, config) -> int:
 @pytest.mark.parametrize("workers", [1, 2])
 def test_peak_memory_per_worker_independent_of_m(workers):
     # at n = 2**15 a block is one replica, split 256 x 128.  A worker holds
-    # its inputs, half spectra, Horner scratch and twiddle factors (47 KB),
-    # about 1.6 * n * 16 bytes, plus, for the kappas, the gradient
-    # (0.5 * n * 16), which also takes the Hessian moduli, and the conjugate
-    # twiddles (47 KB).  Each broadcast twiddle multiply also has numpy's
-    # ufunc machinery allocate an iteration buffer of up to np.getbufsize()
-    # = 8192 values (114 KB here), freed when it returns.  Measured: 1.84
-    # (traces) and 2.43 (kappas) times n * 16 bytes
+    # its inputs (0.5 * n * 16 bytes), half spectra, Horner scratch and
+    # twiddle table (0.5 each), about 2 * n * 16 bytes; the kappas write
+    # the gradient, and then the Hessian moduli, over the spent inputs.
+    # Measured: 2.12 (traces) and 2.04 (kappas) times n * 16 bytes
     n = 2**15
     threads = min(workers, harness.available_cpus())
+    peaks = {}
 
     for kernel, family in ((run_clt_experiment, "rademacher"),
                            (estimate_kappas, "uniform_symmetric")):
@@ -276,11 +274,16 @@ def test_peak_memory_per_worker_independent_of_m(workers):
                 n=n, m=m, poly=TestPolynomial((1.0, 1.0, 0.0, 0.5)),
                 ensemble=EnsembleSpec(family), master_seed=3, worker_count=workers))
 
-        small, large = peak(16), peak(64)
+        small, large = peaks[kernel] = peak(16), peak(64)
         assert small <= 3 * n * 16 * threads
         assert large <= 3 * n * 16 * threads
         if threads == 1:
             assert abs(large - small) <= 64 * 8 * 4  # only per-replica outputs grow
+    # the gradient takes no array of its own: beyond their (4, m) outputs
+    # the kappas hold no more than the traces
+    for m, kappas, traces in zip((16, 64), peaks[estimate_kappas],
+                                 peaks[run_clt_experiment]):
+        assert kappas <= traces + 4 * m * 8
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -288,8 +291,9 @@ def test_peak_memory_per_worker_independent_of_m(workers):
                          ids=lambda f: f.__name__)
 def test_peak_memory_of_multi_row_blocks_independent_of_m(kernel, workers):
     # at n = 4096 a block holds 8 replicas; a worker holds one block's
-    # inputs, half spectra and Horner or gradient temporaries, measured at
-    # about 1.53 (traces) and 2.03-2.07 (kappas) times BLOCK_VALUES * 16 bytes
+    # inputs, half spectra and Horner scratch, and the kappas write the
+    # gradient over the inputs: measured at about 1.53 (traces) and
+    # 1.53-1.57 (kappas) times BLOCK_VALUES * 16 bytes
     n = 4096
     assert block_rows(n) == 8
     threads = min(workers, harness.available_cpus())

@@ -2,6 +2,8 @@
 dense-matrix oracle, analytic gradients, and the Hessian norm."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,6 +78,36 @@ class TestPolynomialType:
             TestPolynomial((1.0, 0.0))
         with pytest.raises(ValueError):
             TestPolynomial(())
+
+    @pytest.mark.parametrize("bad", ["12", b"12", (True,), (1.0, np.True_), ("1",),
+                                     (None,), (1j,), (np.complex128(1.0),)],
+                             ids=repr)
+    def test_refuses_strings_bools_and_non_reals(self, bad):
+        # "12" read as (1.0, 2.0) and (True,) as x^2
+        with pytest.raises(TypeError, match="coefficients"):
+            TestPolynomial(bad)
+        dense = bad if isinstance(bad, (str, bytes)) else (0, 0, *bad)
+        with pytest.raises(TypeError, match="coefficients"):
+            TestPolynomial.from_dense(dense)
+
+    @pytest.mark.parametrize("bad", [10**400, -(2**1024), Fraction(10**400, 3)],
+                             ids=["10**400", "-2**1024", "fraction"])
+    def test_refuses_numbers_beyond_the_float_range_by_degree(self, bad):
+        # an int beyond the float range raised OverflowError, naming nothing
+        with pytest.raises(ValueError, match="coefficients .* at degree 3"):
+            TestPolynomial((1.0, bad))
+        with pytest.raises(ValueError, match="coefficients .* at degree 2"):
+            TestPolynomial.from_dense([0, 0, bad])
+        for inf in (math.inf, math.nan, np.float32("inf")):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                TestPolynomial((1.0, inf))
+
+    def test_accepts_real_numbers_up_to_the_largest_float(self):
+        big = int(sys.float_info.max)
+        poly = TestPolynomial((np.int64(2), Fraction(1, 2), np.float32(0.25), big))
+        assert poly.coefficients == (2.0, 0.5, 0.25, sys.float_info.max)
+        assert all(type(a) is float for a in poly.coefficients)
+        assert TestPolynomial.from_dense(np.array([0, 0, 3])).coefficients == (3.0,)
 
     def test_evaluate_and_derivative(self):
         poly = TestPolynomial((2.0, 1.0))  # 2x^2 + x^3

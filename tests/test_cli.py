@@ -267,6 +267,20 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("coefficient, message", [
+        (10**400, "coefficients leave the float range at degree 2"),
+        (True, "coefficients must be real numbers, not True"),
+    ], ids=["int-10**400", "true"])
+    def test_config_refuses_a_coefficient_by_name(self, tmp_path, capsys,
+                                                  coefficient, message):
+        # a 401-digit integer exited 2 with "int too large to convert to float"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**MINIMAL, "n": 32, "m": 20,
+                                    "poly": [0, 0, coefficient]}))
+        assert main(["--out", str(tmp_path), "simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "summary.json").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "tv-bound"])
     def test_config_with_inline_flags_refused(self, tmp_path, capsys, command):
         path = tmp_path / "config.json"

@@ -1,6 +1,7 @@
-"""Every entry of tests/mutants.py still applies to the package and names
-tests that exist, so a stale entry shows in Tier-1, not only when the
-mutant script runs."""
+"""Every entry of tests/mutants.py still applies to the package, changes
+it into a module that still parses, and names tests that exist, so a
+stale or broken entry shows in Tier-1, not only when the mutant script
+runs."""
 
 import ast
 
@@ -28,6 +29,15 @@ def defined_tests(path) -> set[str]:
 def test_mutant_text_occurs_once_in_its_module(mutant):
     text = (ROOT / "src" / "circulant_clt" / mutant.module).read_text(encoding="utf-8")
     assert text.count(mutant.old) == 1
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_mutant_changes_its_module_into_one_that_parses(mutant):
+    # a mutant that breaks the syntax would fail every test it selects, or
+    # none could be collected, whatever the tests check
+    assert mutant.new != mutant.old
+    text = (ROOT / "src" / "circulant_clt" / mutant.module).read_text(encoding="utf-8")
+    ast.parse(text.replace(mutant.old, mutant.new))
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
