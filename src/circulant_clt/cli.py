@@ -76,8 +76,6 @@ def parse_config(doc) -> ExperimentConfig:
             master_seed=data["seed"],
             worker_count=data["worker_count"],
         )
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -22,22 +22,9 @@ of g is (1/n) sum_t P''(lambda_t) w^(t(j+k)), a circulant times the
 reversal, and its operator norm is exactly max_t |P''(lambda_t)|.  The
 bound requires a smooth symmetric ensemble.
 
-Replicas run in fixed blocks of ensembles.block_rows(n) consecutive
-indices, whatever the worker count.  A block is drawn with one generator
-call, from the substream named by (master_seed, block, n), and the
-statistics are reduced from its half spectra (circulant.half_spectrum).
-Each worker allocates its block arrays once (circulant.BlockBuffers) and
-every block it runs writes into them.
-Blocks run on pool threads at every n, a single one at worker_count 1:
-numpy's FFT scratch is faulted in again on every call on the main
-thread, and not on a pool thread.  worker_count, the block count and
-available_cpus() bound the threads.  The blocks are handed out in order,
-one at a time, to whichever worker asks next.  Each worker builds one
-generator (ensembles.worker_generator), which ensembles.draw_rows moves
-to the start of each block's substream before it draws.  Each block
-writes into its own slots and reductions run in fixed replica order, so
-results are bit-identical for any worker_count, and a run of m replicas
-gives the first m replicas of any longer run.
+How the replicas are grouped into blocks, drawn and handed to workers,
+so that results are bit-identical for any worker_count, is set out in
+:func:`_replica_blocks` and in README "Reproducibility".
 """
 
 from __future__ import annotations
@@ -63,8 +50,6 @@ from .circulant import (
 from .combinatorics import limiting_variance
 from .ensembles import EnsembleSpec, block_rows, draw_rows, worker_generator
 from .errors import SmoothnessRequiredError, require_integers
-
-MAX_MOMENT_ORDER = 4
 
 
 def _require_finite(**values) -> None:
@@ -200,17 +185,17 @@ def _replica_blocks(
 
 
 def standardized_moments(samples) -> np.ndarray:
-    """Central sample moments of orders 1..MAX_MOMENT_ORDER = 4, each scaled
-    by sigma^order (population sigma), so orders 3 and 4 are the skewness
-    and kurtosis; all zero for constant samples."""
+    """Central sample moments of orders 1..4, each scaled by sigma^order
+    (population sigma), so orders 3 and 4 are the skewness and kurtosis;
+    all zero for constant samples."""
     xs = np.asarray(samples, dtype=np.float64)
     if xs.size == 0:
         raise ValueError("need at least one sample")
+    # a constant sample's rounded mean can miss its value, leaving peak > 0
+    if xs.min() == xs.max():
+        return np.zeros(4)
     centered = xs - xs.mean()
     peak = float(np.max(np.abs(centered)))
-    # a constant sample's rounded mean can miss its value, leaving peak > 0
-    if peak == 0.0 or xs.min() == xs.max():
-        return np.zeros(MAX_MOMENT_ORDER)
     # scaled to |x| <= 1 and then to unit variance, so no power overflows
     scaled = centered / peak
     z = scaled / math.sqrt(float(np.mean(scaled**2)))
@@ -263,16 +248,6 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentSummary:
     )
 
 
-def _require_smooth_symmetric(spec: EnsembleSpec) -> tuple[float, float]:
-    if not spec.is_smooth:
-        raise SmoothnessRequiredError(
-            f"the total-variation bound requires a symmetric smooth ensemble "
-            f"(a law u(Z) of a standard normal with |u'| <= c1, |u''| <= c2); "
-            f"{spec.family!r} does not qualify"
-        )
-    return float(spec.c1), float(spec.c2)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
     """Monte Carlo estimates of the gradient/Hessian functionals.
@@ -286,7 +261,12 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
     half spectrum holds every such modulus.  sigma2_hat is the empirical
     variance of g, so all four describe the same function.
     """
-    c1, c2 = _require_smooth_symmetric(config.ensemble)
+    if not config.ensemble.is_smooth:
+        raise SmoothnessRequiredError(
+            f"the total-variation bound requires a symmetric smooth ensemble "
+            f"(a law u(Z) of a standard normal with |u'| <= c1, |u''| <= c2); "
+            f"{config.ensemble.family!r} does not qualify"
+        )
     poly = config.poly
 
     def per_block(lam: np.ndarray, bufs: BlockBuffers) -> tuple[np.ndarray, ...]:
@@ -317,6 +297,6 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
         kappa1_hat=means[1] ** 0.25,
         kappa2_hat=means[2] ** 0.25,
         sigma2_hat=float(traces.var(ddof=1)),
-        c1=c1,
-        c2=c2,
+        c1=config.ensemble.c1,
+        c2=config.ensemble.c2,
     )

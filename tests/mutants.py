@@ -114,7 +114,7 @@ MUTANTS = (
         "        np.square(sq, out=sq)\n"
         "        squared = sq.sum(axis=1) ** 2\n"
         "        quartic = np.square(sq, out=sq).sum(axis=1)\n",
-        ("tests/test_block_kernel.py::test_block_kernel_matches_per_replica_oracles",),
+        ("tests/test_block_kernel.py::test_kernel_matches_oracles_at_split_sizes",),
     ),
     Mutant(
         "samples.csv cells written at 15 significant digits",
@@ -245,6 +245,14 @@ MUTANTS = (
         "        for lo in starts[_worker::workers]:\n",
         ("tests/test_harness.py::TestBlockCursor::"
          "test_a_slow_block_holds_back_no_other",),
+    ),
+    # moves W in its last bits only, below every tolerance-based test
+    Mutant(
+        "W scaled by the rounded 1 / sqrt(n)",
+        "harness.py",
+        "w = (traces - t_bar) / math.sqrt(config.n)",
+        "w = (traces - t_bar) * (1 / math.sqrt(config.n))",
+        ("tests/test_golden.py::test_digests_match_golden_json",),
     ),
 )
 

@@ -9,13 +9,17 @@ the tests to compare against:
   worker's generator moved from block to block (:func:`documented_generator`);
 * one replica at a time on its full spectrum lambda = n * ifft(X / sqrt(n))
   (:func:`trace_polynomial`, :func:`gradient_trace_polynomial`,
-  :func:`hessian_norm`, which materializes the Hessian);
+  :func:`hessian_norm`, which materializes the Hessian, and
+  :func:`spectral_norm`);
+* central differences of the trace and of its gradient
+  (:func:`fd_gradient`, :func:`fd_hessian`);
 * the defining index sum, with no FFT,
 
       Tr(C^p) = n * sum x_{i_1} ... x_{i_p}   over i_1 + ... + i_p = 0 (mod n),
 
   over all n^(p-1) free index tuples (:func:`trace_power_direct`);
-* the materialized matrix (:func:`dense_matrix`);
+* the materialized matrix and its powers (:func:`dense_matrix`,
+  :func:`dense_trace_polynomial`);
 * the slices of the box {0, ..., n-1}^p by the hyperplanes of coordinate
   sum s*n, which partition the n^(p-1) solutions of
   i_1 + ... + i_p = 0 (mod n): counted exactly by inclusion-exclusion
@@ -119,6 +123,17 @@ def dense_matrix(raw: np.ndarray) -> np.ndarray:
     return (raw / math.sqrt(n))[idx]
 
 
+def dense_trace_polynomial(raw: np.ndarray, poly: TestPolynomial) -> float:
+    """Tr P(C) by explicit matrix powers of the materialized circulant."""
+    C = dense_matrix(raw)
+    total = 0.0
+    power = C.copy()
+    for k in range(2, len(poly.dense())):
+        power = power @ C
+        total += dict(poly.terms()).get(k, 0.0) * np.trace(power)
+    return float(total)
+
+
 def _check_real(value: complex, what: str) -> float:
     _check_imag(abs(value.imag), abs(value.real), what)
     return float(value.real)
@@ -176,6 +191,36 @@ def hessian_norm(lam: np.ndarray, poly: TestPolynomial) -> float:
     hess = (modes * second) @ modes / n
     _check_imag(np.max(np.abs(hess.imag)), np.max(np.abs(hess.real)), "Hessian")
     return float(np.linalg.norm(hess.real, 2))
+
+
+def spectral_norm(lam: np.ndarray) -> np.ndarray:
+    """Operator norm max_t |lambda_t| along the last axis: circulant matrices
+    are normal."""
+    return np.abs(lam).max(axis=-1)
+
+
+def _central_differences(raw: np.ndarray, f, step: float) -> np.ndarray:
+    """(f(X + step e_k) - f(X - step e_k)) / (2 step) for each k, stacked
+    along the last axis."""
+    diffs = []
+    for k in range(len(raw)):
+        e = np.zeros(len(raw))
+        e[k] = step
+        diffs.append((f(raw + e) - f(raw - e)) / (2 * step))
+    return np.stack(diffs, axis=-1)
+
+
+def fd_gradient(raw: np.ndarray, poly: TestPolynomial, step: float = 1e-5) -> np.ndarray:
+    """Gradient of X -> Tr P(C(X)) by central differences of the trace."""
+    return _central_differences(
+        raw, lambda x: trace_polynomial(spectrum(x), poly), step)
+
+
+def fd_hessian(raw: np.ndarray, poly: TestPolynomial, step: float = 1e-5) -> np.ndarray:
+    """Hessian of X -> Tr P(C(X)) by central differences of the analytic
+    gradient: column k differences along X_k."""
+    return _central_differences(
+        raw, lambda x: gradient_trace_polynomial(spectrum(x), poly), step)
 
 
 @dataclass(frozen=True)

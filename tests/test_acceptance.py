@@ -46,8 +46,10 @@ from circulant_clt import (
 from circulant_clt.cli import main as cli_main
 from oracles import (
     count_slice_bruteforce,
-    dense_matrix,
+    dense_trace_polynomial,
     euler_frobenius_density,
+    fd_gradient,
+    fd_hessian,
     gradient_trace_polynomial,
     hessian_norm,
     sample_sequence,
@@ -146,12 +148,7 @@ def test_criterion_03_trace_route_equivalence():
         n = int(rng.integers(2, 65))
         poly = random_poly(rng)
         raw = sample_sequence(families[case % 3], n, 1004, case)
-        C = dense_matrix(raw)
-        power = C.copy()
-        dense = 0.0
-        for k in range(2, len(poly.dense())):
-            power = power @ C
-            dense += dict(poly.terms()).get(k, 0.0) * np.trace(power)
+        dense = dense_trace_polynomial(raw, poly)
         fast = trace_polynomial(spectrum(raw), poly)
         assert abs(fast - dense) <= 1e-8 * max(1.0, abs(dense))
     report("criterion-03 trace-routes", True,
@@ -234,21 +231,13 @@ def test_criterion_07_mean_boundedness(n):
 def test_criterion_08_gradient_vs_finite_differences():
     rng = np.random.default_rng(808)
     families = [EnsembleSpec(f) for f in ("gaussian", "uniform_symmetric", "rademacher")]
-    step = 1e-5
     worst = 0.0
     for case in range(50):
         n = int(rng.integers(2, 129))
         poly = random_poly(rng)
         raw = sample_sequence(families[case % 3], n, 808, case)
         grad = gradient_trace_polynomial(spectrum(raw), poly)
-        fd = np.empty(n)
-        for k in range(n):
-            Xp = raw.copy()
-            Xm = raw.copy()
-            Xp[k] += step
-            Xm[k] -= step
-            fd[k] = (trace_polynomial(spectrum(Xp), poly)
-                     - trace_polynomial(spectrum(Xm), poly)) / (2 * step)
+        fd = fd_gradient(raw, poly)  # step 1e-5
         rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-9)
         worst = max(worst, rel)
         assert rel <= 1e-6
@@ -259,24 +248,14 @@ def test_criterion_08_gradient_vs_finite_differences():
 def test_criterion_09_hessian_norm():
     rng = np.random.default_rng(909)
     families = [EnsembleSpec(f) for f in ("gaussian", "uniform_symmetric", "rademacher")]
-    step = 1e-5
     worst = 0.0
     for trial in range(100):
         n = int(rng.integers(2, 33))
         # the pure quadratic has a constant Hessian; keep it in the mix
         poly = POLY_X2 if trial % 10 == 0 else random_poly(rng)
         raw = sample_sequence(families[trial % 3], n, 909, trial)
-        H = np.empty((n, n))
-        for k in range(n):
-            Xp = raw.copy()
-            Xm = raw.copy()
-            Xp[k] += step
-            Xm[k] -= step
-            gp = gradient_trace_polynomial(spectrum(Xp), poly)
-            gm = gradient_trace_polynomial(spectrum(Xm), poly)
-            # Hessian of the statistic g = Tr P(C) itself
-            H[:, k] = (gp - gm) / (2 * step)
-        opnorm = float(np.linalg.norm(H, 2))
+        # the Hessian of the statistic g = Tr P(C) itself, step 1e-5
+        opnorm = float(np.linalg.norm(fd_hessian(raw, poly), 2))
         exact = hessian_norm(spectrum(raw), poly)
         rel = abs(opnorm - exact) / exact
         worst = max(worst, rel)

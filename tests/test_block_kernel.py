@@ -31,13 +31,14 @@ from circulant_clt import ensembles
 from circulant_clt.ensembles import block_rows
 from oracles import (
     build_sample,
+    dense_trace_polynomial,
     gradient_trace_polynomial,
     hessian_norm,
     sample_sequence,
+    spectral_norm,
     trace_polynomial,
     trace_power_direct,
 )
-from test_circulant import dense_trace_polynomial
 
 FAMILIES = tuple(EnsembleSpec(f) for f in ("gaussian", "rademacher", "uniform_symmetric"))
 POLY_X2_X3 = TestPolynomial((1.0, 1.0))
@@ -54,12 +55,6 @@ polynomials = st.lists(
 ).filter(lambda c: abs(c[-1]) > 0.1).map(lambda c: TestPolynomial(tuple(c)))
 
 
-def max_modulus(lam, bufs):
-    """max_t |lambda_t| of each row of half spectra: kappa2's max_t relies on
-    the half spectrum holding every modulus."""
-    return np.abs(lam).max(axis=-1)
-
-
 def check_against_per_replica_oracles(n, poly, spec, seed, rows, m):
     """Every kernel output of replicas 0..m-1, in blocks of `rows`, against
     the per-replica oracles, and the dense oracle on both sides of the first
@@ -71,7 +66,8 @@ def check_against_per_replica_oracles(n, poly, spec, seed, rows, m):
         traces = run_clt_experiment(config).raw_traces
         grads = harness._replica_blocks(
             config, lambda lam, bufs: gradient_block(lam, poly, bufs).T, width=n)
-        norms = harness._replica_blocks(config, max_modulus)[0]
+        # kappa2's max_t relies on the half spectrum holding every modulus
+        norms = harness._replica_blocks(config, lambda lam, bufs: spectral_norm(lam))[0]
         quartic, squared, hess4, oracle_traces = [], [], [], []
         for r in range(m):
             lam = build_sample(spec, n, seed, r)
@@ -81,7 +77,7 @@ def check_against_per_replica_oracles(n, poly, spec, seed, rows, m):
             grad = gradient_trace_polynomial(lam, poly)
             grad_scale = 1.0 + math.sqrt(n) * float(np.max(np.abs(poly.derivative_values(lam))))
             assert np.all(np.abs(grads[:, r] - grad) <= TOL * grad_scale)
-            assert close(norms[r], np.max(np.abs(lam)), 1.0 + norms[r])
+            assert close(norms[r], spectral_norm(lam), 1.0 + norms[r])
             if r in (0, rows - 1, rows, m - 1):  # both sides of the block boundary
                 raw = sample_sequence(spec, n, seed, r)
                 assert close(traces[r], dense_trace_polynomial(raw, poly), scale)
@@ -148,13 +144,13 @@ def test_kernel_matches_oracles_at_split_sizes(n, split):
     est = estimate_kappas(config)
     grads = harness._replica_blocks(
         config, lambda lam, bufs: gradient_block(lam, poly, bufs).T, width=n)
-    norms = harness._replica_blocks(config, max_modulus)[0]
+    norms = harness._replica_blocks(config, lambda lam, bufs: spectral_norm(lam))[0]
     quartic, squared, hess4 = [], [], []
     for r in range(m):
         lam = build_sample(spec, n, seed, r)
         scale = 1.0 + float(np.sum(np.abs(poly.evaluate(lam))))
         assert close(traces[r], trace_polynomial(lam, poly), scale)
-        assert close(norms[r], np.max(np.abs(lam)), 1.0 + norms[r])
+        assert close(norms[r], spectral_norm(lam), 1.0 + norms[r])
         grad = gradient_trace_polynomial(lam, poly)
         grad_scale = 1.0 + math.sqrt(n) * float(np.max(np.abs(poly.derivative_values(lam))))
         assert np.all(np.abs(grads[:, r] - grad) <= TOL * grad_scale)

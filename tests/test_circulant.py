@@ -14,9 +14,13 @@ from oracles import (
     ImaginaryResidualError,
     build_sample,
     dense_matrix,
+    dense_trace_polynomial,
+    fd_gradient,
+    fd_hessian,
     gradient_trace_polynomial,
     hessian_norm,
     sample_sequence,
+    spectral_norm,
     spectrum,
     trace_polynomial,
     trace_power_direct,
@@ -34,28 +38,6 @@ def raw_from_scaled(x) -> np.ndarray:
     """Raw inputs X whose scaled first row X / sqrt(n) is x."""
     x = np.asarray(x, dtype=np.float64)
     return x * math.sqrt(len(x))
-
-
-def draw(spec, n, seed, replica=0) -> np.ndarray:
-    return sample_sequence(spec, n, seed, replica)
-
-
-def spectral_norm(lam) -> np.ndarray:
-    """Operator norm max_t |lambda_t| along the last axis: circulant matrices
-    are normal."""
-    return np.abs(lam).max(axis=-1)
-
-
-def dense_trace_polynomial(raw, poly: TestPolynomial) -> float:
-    """Oracle: explicit matrix powers of the materialized circulant."""
-    C = dense_matrix(raw)
-    total = 0.0
-    power = C.copy()
-    for k in range(2, len(poly.dense())):
-        power = power @ C
-        a = dict(poly.terms()).get(k, 0.0)
-        total += a * np.trace(power)
-    return float(total)
 
 
 class TestPolynomialType:
@@ -120,12 +102,12 @@ class TestPolynomialType:
 class TestBuildSample:
     def test_n_one_spectrum_is_the_entry(self):
         lam = build_sample(EnsembleSpec("gaussian"), 1, 1, 0)
-        raw = draw(EnsembleSpec("gaussian"), 1, 1)
+        raw = sample_sequence(EnsembleSpec("gaussian"), 1, 1, 0)
         assert dense_matrix(raw)[0, 0] == raw[0]
         assert np.allclose(lam, raw)
 
     def test_rademacher_scaling(self):
-        raw = draw(EnsembleSpec("rademacher"), 4, 2)
+        raw = sample_sequence(EnsembleSpec("rademacher"), 4, 2, 0)
         assert set(np.abs(dense_matrix(raw)).ravel()) == {0.5}
 
     def test_deterministic(self):
@@ -138,7 +120,7 @@ class TestBuildSample:
                              ids=lambda s: s.family)
     def test_is_spectrum_of_the_draw(self, spec):
         lam = build_sample(spec, 9, 3, 5)
-        assert np.array_equal(lam, spectrum(draw(spec, 9, 3, 5)))
+        assert np.array_equal(lam, spectrum(sample_sequence(spec, 9, 3, 5)))
 
 
 class TestSpectrum:
@@ -152,7 +134,7 @@ class TestSpectrum:
         assert np.allclose(lam, np.ones(3))
 
     def test_matches_dense_eigenvalues(self):
-        raw = draw(EnsembleSpec("uniform_symmetric"), 9, 9)
+        raw = sample_sequence(EnsembleSpec("uniform_symmetric"), 9, 9, 0)
 
         def canonical(values):
             # sort on rounded keys so float noise cannot flip tie-breaks
@@ -165,7 +147,7 @@ class TestSpectrum:
         assert np.allclose(lam, ev, atol=1e-10)
 
     def test_trace_identity(self):
-        raw = draw(EnsembleSpec("gaussian"), 16, 4)
+        raw = sample_sequence(EnsembleSpec("gaussian"), 16, 4, 0)
         total = np.sum(spectrum(raw))
         expected = 16 * raw[0] / math.sqrt(16)
         assert abs(total - expected) <= 1e-12 * (1 + abs(expected))
@@ -183,7 +165,7 @@ class TestSpectrum:
         # the block kernel's rfft route keeps numpy's first n/2 + 1 bins as
         # they are: bin t holds the oracle's lambda_((n - t) mod n), the
         # conjugate of lambda_t
-        raw = draw(spec, n, 6)
+        raw = sample_sequence(spec, n, 6, 0)
         full = spectrum(raw)
         half = half_spectrum(raw[None], BlockBuffers(1, n))[0]
         assert half.shape == (n // 2 + 1,)
@@ -195,7 +177,8 @@ class TestSpectrum:
                                       ("gaussian", "rademacher", "uniform_symmetric")],
                              ids=lambda s: s.family)
     @pytest.mark.parametrize("n, split", [(4, (2, 2)), (12, (4, 3)), (20, (5, 4)),
-                                          (45, (9, 5)), (64, (8, 8)), (2**15, (256, 128))])
+                                          (45, (9, 5)), (64, (8, 8)), (2**15, (256, 128)),
+                                          (3**10, (243, 243))])
     def test_split_half_spectrum_is_in_k2_k1_order_bin_by_bin(self, spec, n, split,
                                                                monkeypatch):
         # the split route (forced down to small n) keeps
@@ -204,7 +187,7 @@ class TestSpectrum:
         # trace_block weighs them, that covers every eigenvalue once up to
         # conjugation
         monkeypatch.setattr(circulant, "SPLIT_MIN_N", 4)
-        raw = draw(spec, n, 6)
+        raw = sample_sequence(spec, n, 6, 0)
         full = spectrum(raw)
         bufs = BlockBuffers(1, n)
         n2, n1 = split
@@ -236,13 +219,13 @@ class TestTracePowers:
         assert trace_power_direct(raw, 2) == pytest.approx(expected)
 
     def test_power_one_is_n_x0(self):
-        raw = draw(EnsembleSpec("gaussian"), 10, 7)
+        raw = sample_sequence(EnsembleSpec("gaussian"), 10, 7, 0)
         assert trace_power_direct(raw, 1) == pytest.approx(10 * raw[0] / math.sqrt(10))
 
     def test_degree_one_identity(self):
         # Tr(C)/sqrt(n) equals the first raw input exactly
         for r in range(20):
-            raw = draw(EnsembleSpec("uniform_symmetric"), 37, 8, r)
+            raw = sample_sequence(EnsembleSpec("uniform_symmetric"), 37, 8, r)
             lhs = trace_power_spectral(spectrum(raw), 1) / math.sqrt(37)
             assert abs(lhs - raw[0]) <= 1e-12 * (1 + abs(raw[0]))
 
@@ -254,7 +237,7 @@ class TestTracePowers:
         for _ in range(10):
             n = int(rng.integers(2, 17))
             p = int(rng.integers(1, 5))
-            raw = draw(spec, n, 10, int(rng.integers(0, 1000)))
+            raw = sample_sequence(spec, n, 10, int(rng.integers(0, 1000)))
             a = trace_power_spectral(spectrum(raw), p)
             b = trace_power_direct(raw, p)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b))
@@ -288,7 +271,7 @@ class TestTracePolynomial:
 
     def test_dense_oracle_n64(self):
         poly = TestPolynomial((1.0, 0.0, 2.0))  # x^2 + 2x^4
-        raw = draw(EnsembleSpec("gaussian"), 64, 13)
+        raw = sample_sequence(EnsembleSpec("gaussian"), 64, 13, 0)
         fast = trace_polynomial(spectrum(raw), poly)
         slow = dense_trace_polynomial(raw, poly)
         assert abs(fast - slow) <= 1e-8 * max(1.0, abs(slow))
@@ -306,7 +289,7 @@ class TestTracePolynomial:
         coeffs[(np.arange(2, degree + 1) + seed) % 2 == 0] = 0.0
         coeffs[-1] = rng.choice([-1.0, 1.0]) * (0.5 + rng.random())
         poly = TestPolynomial(tuple(coeffs))
-        raw = draw(spec, n, 14, seed)
+        raw = sample_sequence(spec, n, 14, seed)
         lam = spectrum(raw)
         fast = trace_polynomial(lam, poly)
         slow = dense_trace_polynomial(raw, poly)
@@ -332,7 +315,7 @@ class TestSpectralNorm:
         # so does the half spectrum, one rfft or split (n2 = 4 even, n2 = 9
         # odd): kappa2's max_t relies on it holding every modulus
         for n, split in ((11, (11, 1)), (12, (4, 3)), (45, (9, 5))):
-            raw = draw(EnsembleSpec("gaussian"), n, 15)
+            raw = sample_sequence(EnsembleSpec("gaussian"), n, 15, 0)
             dense = np.linalg.norm(dense_matrix(raw), 2)
             assert spectral_norm(spectrum(raw)) == pytest.approx(dense, rel=1e-10)
             half = half_spectrum(raw[None], BlockBuffers(1, n))[0]
@@ -345,39 +328,10 @@ class TestSpectralNorm:
             assert spectral_norm(half) == pytest.approx(dense, rel=1e-10)
 
 
-def fd_gradient(raw, poly, step=1e-5):
-    n = len(raw)
-    grad = np.empty(n)
-    for k in range(n):
-        Xp = raw.copy()
-        Xm = raw.copy()
-        Xp[k] += step
-        Xm[k] -= step
-        grad[k] = (
-            trace_polynomial(spectrum(Xp), poly) - trace_polynomial(spectrum(Xm), poly)
-        ) / (2 * step)
-    return grad
-
-
-def fd_hessian_of_trace(raw, poly, step=1e-5):
-    """Hessian oracle for X -> Tr P(C(X)) by differencing the gradient."""
-    n = len(raw)
-    H = np.empty((n, n))
-    for k in range(n):
-        Xp = raw.copy()
-        Xm = raw.copy()
-        Xp[k] += step
-        Xm[k] -= step
-        gp = gradient_trace_polynomial(spectrum(Xp), poly)
-        gm = gradient_trace_polynomial(spectrum(Xm), poly)
-        H[:, k] = (gp - gm) / (2 * step)
-    return H
-
-
 class TestGradient:
     def test_square_closed_form(self):
         # for P(x) = x^2 the gradient is 2 X[(n-m) mod n]
-        raw = draw(EnsembleSpec("gaussian"), 6, 16)
+        raw = sample_sequence(EnsembleSpec("gaussian"), 6, 16, 0)
         grad = gradient_trace_polynomial(spectrum(raw), POLY_X2)
         m = np.arange(6)
         expected = 2 * raw[(6 - m) % 6]
@@ -389,7 +343,7 @@ class TestGradient:
         assert grad[0] == pytest.approx(3 * 0.8**2)
 
     def test_finite_difference_oracle_n32(self):
-        raw = draw(EnsembleSpec("gaussian"), 32, 17)
+        raw = sample_sequence(EnsembleSpec("gaussian"), 32, 17, 0)
         grad = gradient_trace_polynomial(spectrum(raw), POLY_X2_X3)
         fd = fd_gradient(raw, POLY_X2_X3)
         assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
@@ -402,7 +356,7 @@ class TestGradient:
         if coeffs[-1] == 0.0:
             coeffs = coeffs[:-1] + (1.0,)
         poly = TestPolynomial(coeffs)
-        raw = draw(EnsembleSpec("uniform_symmetric"), n, 18, seed)
+        raw = sample_sequence(EnsembleSpec("uniform_symmetric"), n, 18, seed)
         grad = gradient_trace_polynomial(spectrum(raw), poly)
         fd = fd_gradient(raw, poly)
         assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-9)
@@ -425,15 +379,15 @@ class TestHessianBound:
 
     def test_majorizes_fd_hessian_mixed_poly(self):
         poly = TestPolynomial((1.0, 0.0, 1.0))  # x^2 + x^4
-        raw = draw(EnsembleSpec("gaussian"), 16, 21)
+        raw = sample_sequence(EnsembleSpec("gaussian"), 16, 21, 0)
         lam = spectrum(raw)
-        opnorm = np.linalg.norm(fd_hessian_of_trace(raw, poly), 2)
+        opnorm = np.linalg.norm(fd_hessian(raw, poly), 2)
         exact = hessian_norm(lam, poly)
         assert opnorm == pytest.approx(exact, rel=FD_HESSIAN_REL)
         assert exact == pytest.approx(np.max(np.abs(2 + 12 * lam**2)))
 
     def test_pure_square_matches_fd_hessian(self):
-        raw = draw(EnsembleSpec("rademacher"), 8, 22)
-        opnorm = np.linalg.norm(fd_hessian_of_trace(raw, POLY_X2), 2)
+        raw = sample_sequence(EnsembleSpec("rademacher"), 8, 22, 0)
+        opnorm = np.linalg.norm(fd_hessian(raw, POLY_X2), 2)
         # a quadratic's gradient is linear, so its differences carry rounding alone
         assert opnorm == pytest.approx(hessian_norm(spectrum(raw), POLY_X2), rel=1e-9)

@@ -225,19 +225,6 @@ class TestSimulateCommand:
                      "--poly", f"0,0,{coefficient}", "--m", "50"]) == 2
         assert capsys.readouterr().err.startswith("error: the limiting variance")
 
-    def test_worker_count_invariance_excluding_wall_time(self, tmp_path):
-        # nine blocks at n = 64, the last one ragged (4 replicas)
-        outs = []
-        for workers in ("1", "8"):
-            out = tmp_path / f"w{workers}"
-            assert main(["--out", str(out), "simulate", "--n", "64",
-                         "--poly", "0,0,1,1", "--seed", "3", "--m", "4100",
-                         "--workers", workers]) == 0
-            doc = json.loads((out / "summary.json").read_text())
-            del doc["experiment"]["wall_time_s"]
-            outs.append(json.dumps(doc, sort_keys=True))
-        assert outs[0] == outs[1]
-
     def test_missing_required_flag(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "simulate", "--poly", "0,0,1"]) == 2
         assert "n" in capsys.readouterr().err

@@ -20,11 +20,11 @@ from circulant_clt import (
     run_clt_experiment,
 )
 from circulant_clt import harness
-from circulant_clt.circulant import BlockBuffers, trace_block
+from circulant_clt.circulant import trace_block
 from circulant_clt.cli import parse_config
 from circulant_clt.ensembles import block_rows
 from circulant_clt.harness import ks_distance, standardized_moments
-from oracles import dense_matrix, gradient_trace_polynomial, sample_sequence, spectrum
+from oracles import dense_trace_polynomial, fd_hessian, sample_sequence
 
 POLY_X2 = TestPolynomial((1.0,))
 POLY_X2_X3 = TestPolynomial((1.0, 1.0))
@@ -115,19 +115,6 @@ class TestConfigValidation:
 
 
 class TestRunExperiment:
-    def test_deterministic_across_worker_counts(self):
-        # 4100 replicas are eight blocks of 512 and a ragged one of 4 at n = 64,
-        # enough that every worker but the first takes a block in practice
-        results = [
-            run_clt_experiment(make_config(m=4100, worker_count=w)) for w in (1, 2, 4, 7)
-        ]
-        for other in results[1:]:
-            assert np.array_equal(results[0].w_values, other.w_values)
-            assert np.array_equal(results[0].raw_traces, other.raw_traces)
-            assert results[0].variance_w == other.variance_w
-            assert results[0].standardized_moments == other.standardized_moments
-            assert results[0].ks_distance == other.ks_distance
-
     def test_thread_count_capped_by_cpus(self, monkeypatch):
         # at n = 64, 5 * rows - 1 replicas span 5 blocks and 3 * rows - 1
         # span 3; the pool records its size and runs inline
@@ -187,68 +174,6 @@ class TestRunExperiment:
         estimate_kappas(config)
         assert on_main == [False] * 6  # three blocks for each caller
 
-    @pytest.mark.parametrize("n", [513, 512, 4097, 4096])
-    def test_worker_invariance_with_ragged_last_block(self, n, monkeypatch):
-        # n=513/512 give blocks of 63/64 rows, n=4097/4096 blocks of 7/8,
-        # and m = 3 * rows - 1 makes every last block short; threads stay
-        # capped at available_cpus()
-        m = 3 * block_rows(n) - 1
-        assert m % block_rows(n) != 0 and m > 2 * block_rows(n)
-        configs = [make_config(n=n, m=m, poly=POLY_X2_X3,
-                               ensemble=EnsembleSpec("uniform_symmetric"),
-                               worker_count=w) for w in (1, 2, 3, 7)]
-        threaded = [(run_clt_experiment(c).raw_traces, estimate_kappas(c))
-                    for c in configs]
-        # 1, 2, 3 and 7 workers run inline, so that no thread starts: the
-        # first worker takes every block and leaves the others none
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", inline_pool([]))
-        monkeypatch.setattr(harness, "available_cpus", lambda: 8)
-        inline = [(run_clt_experiment(c).raw_traces, estimate_kappas(c))
-                  for c in configs]
-        traces, kappas = threaded[0]
-        for other_traces, other_kappas in threaded[1:] + inline:
-            assert np.array_equal(other_traces, traces)
-            assert other_kappas == kappas
-
-    @pytest.mark.parametrize("spec", [EnsembleSpec(f) for f in
-                                      ("gaussian", "rademacher", "uniform_symmetric")],
-                             ids=lambda s: s.family)
-    @pytest.mark.parametrize("n, m", [(63, 2100), (64, 2100), (8191, 40), (8192, 40)])
-    def test_block_layout_never_changes_a_result(self, spec, n, m):
-        # blocks of 520 and 512 rows at n=63/64 and of 4 at n=8191/8192, so
-        # each m spans more than two blocks; they run on 1, 2, 3 or 7 threads
-        assert m > 2 * block_rows(n)
-        results = []
-        for worker_count in (1, 2, 3, 7):
-            config = make_config(n=n, m=m, poly=POLY_X2_X3, ensemble=spec,
-                                 worker_count=worker_count)
-            kappas = estimate_kappas(config) if spec.is_smooth else None
-            results.append((run_clt_experiment(config).raw_traces, kappas))
-        traces, kappas = results[0]
-        for other_traces, other_kappas in results[1:]:
-            assert np.array_equal(other_traces, traces)
-            assert other_kappas == kappas
-
-    @pytest.mark.parametrize("n, split", [(2**15, (256, 128)), (59049, (243, 243))])
-    def test_worker_invariance_at_split_sizes(self, n, split):
-        # from SPLIT_MIN_N on, blocks of one replica on the split half
-        # spectrum, with n2 = 243 odd at 3^10: 5 blocks on 1, 2, 3 or 7
-        # workers, Rademacher traces as in the large-n benchmark and the
-        # kappas of a smooth family
-        bufs = BlockBuffers(1, n)
-        assert (bufs.n2, bufs.n1) == split and block_rows(n) == 1
-        poly = TestPolynomial((1.0, 1.0, 0.0, 0.5))
-        results = []
-        for worker_count in (1, 2, 3, 7):
-            signs, smooth = (make_config(n=n, m=5, poly=poly, ensemble=EnsembleSpec(f),
-                                         worker_count=worker_count)
-                             for f in ("rademacher", "uniform_symmetric"))
-            results.append((run_clt_experiment(signs).raw_traces.tobytes(),
-                            run_clt_experiment(smooth).raw_traces.tobytes(),
-                            estimate_kappas(smooth)))
-        for other in results[1:]:
-            assert other == results[0]
-
     @pytest.mark.parametrize("spec", [EnsembleSpec(f) for f in
                                       ("gaussian", "rademacher", "uniform_symmetric")],
                              ids=lambda s: s.family)
@@ -284,8 +209,8 @@ class TestRunExperiment:
         config = make_config(n=n, m=6, poly=POLY_X2_X3, ensemble=spec, worker_count=2)
         traces = run_clt_experiment(config).raw_traces
         for r in range(config.m):
-            C = dense_matrix(sample_sequence(spec, n, config.master_seed, r))
-            dense = np.trace(C @ C) + np.trace(C @ C @ C)
+            raw = sample_sequence(spec, n, config.master_seed, r)
+            dense = dense_trace_polynomial(raw, POLY_X2_X3)
             assert traces[r] == pytest.approx(dense, rel=1e-10)
 
     @pytest.mark.parametrize("n, expected", [(63, 1.0), (64, 2.0)])
@@ -457,18 +382,9 @@ class TestSteinMachinery:
         # kappa2 is (E ||Hess g||^4)^(1/4) for the same g = Tr P(C) whose
         # gradient and variance enter the bound, within finite-difference error
         config = make_config(n=16, m=8, poly=POLY_X2_X3, master_seed=1)
-        step = 1e-5
-        norms = []
-        for r in range(config.m):
-            X = sample_sequence(config.ensemble, 16, 1, r)
-            H = np.empty((16, 16))
-            for k in range(16):
-                e = np.zeros(16)
-                e[k] = step
-                gp = gradient_trace_polynomial(spectrum(X + e), POLY_X2_X3)
-                gm = gradient_trace_polynomial(spectrum(X - e), POLY_X2_X3)
-                H[:, k] = (gp - gm) / (2 * step)
-            norms.append(np.linalg.norm(H, 2))
+        norms = [np.linalg.norm(fd_hessian(sample_sequence(config.ensemble, 16, 1, r),
+                                           POLY_X2_X3), 2)
+                 for r in range(config.m)]
         fd_kappa2 = float(np.mean(np.array(norms) ** 4)) ** 0.25
         assert estimate_kappas(config).kappa2_hat == pytest.approx(fd_kappa2, rel=1e-8)
 
@@ -486,12 +402,6 @@ class TestSteinMachinery:
         assert est.kappa0_hat > 0 and est.kappa1_hat > 0 and est.kappa2_hat > 0
         assert est.sigma2_hat > 0
         assert 0 < est.tv_bound < math.inf
-
-    def test_deterministic_across_worker_counts(self):
-        # nine blocks at n = 64, the last one ragged
-        a = estimate_kappas(make_config(m=4100, worker_count=1))
-        b = estimate_kappas(make_config(m=4100, worker_count=5))
-        assert a == b
 
     def test_kappa_scaling_with_n(self):
         # kappa0 and kappa1 grow like sqrt(n); their sqrt(n)-ratios stay flat
