@@ -92,17 +92,149 @@ def config_echo(config: ExperimentConfig) -> dict:
     }
 
 
-def emit_samples_csv(raw_traces, w_values) -> str:
-    # 17 significant digits parse back to the same double without repr's
-    # shortest-digit search; no cell needs CSV quoting, so the whole table
-    # is one % operation over its cells in row order
-    traces = np.asarray(raw_traces, dtype=np.float64).tolist()
+# samples.csv is formatted and written this many rows at a time, so the
+# file's size sets no memory peak; no output depends on it
+SAMPLES_CHUNK_ROWS = 4096
+
+# A chunk is built as rows of uint16 columns, two ASCII bytes each, with NUL
+# where a cell is narrower than its column; the NULs are dropped at the end.
+# _PAIRS spells the base-100 digits in segments of 100 entries: the pair
+# holding digit 2j of a number shown with w digits (zero-filled) reads
+# segment 2j + 22 - w, which shows both digits up to segment 20, the units
+# digit alone at 21 and neither from 22 on.
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)) * 21
+                       + b"".join(b"\0%d" % (i % 10) for i in range(100))
+                       + b"\0\0" * 100 * 19, dtype=np.uint16)
+_COMMA = np.frombuffer(b",\0,-", dtype=np.uint16)  # by the sign bit
+_POINT = np.frombuffer(b"\0\0.\0", dtype=np.uint16)  # by whether a fraction is left
+_NEWLINE = np.frombuffer(b"\n\0", dtype=np.uint16)
+# 10^k is an exact double for k <= 22; Dekker's split of each into two
+# halves of at most 26 significant bits
+_POW10 = np.array([float(10**k) for k in range(23)])
+_SPLITTER = 2.0**27 + 1
+_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# 10^k as an integer, capped at 10^18 (beyond it only multiplies a zero
+# integer part)
+_INT_POW10 = np.array([10**min(k, 18) for k in range(23)])
+
+
+def emit_samples_csv(raw_traces, w_values, start: int = 0) -> str:
+    """The samples.csv rows of replicas start, start + 1, ...: the header
+    first when start is 0, then ``replica,raw_trace,W`` per replica, each
+    float spelled as ``'%.17g'`` spells it.
+
+    A cell with 1e-4 <= |x| < 1e15, the fixed-notation range of %g, is
+    spelled in bulk from its exact 17 significant digits; any other (0,
+    subnormals, larger magnitudes, inf, nan) by one ``%`` over those cells.
+    """
+    header = "replica,raw_trace,W\n" if start == 0 else ""
+    traces = np.asarray(raw_traces, dtype=np.float64)
     m = len(traces)
-    cells = [0] * (3 * m)
-    cells[::3] = range(m)
-    cells[1::3] = traces
-    cells[2::3] = np.asarray(w_values, dtype=np.float64).tolist()
-    return ("replica,raw_trace,W\n" + "%d,%.17g,%.17g\n" * m) % tuple(cells)
+    if m == 0:
+        return header
+    x = np.empty(2 * m)  # the float cells in row order
+    x[0::2] = traces
+    x[1::2] = w_values
+    a = np.abs(x)
+    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e15)))
+    a[slow] = 1.0  # any value in range: their cells are replaced below
+    exponent, digits = _digits17(a)
+    # digits = integer * 10^frac_width + fraction; %g drops the fraction's
+    # trailing zeros, and its point with the last of them
+    frac_width = 16 - exponent
+    scale = _INT_POW10.take(frac_width)
+    integer = np.floor(a).astype(np.int64)
+    fraction = digits - integer * scale
+    carry = np.flatnonzero(fraction >= scale)  # rounded up to the next integer
+    integer[carry] += 1
+    fraction[carry] -= scale[carry]
+    int_width = np.maximum(exponent + 1, 1)
+    ends_in_zero = np.flatnonzero(fraction % 10 == 0)
+    while ends_in_zero.size:
+        zero = fraction[ends_in_zero] == 0
+        frac_width[ends_in_zero[zero]] = 0
+        ends_in_zero = ends_in_zero[~zero]
+        fraction[ends_in_zero] //= 10
+        frac_width[ends_in_zero] -= 1
+        ends_in_zero = ends_in_zero[fraction[ends_in_zero] % 10 == 0]
+    # the other cells as '%.17g' spells them, at most 24 characters, each
+    # after its comma and padded with NULs to 25 bytes
+    spelled = np.frombuffer((",%-24.17g" * slow.size % tuple(x[slow].tolist()))
+                            .encode("ascii").replace(b" ", b"\0"), dtype=np.uint8)
+    n_int = (int(int_width.max()) + 1) // 2
+    n_frac = (int(frac_width.max()) + 1) // 2
+    # in 2-byte columns, of which a spelled cell takes 13
+    width = max(2 + n_int + n_frac, 13 if slow.size else 0)
+    replicas = np.arange(start, start + m)
+    n_replica = (len(str(start + m - 1)) + 1) // 2
+    # two half rows per row: the replica and raw_trace, then W and the newline
+    half = n_replica + 1 + width
+    out = np.empty((2 * m, half), dtype=np.uint16)
+    rows = out.reshape(m, 2, half)
+    _put_digits(rows[:, 0, :n_replica], replicas,
+                np.maximum(np.searchsorted(_INT_POW10[:19], replicas, side="right"), 1))
+    rows[:, 1, :n_replica] = 0
+    cells = out[:, n_replica:-1]
+    cells[:, 0] = _COMMA.take(np.signbit(x))
+    _put_digits(cells[:, 1:1 + n_int], integer, int_width)
+    cells[:, 1 + n_int] = _POINT.take(frac_width > 0)
+    _put_digits(cells[:, 2 + n_int:2 + n_int + n_frac], fraction, frac_width)
+    cells[:, 2 + n_int + n_frac:] = 0
+    if slow.size:
+        cells.view(np.uint8)[slow, :25] = spelled.reshape(-1, 25)
+        cells.view(np.uint8)[slow, 25:] = 0
+    rows[:, 0, -1] = 0
+    rows[:, 1, -1] = _NEWLINE
+    return header + out.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _digits17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decimal exponent X and the 17 significant digits D, as an integer
+    in [10^16, 10^17), of each 1e-4 <= a < 1e15 rounded half-even to 17
+    digits: a = D * 10^(X - 16) to within half a unit of D."""
+    exponent = np.floor(np.log10(a)).astype(np.int64)  # or one off
+    c = a * _SPLITTER
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    while True:
+        k = 16 - exponent
+        # a * 10^k = hi + lo exactly: Dekker's two-product
+        hi = a * _POW10.take(k)
+        p_hi, p_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+        lo = a_hi * p_hi - hi
+        lo += a_hi * p_lo
+        lo += a_lo * p_hi
+        lo += a_lo * p_lo
+        # hi >= 2^53 is an even integer, so rounding lo half-even rounds
+        # hi + lo half-even
+        digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+        low, high = digits < 10**16, digits >= 10**17
+        if not (low.any() or high.any()):
+            # no double lies within half a unit of the 17th digit below a
+            # power of ten, so digits in range are the right ones
+            return exponent, digits
+        exponent += high
+        exponent -= low
+
+
+def _put_digits(columns: np.ndarray, values: np.ndarray, widths: np.ndarray) -> None:
+    """Spell each value, 0 <= value < 4 * 10^17, into its row of uint16 pair
+    columns, right-aligned: widths[i] digits, zero-filled, and NUL before
+    them."""
+    segment = (2200 - 100 * widths).astype(np.uint32)
+    rest = values
+    for j in range(columns.shape[1]):  # pairs from the right
+        if j % 4 == 0:  # 32-bit arithmetic on the next 8 digits
+            high = rest // 10**8
+            pairs = (rest - high * 10**8).astype(np.uint32)
+            rest = high
+        low = pairs // 100
+        pairs -= low * 100
+        pairs += segment
+        columns[:, -1 - j] = _PAIRS.take(pairs)
+        pairs = low
+        segment += 200
 
 
 def emit_summary_json(config: ExperimentConfig, summary=None, stein=None) -> str:
@@ -126,6 +258,15 @@ def emit_summary_json(config: ExperimentConfig, summary=None, stein=None) -> str
 def _write(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(content, encoding="utf-8")
+
+
+def _write_samples_csv(path: Path, raw_traces, w_values) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        for start in range(0, len(raw_traces), SAMPLES_CHUNK_ROWS):
+            stop = start + SAMPLES_CHUNK_ROWS
+            fh.write(emit_samples_csv(raw_traces[start:stop], w_values[start:stop],
+                                      start).encode("ascii"))
 
 
 def _report(path: Path, content: str) -> None:
@@ -164,7 +305,7 @@ def _cmd_variance(args: argparse.Namespace, out: Path) -> None:
 def _cmd_simulate(args: argparse.Namespace, out: Path) -> None:
     config = _config_from_options(args)
     summary = run_clt_experiment(config)
-    _write(out / "samples.csv", emit_samples_csv(summary.raw_traces, summary.w_values))
+    _write_samples_csv(out / "samples.csv", summary.raw_traces, summary.w_values)
     _report(out / "summary.json", emit_summary_json(config, summary=summary))
 
 

@@ -215,9 +215,16 @@ def ks_distance(samples, variance: float) -> float:
         raise ValueError("need at least one sample")
     if not variance > 0:
         raise ValueError("variance must be positive")
-    z = np.sort(xs) / math.sqrt(variance)
+    # sorted, standardized and mapped to the arguments -z / sqrt(2) of erfc
+    # in place; erfc reads them through a memoryview, one float at a time,
+    # so no m-long list is built
+    z = np.sort(xs)
+    z /= math.sqrt(variance)
+    np.negative(z, out=z)
+    z /= math.sqrt(2.0)
     m = xs.size
-    cdf = np.fromiter(map(math.erfc, (-z / math.sqrt(2.0)).tolist()), float, m)
+    cdf = np.fromiter(map(math.erfc, memoryview(z)), float, m)
+    del z
     cdf *= 0.5
     grid = np.arange(1, m + 1, dtype=np.float64)
     d_plus = float(np.max(grid / m - cdf))

@@ -96,6 +96,8 @@ TABLE = (
       for family in FAMILIES
       for row in runs(family, n=n, m=m, poly="0,0,1,0.5,0,0.25", seed=7,
                       workers=(1, 2))),
+    # 63 blocks of up to 32 rows at n = 1024, on 1 and on 8 workers
+    Row("simulate", "gaussian", 1024, 2000, "0,0,1,1", 1212, (1, 8)),
 )
 
 

@@ -116,20 +116,45 @@ MUTANTS = (
         "        quartic = np.square(sq, out=sq).sum(axis=1)\n",
         ("tests/test_block_kernel.py::test_kernel_matches_oracles_at_split_sizes",),
     ),
+    # the next two round the bulk-spelled cells to 15 digits (the last two
+    # of the 17 are zeros, which %g drops) and drop the last row's two half
+    # rows
     Mutant(
         "samples.csv cells written at 15 significant digits",
         "cli.py",
-        '"%d,%.17g,%.17g\\n"',
-        '"%d,%.15g,%.15g\\n"',
+        "digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)",
+        "digits = 100 * np.rint((hi + lo) / 100).astype(np.int64)",
         ("tests/test_cli.py::TestEmitters::"
          "test_samples_csv_cells_parse_back_to_the_same_double",),
     ),
     Mutant(
         "last samples.csv row dropped",
         "cli.py",
-        '"%d,%.17g,%.17g\\n" * m) % tuple(cells)',
-        '"%d,%.17g,%.17g\\n" * (m - 1)) % tuple(cells[:-3])',
+        'return header + out.tobytes().translate(None, b"\\0").decode("ascii")',
+        'return header + out[:-2].tobytes().translate(None, b"\\0").decode("ascii")',
         ("tests/test_cli.py::TestEmitters::test_csv_round_trip",),
+    ),
+    Mutant(
+        "lo dropped from the two-product: 17 digits of the rounded a * 10^k",
+        "cli.py",
+        "digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)",
+        "digits = hi.astype(np.int64)",
+        ("tests/test_cli.py::TestEmitters::test_cells_match_format_17g",),
+    ),
+    Mutant(
+        "each samples.csv chunk's last row skipped",
+        "cli.py",
+        "stop = start + SAMPLES_CHUNK_ROWS\n",
+        "stop = start + SAMPLES_CHUNK_ROWS - 1\n",
+        ("tests/test_cli.py::TestEmitters::test_chunks_write_every_row_once",),
+    ),
+    Mutant(
+        "samples.csv formatted whole before it is written",
+        "cli.py",
+        "SAMPLES_CHUNK_ROWS = 4096\n",
+        "SAMPLES_CHUNK_ROWS = 2**62\n",
+        ("tests/test_cli.py::TestEmitters::"
+         "test_tail_memory_is_independent_of_the_file_size",),
     ),
     Mutant(
         "Hermitian weight 2 at t = n/2",

@@ -6,13 +6,22 @@ import csv
 import io
 import json
 import math
+import os
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from circulant_clt import ConfigError, cli, harness, run_clt_experiment
-from circulant_clt.cli import emit_samples_csv, emit_summary_json, main, parse_config
+from circulant_clt.cli import (
+    SAMPLES_CHUNK_ROWS,
+    emit_samples_csv,
+    emit_summary_json,
+    main,
+    parse_config,
+)
 from circulant_clt.harness import ExperimentConfig
 
 MINIMAL = {"n": 512, "poly": [0, 0, 1], "family": "gaussian", "seed": 7}
@@ -23,6 +32,16 @@ OVERFLOW = "overflows: its fourth-power mean is above the largest float"
 def small_run():
     config = parse_config({**MINIMAL, "n": 32, "m": 40})
     return config, run_clt_experiment(config)
+
+
+def reference_csv(traces, ws) -> str:
+    """samples.csv as the csv module writes it, each float by format(., '.17g')."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["replica", "raw_trace", "W"])
+    writer.writerows([r, format(float(t), ".17g"), format(float(w), ".17g")]
+                     for r, (t, w) in enumerate(zip(traces, ws)))
+    return buf.getvalue()
 
 
 class TestParseConfig:
@@ -72,13 +91,8 @@ class TestEmitters:
     def test_samples_csv_matches_csv_writer(self):
         awkward = np.array([-0.0, 1e-300, 1e16, 0.1, 5e-324, -2.5, float("inf")])
         traces, ws = awkward, awkward[::-1].copy()
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["replica", "raw_trace", "W"])
-        writer.writerows([r, format(float(t), ".17g"), format(float(w), ".17g")]
-                         for r, (t, w) in enumerate(zip(traces, ws)))
-        assert emit_samples_csv(traces, ws) == buf.getvalue()
-        assert emit_samples_csv(list(traces), list(ws)) == buf.getvalue()
+        assert emit_samples_csv(traces, ws) == reference_csv(traces, ws)
+        assert emit_samples_csv(list(traces), list(ws)) == reference_csv(traces, ws)
 
     def test_samples_csv_cells_parse_back_to_the_same_double(self):
         special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -95,6 +109,67 @@ class TestEmitters:
         # bit patterns, so -0.0 must keep its sign
         assert traces.view(np.uint64).tolist() == values.view(np.uint64).tolist()
         assert ws.view(np.uint64).tolist() == values[::-1].view(np.uint64).tolist()
+
+    def test_cells_match_format_17g(self):
+        # every path of the emitter on over 10^6 doubles: random bit
+        # patterns, most with an exponent in the range spelled in bulk,
+        # 10^k and its neighbours one ulp away, values half way between two
+        # 17-digit decimals and their neighbours, zeros, subnormals and
+        # infinities
+        gen = np.random.Generator(np.random.Philox(17))
+        bits = gen.integers(0, 2**64, size=600_000, dtype=np.uint64, endpoint=False)
+        # biased exponents 1009..1073: magnitudes 2^-14 (< 1e-4) to 2^51 (> 1e15)
+        bits[50_000:] &= np.uint64(2**63 + 2**52 - 1)
+        bits[50_000:] |= gen.integers(1009, 1074, size=550_000).astype(np.uint64) << 52
+        powers = np.array([float(f"1e{k}") for k in range(-5, 17)])
+        # q * 2^(X - 17) with q odd and decimal exponent X ends in the 18th
+        # significant digit, a 5
+        exponent = gen.integers(-4, 15, size=135_000)
+        span = [np.ceil(10.0 ** (exponent + j) * 2.0 ** (17 - exponent)).astype(np.int64)
+                for j in (0, 1)]
+        half_way = np.ldexp((gen.integers(*span) | 1).astype(np.float64), exponent - 17)
+        subnormal = gen.integers(1, 2**52, size=5_000, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([
+            bits.view(np.float64),
+            *(np.nextafter(v, toward) for v in (powers, half_way)
+              for toward in (-np.inf, np.inf)),
+            powers, half_way, subnormal, [0.0, -0.0, np.inf, -np.inf]])
+        values.view(np.uint64)[gen.random(values.size) < 0.5] ^= np.uint64(2**63)
+        assert values.size >= 10**6
+        traces, ws = values[::2], values[1::2]
+        got = "".join(emit_samples_csv(traces[i:i + SAMPLES_CHUNK_ROWS],
+                                       ws[i:i + SAMPLES_CHUNK_ROWS], i)
+                      for i in range(0, len(traces), SAMPLES_CHUNK_ROWS))
+        expected = reference_csv(traces.tolist(), ws.tolist())
+        if got != expected:
+            wrong = [(a, b) for a, b in zip(got.split("\n"), expected.split("\n"))
+                     if a != b]
+            pytest.fail(f"{len(wrong)} rows differ, as {wrong[:5]}")
+
+    @pytest.mark.parametrize("m", [SAMPLES_CHUNK_ROWS - 1, SAMPLES_CHUNK_ROWS,
+                                   SAMPLES_CHUNK_ROWS + 1])
+    def test_chunks_write_every_row_once(self, tmp_path, m):
+        gen = np.random.Generator(np.random.Philox(m))
+        traces, ws = gen.standard_normal(m) * 30.0, gen.standard_normal(m)
+        cli._write_samples_csv(tmp_path / "samples.csv", traces, ws)
+        assert (tmp_path / "samples.csv").read_text() == reference_csv(traces, ws)
+
+    def test_tail_memory_is_independent_of_the_file_size(self):
+        # what simulate allocates after its replicas, beyond their two result
+        # arrays: the samples.csv writer and ks_distance
+        m = 2**20
+        gen = np.random.Generator(np.random.Philox(20))
+        ws = gen.standard_normal(m) * 3.0
+        traces = ws * 8.0 + 5.0
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cli._write_samples_csv(Path(os.devnull), traces, ws)
+            harness.ks_distance(ws, 9.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * m, f"{peak / m:.1f} bytes per replica"
 
     def test_csv_round_trip(self):
         _, summary = small_run()
