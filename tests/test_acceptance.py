@@ -42,6 +42,7 @@ from circulant_clt import (
     estimate_kappas,
     run_clt_experiment,
 )
+from golden import TABLE, row_digests
 from oracles import (
     count_slice_bruteforce,
     dense_trace_polynomial,
@@ -289,4 +290,18 @@ def test_criterion_10_tv_bound_machinery():
            f"tv(4096)/tv(256) = {est_large.tv_bound / est_small.tv_bound:.4f} "
            f"(<= 0.6); kappa0/sqrt(n) band {max(k0_ratios)/min(k0_ratios):.3f} "
            f"(<= 2); kappa2 = {k2_values} (== 2)")
+    assert ok
+
+
+def test_criterion_12_reproducibility_across_workers():
+    # the golden table's row for this config: its runs lift the thread cap,
+    # so 8 workers really start 8 threads on any machine
+    name = "simulate gaussian n=1024 m=2000 poly=0,0,1,1 seed=1212"
+    (row,) = [row for row in TABLE if row.name == name]
+    assert row.workers == (1, 8)
+    first, eight = row_digests(row)
+    ok = first == eight
+    report("criterion-12 reproducibility", ok,
+           "summary.json (minus wall time) and samples.csv byte-identical "
+           "for worker_count 1 vs 8")
     assert ok
