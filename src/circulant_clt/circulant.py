@@ -34,6 +34,10 @@ an orthonormal inverse FFT (sqrt(n) times the plain one).  As
 ifft_ortho(conj a) = conj(fft_ortho(a)), :func:`gradient_block` runs the
 split passes backwards with the forward twiddle table: an fft along n1 of
 P' of the bins, the twiddles, one conjugation, an irfft along n2.
+
+A worker holds two arrays of the half spectra's shape (:class:`BlockBuffers`),
+and the split and its twiddle table (:func:`four_step`) are made once per
+run for every worker.
 """
 
 from __future__ import annotations
@@ -143,29 +147,50 @@ class TestPolynomial:
         return _horner(self._second_derivative, z, out)
 
 
-class BlockBuffers:
-    """The arrays one worker reuses for every block of at most `rows`
-    replicas of size n, all made here: the raw inputs (held only until
-    :func:`gradient_block` writes over them), the split (n2, n1), its
-    twiddles w^(-k2 j1) as an (n2/2 + 1, n1) table (None when n1 = 1), the
-    half spectra and one complex scratch array of their shape.  A block of
-    k replicas uses the first k rows of each."""
+def four_step(n: int) -> tuple[int, int, np.ndarray | None]:
+    """The split n = n2 * n1 and its twiddles w^(-k2 j1) as an (n2/2 + 1, n1)
+    table, None when n1 = 1: built once per run and read by every worker's
+    :class:`BlockBuffers`."""
+    if n < SPLIT_MIN_N:
+        return n, 1, None
+    # the table at its largest, first, so a size too large to allocate is
+    # refused before the search below, which takes up to sqrt(n) steps for
+    # a prime n; n1 <= isqrt(n)
+    table = np.empty(n // 2 + math.isqrt(n) + 1, dtype=complex)
+    # the largest divisor of n at most sqrt(n)
+    n1 = next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
+    if n1 == 1:
+        return n, 1, None
+    n2 = n // n1
+    tw = table[: (n2 // 2 + 1) * n1].reshape(n2 // 2 + 1, n1)
+    # k2 j1 <= n/2 needs no reduction mod n
+    np.multiply(np.outer(np.arange(n2 // 2 + 1), np.arange(n1)), -2j * np.pi / n, out=tw)
+    return n2, n1, np.exp(tw, out=tw)
 
-    def __init__(self, rows: int, n: int) -> None:
-        # first, so a size too large to allocate is refused before the
-        # search below, which takes up to sqrt(n) steps for a prime n
-        self.raw = np.empty((rows, n))
-        n1 = 1
-        if n >= SPLIT_MIN_N:  # the largest divisor of n at most sqrt(n)
-            n1 = next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
-        self.n2, self.n1 = n2, n1 = n // n1, n1
-        self.twiddles = None
-        if n1 > 1:  # before the spectra exist, so its temporaries raise no peak
-            tw = np.outer(np.arange(n2 // 2 + 1), np.arange(n1)) % n * (-2j * np.pi / n)
-            self.twiddles = np.exp(tw, out=tw)
-        half = (rows, (n2 // 2 + 1) * n1)
+
+class BlockBuffers:
+    """The two arrays one worker reuses for every block of at most `rows`
+    replicas, the half spectra `lam` and one complex scratch array of their
+    shape, with the run's :func:`four_step` split (n2, n1) and twiddle table.
+    A block of k replicas uses the first k rows of each.  Its raw inputs are
+    the first k * n floats of the scratch array (:meth:`inputs`), which
+    Horner writes over once :func:`half_spectrum` has read them;
+    :func:`gradient_block` writes over the spent half spectra."""
+
+    def __init__(self, rows: int, split: tuple[int, int, np.ndarray | None]) -> None:
+        self.n2, self.n1, self.twiddles = split
+        half = (rows, (self.n2 // 2 + 1) * self.n1)
         self.lam = np.empty(half, dtype=complex)
-        self.vals = np.empty(half, dtype=complex)
+        self.scratch = np.empty(half, dtype=complex)
+
+    def inputs(self, rows: int) -> np.ndarray:
+        """The raw inputs of a block of `rows` replicas, (rows, n) floats."""
+        return _float_rows(self.scratch, rows, self.n2 * self.n1)
+
+
+def _float_rows(a: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """The first rows * n floats of the complex array a, as (rows, n)."""
+    return a.reshape(-1).view(float)[: rows * n].reshape(rows, n)
 
 
 def half_spectrum(raw: np.ndarray, bufs: BlockBuffers) -> np.ndarray:
@@ -187,11 +212,11 @@ def half_spectrum(raw: np.ndarray, bufs: BlockBuffers) -> np.ndarray:
 def trace_block(lam: np.ndarray, poly: TestPolynomial, bufs: BlockBuffers) -> np.ndarray:
     """Tr P(C) of each row of half spectra: Re P of the bins, with the
     Hermitian weights (see the module docstring) folded into the sum: the
-    weight-1 bins are halved in place in bufs.vals and the plain sum doubled.
-    Scaling by 2 is exact, so that is the weighted sum bit for bit, unless
-    a halved value is subnormal and loses its last bit."""
+    weight-1 bins are halved in place in bufs.scratch and the plain sum
+    doubled.  Scaling by 2 is exact, so that is the weighted sum bit for
+    bit, unless a halved value is subnormal and loses its last bit."""
     rows = len(lam)
-    re = poly.evaluate(lam, out=bufs.vals[:rows]).real
+    re = poly.evaluate(lam, out=bufs.scratch[:rows]).real
     re[:, : bufs.n1] *= 0.5
     if bufs.n2 % 2 == 0:
         re[:, -bufs.n1 :] *= 0.5
@@ -201,13 +226,14 @@ def trace_block(lam: np.ndarray, poly: TestPolynomial, bufs: BlockBuffers) -> np
 def gradient_block(lam: np.ndarray, poly: TestPolynomial,
                    bufs: BlockBuffers) -> np.ndarray:
     """Gradient of X -> Tr P(C(X)) for each row of half spectra, in natural
-    order, over the block's inputs in bufs.raw: P' of the bins, then split
-    an fft along n1 and the twiddles, one conjugation, an irfft along n2."""
+    order, over the spent half spectra in bufs.lam, read as floats: P' of
+    the bins in bufs.scratch, then split an fft along n1 and the twiddles,
+    one conjugation, an irfft along n2."""
     rows = len(lam)
-    spec = poly.derivative_values(lam, out=bufs.vals[:rows]).reshape(rows, -1, bufs.n1)
+    spec = poly.derivative_values(lam, out=bufs.scratch[:rows]).reshape(rows, -1, bufs.n1)
     if bufs.n1 > 1:
         np.fft.fft(spec, axis=2, norm="ortho", out=spec)
         spec *= bufs.twiddles
     np.conjugate(spec, out=spec)
-    out = bufs.raw[:rows].reshape(rows, -1, bufs.n1)
+    out = _float_rows(bufs.lam, rows, bufs.n2 * bufs.n1).reshape(rows, -1, bufs.n1)
     return np.fft.irfft(spec, n=bufs.n2, axis=1, norm="ortho", out=out).reshape(rows, -1)

@@ -43,6 +43,7 @@ import numpy as np
 from .circulant import (
     BlockBuffers,
     TestPolynomial,
+    four_step,
     gradient_block,
     half_spectrum,
     trace_block,
@@ -155,18 +156,20 @@ def _replica_blocks(
     block_rows(n) replicas and run on a pool of worker_count threads,
     capped by the block count and available_cpus().  The blocks are
     handed out in order, one at a time, to whichever worker asks next.
-    Each worker builds one generator, which ensembles.draw_rows moves to
-    the start of each block it takes.
+    The split and its twiddle table are made once, here, for every worker.
+    Each worker builds its buffers and one generator, which
+    ensembles.draw_rows moves to the start of each block it takes.
     """
     n, m = config.n, config.m
     rows = block_rows(n)
     starts = range(0, m, rows)
+    split = four_step(n)
     out = np.empty((width, m))
     cursor, cursor_lock = iter(starts), threading.Lock()
 
     @np.errstate(over="ignore", invalid="ignore")  # the records refuse inf and nan
     def run_blocks(_worker: int) -> None:
-        bufs = BlockBuffers(min(rows, m), n)
+        bufs = BlockBuffers(min(rows, m), split)
         rng = worker_generator(config.master_seed)
         while True:
             with cursor_lock:
@@ -174,7 +177,7 @@ def _replica_blocks(
             if lo is None:
                 return
             k = min(lo + rows, m) - lo
-            block = draw_rows(config.ensemble, rng, lo // rows, bufs.raw[:k])
+            block = draw_rows(config.ensemble, rng, lo // rows, bufs.inputs(k))
             lam = half_spectrum(block, bufs)
             out[:, lo : lo + k] = fn(lam, bufs)
 
@@ -194,14 +197,18 @@ def standardized_moments(samples) -> np.ndarray:
     # a constant sample's rounded mean can miss its value, leaving peak > 0
     if xs.min() == xs.max():
         return np.zeros(4)
-    centered = xs - xs.mean()
-    peak = float(np.max(np.abs(centered)))
-    # scaled to |x| <= 1 and then to unit variance, so no power overflows
-    scaled = centered / peak
-    z = scaled / math.sqrt(float(np.mean(scaled**2)))
+    # one centered copy, scaled in place to |z| <= 1 and then to unit
+    # variance, so no power overflows, and one array of its squares
+    z = xs - xs.mean()
+    z /= max(z.max(), -z.min())
+    z2 = np.square(z)
+    z /= math.sqrt(float(z2.mean()))
+    np.multiply(z, z, out=z2)
+    m1, m2 = z.mean(), z2.mean()
     # products, not z**3 and z**4, which numpy takes through libm pow
-    z2 = z * z
-    return np.array([float(np.mean(p)) for p in (z, z2, z2 * z, z2 * z2)])
+    z *= z2
+    z2 *= z2
+    return np.array([m1, m2, z.mean(), z2.mean()])
 
 
 def ks_distance(samples, variance: float) -> float:
@@ -277,17 +284,20 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
     poly = config.poly
 
     def per_block(lam: np.ndarray, bufs: BlockBuffers) -> tuple[np.ndarray, ...]:
+        traces = trace_block(lam, poly, bufs)
+        # the Hessian moduli over P'' in the scratch array's real part, both
+        # read as 1-D: a 2-D abs into .real copies its input (P'' of a
+        # degree-2 polynomial is a scalar)
+        scratch = bufs.scratch[: len(lam)]
+        second = poly.second_derivative_values(lam, out=scratch)
+        np.abs(np.reshape(second, -1), out=scratch.real.reshape(-1))
+        hess = scratch.real.max(axis=1)
+        # the gradient last, over lam, which nothing reads after it
         sq = gradient_block(lam, poly, bufs)
         np.square(sq, out=sq)
         squared = sq.sum(axis=1) ** 2
         quartic = np.square(sq, out=sq).sum(axis=1)
-        # the gradient is read: its first lam.size values take the moduli,
-        # one contiguous (rows, bins) block (lam's shape: P'' of a degree-2
-        # polynomial is a scalar)
-        second = poly.second_derivative_values(lam, out=bufs.vals[: len(lam)])
-        moduli = sq.reshape(-1)[: lam.size].reshape(lam.shape)
-        hess = np.abs(second, out=moduli).max(axis=1)
-        return quartic, squared, hess**4, trace_block(lam, poly, bufs)
+        return quartic, squared, hess**4, traces
 
     quartic, squared, hess4, traces = _replica_blocks(config, per_block, width=4)
     means = [float(a.mean()) for a in (quartic, squared, hess4)]

@@ -88,32 +88,41 @@ MUTANTS = (
     Mutant(
         "kappa2 from the majorant m2(max_t |lambda_t|) instead of max_t |P''(lambda_t)|",
         "harness.py",
-        "        moduli = sq.reshape(-1)[: lam.size].reshape(lam.shape)\n"
-        "        hess = np.abs(second, out=moduli).max(axis=1)\n",
+        "        np.abs(np.reshape(second, -1), out=scratch.real.reshape(-1))\n"
+        "        hess = scratch.real.max(axis=1)\n",
         "        hess = np.polynomial.polynomial.polyval(\n"
         "            np.abs(lam).max(axis=1),\n"
         "            [k * (k - 1) * abs(a) for k, a in poly.terms()])\n",
         ("tests/test_harness.py::TestSteinMachinery::"
          "test_kappa2_majorizes_fd_hessian_of_trace",),
     ),
+    # the next two reorder estimate_kappas' steps: the gradient's P' goes
+    # into the scratch array that holds the Hessian moduli, and its irfft
+    # over the half spectra that P'' reads
     Mutant(
-        "Hessian moduli written over the gradient before kappa0 and kappa1 read it",
+        "Hessian moduli read after the gradient's P' was written over them",
         "harness.py",
-        "        np.square(sq, out=sq)\n"
-        "        squared = sq.sum(axis=1) ** 2\n"
-        "        quartic = np.square(sq, out=sq).sum(axis=1)\n"
-        "        # the gradient is read: its first lam.size values take the moduli,\n"
-        "        # one contiguous (rows, bins) block (lam's shape: P'' of a degree-2\n"
-        "        # polynomial is a scalar)\n"
-        "        second = poly.second_derivative_values(lam, out=bufs.vals[: len(lam)])\n"
-        "        moduli = sq.reshape(-1)[: lam.size].reshape(lam.shape)\n"
-        "        hess = np.abs(second, out=moduli).max(axis=1)\n",
-        "        second = poly.second_derivative_values(lam, out=bufs.vals[: len(lam)])\n"
-        "        moduli = sq.reshape(-1)[: lam.size].reshape(lam.shape)\n"
-        "        hess = np.abs(second, out=moduli).max(axis=1)\n"
-        "        np.square(sq, out=sq)\n"
-        "        squared = sq.sum(axis=1) ** 2\n"
-        "        quartic = np.square(sq, out=sq).sum(axis=1)\n",
+        "        hess = scratch.real.max(axis=1)\n"
+        "        # the gradient last, over lam, which nothing reads after it\n"
+        "        sq = gradient_block(lam, poly, bufs)\n",
+        "        sq = gradient_block(lam, poly, bufs)\n"
+        "        hess = scratch.real.max(axis=1)\n",
+        ("tests/test_block_kernel.py::test_kernel_matches_oracles_at_split_sizes",),
+    ),
+    Mutant(
+        "gradient written over lam before the Hessian reads it",
+        "harness.py",
+        "        scratch = bufs.scratch[: len(lam)]\n"
+        "        second = poly.second_derivative_values(lam, out=scratch)\n"
+        "        np.abs(np.reshape(second, -1), out=scratch.real.reshape(-1))\n"
+        "        hess = scratch.real.max(axis=1)\n"
+        "        # the gradient last, over lam, which nothing reads after it\n"
+        "        sq = gradient_block(lam, poly, bufs)\n",
+        "        sq = gradient_block(lam, poly, bufs)\n"
+        "        scratch = bufs.scratch[: len(lam)]\n"
+        "        second = poly.second_derivative_values(lam, out=scratch)\n"
+        "        np.abs(np.reshape(second, -1), out=scratch.real.reshape(-1))\n"
+        "        hess = scratch.real.max(axis=1)\n",
         ("tests/test_block_kernel.py::test_kernel_matches_oracles_at_split_sizes",),
     ),
     # the next two round the bulk-spelled cells to 15 digits (the last two
@@ -215,8 +224,8 @@ MUTANTS = (
     Mutant(
         "forward twiddle's sign flipped",
         "circulant.py",
-        "(-2j * np.pi / n)",
-        "(2j * np.pi / n)",
+        "-2j * np.pi / n",
+        "2j * np.pi / n",
         ("tests/test_circulant.py::TestSpectrum::"
          "test_split_half_spectrum_is_in_k2_k1_order_bin_by_bin",),
     ),
@@ -241,8 +250,8 @@ MUTANTS = (
     Mutant(
         "fourth moment from z2 * z",
         "harness.py",
-        "z2 * z2)",
-        "z2 * z)",
+        "    z2 *= z2\n",
+        "    z2 = z\n",
         ("tests/test_harness.py::TestMoments::test_matches_manual_computation",),
     ),
     # the next two replace the locked cursor of _replica_blocks; the first

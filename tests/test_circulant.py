@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from circulant_clt import EnsembleSpec, TestPolynomial, circulant
-from circulant_clt.circulant import BlockBuffers, half_spectrum
+from circulant_clt.circulant import BlockBuffers, four_step, half_spectrum
 from oracles import (
     ImaginaryResidualError,
     build_sample,
@@ -167,7 +167,7 @@ class TestSpectrum:
         # conjugate of lambda_t
         raw = sample_sequence(spec, n, 6, 0)
         full = spectrum(raw)
-        half = half_spectrum(raw[None], BlockBuffers(1, n))[0]
+        half = half_spectrum(raw[None], BlockBuffers(1, four_step(n)))[0]
         assert half.shape == (n // 2 + 1,)
         scale = 1.0 + float(np.max(np.abs(full)))
         t = np.arange(n // 2 + 1)
@@ -189,7 +189,7 @@ class TestSpectrum:
         monkeypatch.setattr(circulant, "SPLIT_MIN_N", 4)
         raw = sample_sequence(spec, n, 6, 0)
         full = spectrum(raw)
-        bufs = BlockBuffers(1, n)
+        bufs = BlockBuffers(1, four_step(n))
         n2, n1 = split
         assert (bufs.n2, bufs.n1) == split
         half = half_spectrum(raw[None], bufs)[0].reshape(n2 // 2 + 1, n1)
@@ -318,11 +318,11 @@ class TestSpectralNorm:
             raw = sample_sequence(EnsembleSpec("gaussian"), n, 15, 0)
             dense = np.linalg.norm(dense_matrix(raw), 2)
             assert spectral_norm(spectrum(raw)) == pytest.approx(dense, rel=1e-10)
-            half = half_spectrum(raw[None], BlockBuffers(1, n))[0]
+            half = half_spectrum(raw[None], BlockBuffers(1, four_step(n)))[0]
             assert spectral_norm(half) == pytest.approx(dense, rel=1e-10)
             with monkeypatch.context() as patch:
                 patch.setattr(circulant, "SPLIT_MIN_N", 4)
-                bufs = BlockBuffers(1, n)
+                bufs = BlockBuffers(1, four_step(n))
                 assert (bufs.n2, bufs.n1) == split
                 half = half_spectrum(raw[None], bufs)[0]
             assert spectral_norm(half) == pytest.approx(dense, rel=1e-10)

@@ -146,6 +146,18 @@ class TestEmitters:
                      if a != b]
             pytest.fail(f"{len(wrong)} rows differ, as {wrong[:5]}")
 
+    def test_cells_out_of_the_bulk_range_alone(self):
+        # a chunk whose every cell is at least 1e15, so no cell is spelled
+        # in bulk, and one where only W is in range
+        gen = np.random.Generator(np.random.Philox(15))
+        big = 10.0 ** gen.uniform(15, 308, size=3000)
+        big[gen.random(big.size) < 0.5] *= -1
+        big[:4] = 1e15, -1e15, np.nextafter(1e15, np.inf), np.inf
+        traces, ws = big[::2], big[1::2]
+        assert emit_samples_csv(traces, ws) == reference_csv(traces, ws)
+        small = gen.standard_normal(traces.size)
+        assert emit_samples_csv(traces, small) == reference_csv(traces, small)
+
     @pytest.mark.parametrize("m", [SAMPLES_CHUNK_ROWS - 1, SAMPLES_CHUNK_ROWS,
                                    SAMPLES_CHUNK_ROWS + 1])
     def test_chunks_write_every_row_once(self, tmp_path, m):
@@ -463,8 +475,9 @@ class TestOtherCommands:
 
     def test_huge_prime_size_refused_before_a_divisor_search(self, tmp_path, capsys):
         # 10**30 + 57 is prime, so the search for the split's divisor would
-        # step down from isqrt(n) some 10**15 times; the inputs' array,
-        # whose shape does not depend on the split, is refused first
+        # step down from isqrt(n) some 10**15 times; the twiddle table at
+        # its largest, a size that does not depend on the split, is
+        # refused first
         argv = ["--out", str(tmp_path), "simulate", "--n", str(10**30 + 57),
                 "--poly", "0,0,1", "--m", "2"]
         codes = []

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -366,6 +367,20 @@ class TestMoments:
         rng = np.random.Generator(np.random.Philox(5))
         moments = standardized_moments(rng.standard_normal(1000))
         assert moments[1] == pytest.approx(1.0)
+
+    def test_memory_is_two_arrays_of_the_samples(self):
+        # one centered copy and one array of its squares, 16 bytes per
+        # sample, whatever the sample size
+        m = 2**20
+        xs = np.random.Generator(np.random.Philox(21)).standard_normal(m)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            standardized_moments(xs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 17 * m, f"{peak / m:.1f} bytes per sample"
 
 
 class TestSteinMachinery:
