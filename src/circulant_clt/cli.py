@@ -137,11 +137,8 @@ def emit_samples_csv(raw_traces, w_values, start: int = 0) -> str:
     x[0::2] = traces
     x[1::2] = w_values
     a = np.abs(x)
-    in_range = (a >= 1e-4) & (a < 1e15)
-    slow = np.flatnonzero(~in_range)
-    # the bulk arithmetic runs on the in-range cells alone
-    fast = np.flatnonzero(in_range) if slow.size else slice(None)
-    a = a[fast]
+    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e15)))
+    a[slow] = 1.0  # any value in range: their cells are replaced below
     exponent, digits = _digits17(a)
     # digits = integer * 10^frac_width + fraction; %g drops the fraction's
     # trailing zeros, and its point with the last of them
@@ -165,8 +162,8 @@ def emit_samples_csv(raw_traces, w_values, start: int = 0) -> str:
     # after its comma and padded with NULs to 25 bytes
     spelled = np.frombuffer((",%-24.17g" * slow.size % tuple(x[slow].tolist()))
                             .encode("ascii").replace(b" ", b"\0"), dtype=np.uint8)
-    n_int = (int(int_width.max(initial=0)) + 1) // 2
-    n_frac = (int(frac_width.max(initial=0)) + 1) // 2
+    n_int = (int(int_width.max()) + 1) // 2
+    n_frac = (int(frac_width.max()) + 1) // 2
     # in 2-byte columns, of which a spelled cell takes 13
     width = max(2 + n_int + n_frac, 13 if slow.size else 0)
     replicas = np.arange(start, start + m)
@@ -179,15 +176,12 @@ def emit_samples_csv(raw_traces, w_values, start: int = 0) -> str:
                 np.maximum(np.searchsorted(_INT_POW10[:19], replicas, side="right"), 1))
     rows[:, 1, :n_replica] = 0
     cells = out[:, n_replica:-1]
-    # the in-range cells in place, or apart and then moved among the others
-    body = np.empty((a.size, width), dtype=np.uint16) if slow.size else cells
-    body[:, 0] = _COMMA.take(np.signbit(x[fast]))
-    _put_digits(body[:, 1:1 + n_int], integer, int_width)
-    body[:, 1 + n_int] = _POINT.take(frac_width > 0)
-    _put_digits(body[:, 2 + n_int:2 + n_int + n_frac], fraction, frac_width)
-    body[:, 2 + n_int + n_frac:] = 0
+    cells[:, 0] = _COMMA.take(np.signbit(x))
+    _put_digits(cells[:, 1:1 + n_int], integer, int_width)
+    cells[:, 1 + n_int] = _POINT.take(frac_width > 0)
+    _put_digits(cells[:, 2 + n_int:2 + n_int + n_frac], fraction, frac_width)
+    cells[:, 2 + n_int + n_frac:] = 0
     if slow.size:
-        cells[fast] = body
         cells.view(np.uint8)[slow, :25] = spelled.reshape(-1, 25)
         cells.view(np.uint8)[slow, 25:] = 0
     rows[:, 0, -1] = 0

@@ -262,7 +262,10 @@ def test_peak_memory_per_worker_independent_of_m(workers):
     # twiddle table (0.5) for every worker.  The kappas write the Hessian
     # moduli into the scratch and the gradient over the spent spectra.
     # Measured at one worker: 1.62 (traces) and 1.54 (kappas) times
-    # n * 16 bytes; at two, 2.65-2.73 and 2.57
+    # n * 16 bytes; at two, 2.64-2.72 and 2.56-2.57, as the threads
+    # interleave.  The bound allows 0.6 per worker and 0.6 for the table
+    # and the draw's temporaries, well above that spread (the layout with
+    # four arrays per worker read 2.12 at one)
     n = 2**15
     threads = min(workers, harness.available_cpus())
     peaks = {}
@@ -275,8 +278,8 @@ def test_peak_memory_per_worker_independent_of_m(workers):
                 ensemble=EnsembleSpec(family), master_seed=3, worker_count=workers))
 
         small, large = peaks[kernel] = peak(16), peak(64)
-        assert small <= (1.1 * threads + 0.55) * n * 16
-        assert large <= (1.1 * threads + 0.55) * n * 16
+        assert small <= (1.2 * threads + 0.6) * n * 16
+        assert large <= (1.2 * threads + 0.6) * n * 16
         if threads == 1:
             assert abs(large - small) <= 64 * 8 * 4  # only per-replica outputs grow
     # the gradient takes no array of its own: beyond their (4, m) outputs
@@ -293,7 +296,8 @@ def test_peak_memory_of_multi_row_blocks_independent_of_m(kernel, workers):
     # at n = 4096 a block holds 8 replicas and there is no twiddle table; a
     # worker holds one block's half spectra and one scratch array, and the
     # kappas write the gradient over the spent spectra: measured at 1.03-1.04
-    # (traces) and 1.03-1.07 (kappas) times BLOCK_VALUES * 16 bytes per worker
+    # (traces) and 1.03-1.07 (kappas) times BLOCK_VALUES * 16 bytes per worker,
+    # bounded at 1.2 (the layout with three arrays per worker read 1.53)
     n = 4096
     assert block_rows(n) == 8
     threads = min(workers, harness.available_cpus())
@@ -304,8 +308,8 @@ def test_peak_memory_of_multi_row_blocks_independent_of_m(kernel, workers):
             master_seed=3, worker_count=workers))
 
     small, large = peak(64), peak(640)
-    assert small <= 1.1 * ensembles.BLOCK_VALUES * 16 * threads
-    assert large <= 1.1 * ensembles.BLOCK_VALUES * 16 * threads
+    assert small <= 1.2 * ensembles.BLOCK_VALUES * 16 * threads
+    assert large <= 1.2 * ensembles.BLOCK_VALUES * 16 * threads
     if threads == 1:  # only per-replica outputs grow, at most 8 floats each
         assert abs(large - small) <= (640 - 64) * 8 * 8
 

@@ -147,8 +147,8 @@ class TestEmitters:
             pytest.fail(f"{len(wrong)} rows differ, as {wrong[:5]}")
 
     def test_cells_out_of_the_bulk_range_alone(self):
-        # a chunk whose every cell is at least 1e15, so no cell is spelled
-        # in bulk, and one where only W is in range
+        # a chunk whose every cell is at least 1e15, so every cell is
+        # spelled by '%', and one where only W is in range
         gen = np.random.Generator(np.random.Philox(15))
         big = 10.0 ** gen.uniform(15, 308, size=3000)
         big[gen.random(big.size) < 0.5] *= -1
