@@ -9,10 +9,11 @@ __version__ = "0.1.0"
 from .circulant import TestPolynomial
 from .combinatorics import limiting_variance
 from .ensembles import EnsembleSpec
-from .errors import ConfigError, SmoothnessRequiredError
 from .harness import (
+    ConfigError,
     ExperimentConfig,
     ExperimentSummary,
+    SmoothnessRequiredError,
     SteinEstimate,
     estimate_kappas,
     run_clt_experiment,

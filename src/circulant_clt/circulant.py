@@ -1,4 +1,4 @@
-"""Circulant realizations: half spectra, traces, gradients.
+"""Circulant realizations: half spectra, traces, gradients, kappa sums.
 
 A circulant matrix here has entry (i, j) equal to x[(j - i) mod n], where
 x = X / sqrt(n) is the scaled first row built from raw inputs X.  A
@@ -37,7 +37,9 @@ P' of the bins, the twiddles, one conjugation, an irfft along n2.
 
 A worker holds two arrays of the half spectra's shape (:class:`BlockBuffers`),
 and the split and its twiddle table (:func:`four_step`) are made once per
-run for every worker.
+run for every worker.  The block functions (:func:`trace_block`,
+:func:`gradient_block`, :func:`kappa_block`) take the half spectra, the
+polynomial and those buffers, and alone decide which array each step writes.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-SPLIT_MIN_N = 2**15  # the smallest n where the split pays (measured sweep)
+# the split runs from here on; forced lower, it measured faster at 2**14
+# and tied at 2**13, but no workload has 2**13 < n < 2**15 (ROADMAP)
+SPLIT_MIN_N = 2**15
 
 
 def _horner(coeffs: Sequence[float], z, out=None):
@@ -237,3 +241,28 @@ def gradient_block(lam: np.ndarray, poly: TestPolynomial,
     np.conjugate(spec, out=spec)
     out = _float_rows(bufs.lam, rows, bufs.n2 * bufs.n1).reshape(rows, -1, bufs.n1)
     return np.fft.irfft(spec, n=bufs.n2, axis=1, norm="ortho", out=out).reshape(rows, -1)
+
+
+def kappa_block(lam: np.ndarray, poly: TestPolynomial,
+                bufs: BlockBuffers) -> tuple[np.ndarray, ...]:
+    """The per-replica reductions of the total-variation bound for each row
+    of half spectra: sum_k (dg/dX_k)^4, (sum_k (dg/dX_k)^2)^2, ||Hess g||^4
+    and the trace g = Tr P(C).  Each lambda_t is linear in X, so the Hessian
+    of g is (1/n) sum_t P''(lambda_t) w^(t(j+k)), a circulant with
+    eigenvalues P''(lambda_t) times the reversal permutation: its operator
+    norm is exactly max_t |P''(lambda_t)|, and the half spectrum holds every
+    such modulus."""
+    traces = trace_block(lam, poly, bufs)
+    # the Hessian moduli over P'' in the scratch array's real part, both
+    # read as 1-D: a 2-D abs into .real copies its input (P'' of a
+    # degree-2 polynomial is a scalar)
+    scratch = bufs.scratch[: len(lam)]
+    second = poly.second_derivative_values(lam, out=scratch)
+    np.abs(np.reshape(second, -1), out=scratch.real.reshape(-1))
+    hess = scratch.real.max(axis=1)
+    # the gradient last, over lam, which nothing reads after it
+    sq = gradient_block(lam, poly, bufs)
+    np.square(sq, out=sq)
+    squared = sq.sum(axis=1) ** 2
+    quartic = np.square(sq, out=sq).sum(axis=1)
+    return quartic, squared, hess**4, traces

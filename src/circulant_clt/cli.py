@@ -27,8 +27,8 @@ from . import __version__
 from .circulant import TestPolynomial
 from .combinatorics import limiting_variance
 from .ensembles import EnsembleSpec
-from .errors import ConfigError
-from .harness import ExperimentConfig, available_cpus, estimate_kappas, run_clt_experiment
+from .harness import (ConfigError, ExperimentConfig, available_cpus, estimate_kappas,
+                      run_clt_experiment)
 
 CONFIG_KEYS = frozenset({"n", "poly", "family", "seed", "m", "worker_count"})
 DEFAULT_REPLICAS = 2000

@@ -17,10 +17,7 @@ Poincare / Stein total-variation bound
 
 from Monte Carlo estimates of the gradient functionals kappa0 and kappa1,
 the Hessian functional kappa2, and the empirical variance, all of the one
-function g(X) = Tr P(C(X)).  Each lambda_t is linear in X, so the Hessian
-of g is (1/n) sum_t P''(lambda_t) w^(t(j+k)), a circulant times the
-reversal, and its operator norm is exactly max_t |P''(lambda_t)|.  The
-bound requires a smooth symmetric ensemble.
+function g(X) = Tr P(C(X)).  The bound requires a smooth symmetric ensemble.
 
 How the replicas are grouped into blocks, drawn and handed to workers,
 so that results are bit-identical for any worker_count, is set out in
@@ -30,6 +27,7 @@ so that results are bit-identical for any worker_count, is set out in
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 import threading
@@ -44,13 +42,20 @@ from .circulant import (
     BlockBuffers,
     TestPolynomial,
     four_step,
-    gradient_block,
     half_spectrum,
+    kappa_block,
     trace_block,
 )
 from .combinatorics import limiting_variance
 from .ensembles import EnsembleSpec, block_rows, draw_rows, worker_generator
-from .errors import SmoothnessRequiredError, require_integers
+
+
+class SmoothnessRequiredError(ValueError):
+    """An operation needed a smooth ensemble (bounded |u'|, |u''|) and got none."""
+
+
+class ConfigError(ValueError):
+    """A configuration document failed validation."""
 
 
 def _require_finite(**values) -> None:
@@ -72,10 +77,12 @@ class ExperimentConfig:
     worker_count: int = 1
 
     def __post_init__(self) -> None:
-        for name, value in require_integers(
-                n=self.n, m=self.m, master_seed=self.master_seed,
-                worker_count=self.worker_count).items():
-            object.__setattr__(self, name, value)
+        # each size, count and seed as a Python int; bool and float refused
+        for name in ("n", "m", "master_seed", "worker_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.m < 2:
@@ -145,14 +152,14 @@ def available_cpus() -> int:
 
 def _replica_blocks(
     config: ExperimentConfig,
-    fn: Callable[[np.ndarray, BlockBuffers], np.ndarray],
+    fn: Callable[[np.ndarray, TestPolynomial, BlockBuffers], np.ndarray],
     width: int = 1,
 ) -> np.ndarray:
     """Evaluate fn on the half spectra of replicas 0..m-1, block by block.
 
-    fn maps a (rows, bins) block of half spectra and the worker's
-    BlockBuffers, which hold that block, to a (width, rows) array; column
-    r of the (width, m) result holds replica r.  Blocks start every
+    fn maps a (rows, bins) block of half spectra, config.poly and the
+    worker's BlockBuffers, which hold that block, to a (width, rows) array;
+    column r of the (width, m) result holds replica r.  Blocks start every
     block_rows(n) replicas and run on a pool of worker_count threads,
     capped by the block count and available_cpus().  The blocks are
     handed out in order, one at a time, to whichever worker asks next.
@@ -179,7 +186,7 @@ def _replica_blocks(
             k = min(lo + rows, m) - lo
             block = draw_rows(config.ensemble, rng, lo // rows, bufs.inputs(k))
             lam = half_spectrum(block, bufs)
-            out[:, lo : lo + k] = fn(lam, bufs)
+            out[:, lo : lo + k] = fn(lam, config.poly, bufs)
 
     workers = min(config.worker_count, len(starts), available_cpus())
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -244,8 +251,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run the replica experiment and summarize the normalized statistic W."""
     t0 = time.perf_counter()
     target = float(limiting_variance(config.poly))  # refused before any replica runs
-    traces = _replica_blocks(
-        config, lambda lam, bufs: trace_block(lam, config.poly, bufs))[0]
+    traces = _replica_blocks(config, trace_block)[0]
     t_bar = float(traces.mean())
     w = (traces - t_bar) / math.sqrt(config.n)
     return ExperimentSummary(
@@ -267,39 +273,19 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
     """Monte Carlo estimates of the gradient/Hessian functionals.
 
     kappa0 = (E sum_k |dg/dX_k|^4)^(1/2) and kappa1 = (E ||grad g||^4)^(1/4)
-    use the exact analytic gradient of g = Tr P(C).  kappa2 =
-    (E ||Hess g||^4)^(1/4) uses the exact operator norm of the Hessian,
-    materializing none: d^2 g / dX_j dX_k = (1/n) sum_t P''(lambda_t)
-    w^(t(j+k)) is a circulant with eigenvalues P''(lambda_t) times the
-    reversal permutation, so ||Hess g|| = max_t |P''(lambda_t)|, and the
-    half spectrum holds every such modulus.  sigma2_hat is the empirical
-    variance of g, so all four describe the same function.
+    use the exact analytic gradient of g = Tr P(C), and kappa2 =
+    (E ||Hess g||^4)^(1/4) the exact operator norm of its Hessian
+    (circulant.kappa_block).  sigma2_hat is the empirical variance of g, so
+    all four describe the same function.
     """
+    limiting_variance(config.poly)  # reported with the bound: refused before any replica runs
     if not config.ensemble.is_smooth:
         raise SmoothnessRequiredError(
             f"the total-variation bound requires a symmetric smooth ensemble "
             f"(a law u(Z) of a standard normal with |u'| <= c1, |u''| <= c2); "
             f"{config.ensemble.family!r} does not qualify"
         )
-    poly = config.poly
-
-    def per_block(lam: np.ndarray, bufs: BlockBuffers) -> tuple[np.ndarray, ...]:
-        traces = trace_block(lam, poly, bufs)
-        # the Hessian moduli over P'' in the scratch array's real part, both
-        # read as 1-D: a 2-D abs into .real copies its input (P'' of a
-        # degree-2 polynomial is a scalar)
-        scratch = bufs.scratch[: len(lam)]
-        second = poly.second_derivative_values(lam, out=scratch)
-        np.abs(np.reshape(second, -1), out=scratch.real.reshape(-1))
-        hess = scratch.real.max(axis=1)
-        # the gradient last, over lam, which nothing reads after it
-        sq = gradient_block(lam, poly, bufs)
-        np.square(sq, out=sq)
-        squared = sq.sum(axis=1) ** 2
-        quartic = np.square(sq, out=sq).sum(axis=1)
-        return quartic, squared, hess**4, traces
-
-    quartic, squared, hess4, traces = _replica_blocks(config, per_block, width=4)
+    quartic, squared, hess4, traces = _replica_blocks(config, kappa_block, width=4)
     means = [float(a.mean()) for a in (quartic, squared, hess4)]
     for k, mean in enumerate(means):
         # a zero or subnormal mean has lost digits; the bound is invariant

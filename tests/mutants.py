@@ -87,42 +87,42 @@ MUTANTS = (
     ),
     Mutant(
         "kappa2 from the majorant m2(max_t |lambda_t|) instead of max_t |P''(lambda_t)|",
-        "harness.py",
-        "        np.abs(np.reshape(second, -1), out=scratch.real.reshape(-1))\n"
-        "        hess = scratch.real.max(axis=1)\n",
-        "        hess = np.polynomial.polynomial.polyval(\n"
-        "            np.abs(lam).max(axis=1),\n"
-        "            [k * (k - 1) * abs(a) for k, a in poly.terms()])\n",
+        "circulant.py",
+        "    np.abs(np.reshape(second, -1), out=scratch.real.reshape(-1))\n"
+        "    hess = scratch.real.max(axis=1)\n",
+        "    hess = np.polynomial.polynomial.polyval(\n"
+        "        np.abs(lam).max(axis=1),\n"
+        "        [k * (k - 1) * abs(a) for k, a in poly.terms()])\n",
         ("tests/test_harness.py::TestSteinMachinery::"
          "test_kappa2_majorizes_fd_hessian_of_trace",),
     ),
-    # the next two reorder estimate_kappas' steps: the gradient's P' goes
+    # the next two reorder kappa_block's steps: the gradient's P' goes
     # into the scratch array that holds the Hessian moduli, and its irfft
     # over the half spectra that P'' reads
     Mutant(
         "Hessian moduli read after the gradient's P' was written over them",
-        "harness.py",
-        "        hess = scratch.real.max(axis=1)\n"
-        "        # the gradient last, over lam, which nothing reads after it\n"
-        "        sq = gradient_block(lam, poly, bufs)\n",
-        "        sq = gradient_block(lam, poly, bufs)\n"
-        "        hess = scratch.real.max(axis=1)\n",
+        "circulant.py",
+        "    hess = scratch.real.max(axis=1)\n"
+        "    # the gradient last, over lam, which nothing reads after it\n"
+        "    sq = gradient_block(lam, poly, bufs)\n",
+        "    sq = gradient_block(lam, poly, bufs)\n"
+        "    hess = scratch.real.max(axis=1)\n",
         ("tests/test_block_kernel.py::test_kernel_matches_oracles_at_split_sizes",),
     ),
     Mutant(
         "gradient written over lam before the Hessian reads it",
-        "harness.py",
-        "        scratch = bufs.scratch[: len(lam)]\n"
-        "        second = poly.second_derivative_values(lam, out=scratch)\n"
-        "        np.abs(np.reshape(second, -1), out=scratch.real.reshape(-1))\n"
-        "        hess = scratch.real.max(axis=1)\n"
-        "        # the gradient last, over lam, which nothing reads after it\n"
-        "        sq = gradient_block(lam, poly, bufs)\n",
-        "        sq = gradient_block(lam, poly, bufs)\n"
-        "        scratch = bufs.scratch[: len(lam)]\n"
-        "        second = poly.second_derivative_values(lam, out=scratch)\n"
-        "        np.abs(np.reshape(second, -1), out=scratch.real.reshape(-1))\n"
-        "        hess = scratch.real.max(axis=1)\n",
+        "circulant.py",
+        "    scratch = bufs.scratch[: len(lam)]\n"
+        "    second = poly.second_derivative_values(lam, out=scratch)\n"
+        "    np.abs(np.reshape(second, -1), out=scratch.real.reshape(-1))\n"
+        "    hess = scratch.real.max(axis=1)\n"
+        "    # the gradient last, over lam, which nothing reads after it\n"
+        "    sq = gradient_block(lam, poly, bufs)\n",
+        "    sq = gradient_block(lam, poly, bufs)\n"
+        "    scratch = bufs.scratch[: len(lam)]\n"
+        "    second = poly.second_derivative_values(lam, out=scratch)\n"
+        "    np.abs(np.reshape(second, -1), out=scratch.real.reshape(-1))\n"
+        "    hess = scratch.real.max(axis=1)\n",
         ("tests/test_block_kernel.py::test_kernel_matches_oracles_at_split_sizes",),
     ),
     # the next two round the bulk-spelled cells to 15 digits (the last two
@@ -287,6 +287,34 @@ MUTANTS = (
         "w = (traces - t_bar) / math.sqrt(config.n)",
         "w = (traces - t_bar) * (1 / math.sqrt(config.n))",
         ("tests/test_golden.py::test_digests_match_golden_json",),
+    ),
+    Mutant(
+        "tv-bound runs its replicas before the limiting variance is checked",
+        "harness.py",
+        "    limiting_variance(config.poly)  # reported with the bound: "
+        "refused before any replica runs\n",
+        "",
+        ("tests/test_cli.py::TestTvBoundCommand::"
+         "test_limiting_variance_refused_before_any_replica",),
+    ),
+    # the quartic sums of a multi-row block in reverse row order: their mean,
+    # and so kappa0_hat, is unchanged
+    Mutant(
+        "kappa_block's quartic sums reversed within a block",
+        "circulant.py",
+        "    return quartic, squared, hess**4, traces\n",
+        "    return quartic[::-1], squared, hess**4, traces\n",
+        ("tests/test_block_kernel.py::test_split_kernel_matches_per_replica_oracles",),
+    ),
+    # 1 KiB per replica kept alive until the run ends: far below the
+    # absolute bounds on the peak, but it grows with m
+    Mutant(
+        "1 KiB kept per replica in _replica_blocks",
+        "harness.py",
+        "            out[:, lo : lo + k] = fn(lam, config.poly, bufs)\n",
+        "            out[:, lo : lo + k] = fn(lam, config.poly, bufs)\n"
+        "            run_blocks.__dict__.setdefault('kept', []).append(bytearray(1024 * k))\n",
+        ("tests/test_block_kernel.py::test_peak_memory_per_worker_independent_of_m",),
     ),
 )
 

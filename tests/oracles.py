@@ -47,6 +47,7 @@ from math import comb, factorial
 
 import numpy as np
 
+from circulant_clt import SmoothnessRequiredError
 from circulant_clt.circulant import TestPolynomial
 from circulant_clt.ensembles import (
     UNIFORM_HALF_WIDTH,
@@ -54,7 +55,6 @@ from circulant_clt.ensembles import (
     block_rows,
     draw_rows,
 )
-from circulant_clt.errors import SmoothnessRequiredError
 
 IMAG_TOL = 1e-8
 

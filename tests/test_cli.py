@@ -390,12 +390,29 @@ class TestTvBoundCommand:
         assert stein["sigma2_target_scaled"] == pytest.approx(64 * 2.0)
         assert doc["experiment"] is None
 
+    @pytest.mark.parametrize("coefficient", ["1e155", "1e-200"])
+    def test_limiting_variance_refused_before_any_replica(self, tmp_path, capsys,
+                                                          monkeypatch, coefficient):
+        # summary.json reports the limiting variance beside the bound, so
+        # it is refused before the Monte Carlo runs, as simulate refuses it
+        def no_replicas(*args):
+            raise AssertionError("a replica ran before the target was checked")
+
+        monkeypatch.setattr(harness, "_replica_blocks", no_replicas)
+        assert main(["--out", str(tmp_path), "tv-bound", "--n", "4096",
+                     "--poly", f"0,0,{coefficient}", "--m", "20000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the limiting variance")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("coefficient, message", [
         pytest.param(coefficient, f"{kappa} {reason}", id=coefficient)
         for coefficient, kappa, reason in (
             ("1e76", "kappa0_hat", OVERFLOW),
             ("3e77", "kappa0_hat", OVERFLOW),
-            ("1e-200", "kappa0_hat", UNDERFLOW),
+            # a_2^2 2! = 2e-400: the limiting variance is refused first
+            ("1e-200", "the limiting variance sum_k a_k^2 k!", "is below the float range"),
             ("1e-100", "kappa0_hat", UNDERFLOW),
             ("1e-80", "kappa0_hat", UNDERFLOW),
             ("3e-78", "kappa2_hat", UNDERFLOW),

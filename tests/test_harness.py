@@ -251,7 +251,7 @@ class TestBlockCursor:
                              ensemble=EnsembleSpec("uniform_symmetric"), worker_count=2)
         others_ran, lock, ran = threading.Event(), threading.Lock(), []
 
-        def slow_first_block(lam, bufs):
+        def slow_first_block(lam, poly, bufs):
             if moved.block == 0:
                 assert others_ran.wait(timeout=5), "block 0 waited for blocks behind it"
             else:
@@ -259,13 +259,11 @@ class TestBlockCursor:
                     ran.append(moved.block)
                     if len(ran) == 5:
                         others_ran.set()
-            return trace_block(lam, POLY_X2, bufs)
+            return trace_block(lam, poly, bufs)
 
         balanced = harness._replica_blocks(config, slow_first_block)
         assert sorted(ran) == [1, 2, 3, 4, 5]
-        one_worker = harness._replica_blocks(
-            replace(config, worker_count=1),
-            lambda lam, bufs: trace_block(lam, POLY_X2, bufs))
+        one_worker = harness._replica_blocks(replace(config, worker_count=1), trace_block)
         assert np.array_equal(balanced, one_worker)
 
     def test_cursor_under_constant_thread_switches(self, monkeypatch):
@@ -284,14 +282,14 @@ class TestBlockCursor:
         monkeypatch.setattr(harness, "available_cpus", lambda: 8)
         moved = recording_moves(monkeypatch)
         n = 1024
-        config = make_config(n=n, m=64 * block_rows(n) + 5, master_seed=5,
+        config = make_config(n=n, m=64 * block_rows(n) + 5, poly=POLY_X2_X3, master_seed=5,
                              ensemble=EnsembleSpec("rademacher"), worker_count=8)
         ran, lock, results = [], threading.Lock(), []
 
-        def recording_trace(lam, bufs):
+        def recording_trace(lam, poly, bufs):
             with lock:
                 ran.append(moved.block)
-            return trace_block(lam, POLY_X2_X3, bufs)
+            return trace_block(lam, poly, bufs)
 
         runner = threading.Thread(daemon=True, target=lambda: results.append(
             harness._replica_blocks(config, recording_trace)))
@@ -306,9 +304,7 @@ class TestBlockCursor:
             sys.setswitchinterval(interval)
         assert not runner.is_alive(), "the pool did not finish within 60 s"
         assert sorted(ran) == list(range(65))
-        one_worker = harness._replica_blocks(
-            replace(config, worker_count=1),
-            lambda lam, bufs: trace_block(lam, POLY_X2_X3, bufs))
+        one_worker = harness._replica_blocks(replace(config, worker_count=1), trace_block)
         assert np.array_equal(results[0], one_worker)
 
 
