@@ -74,11 +74,14 @@ def check_kappa_columns(config, lams, hess_oracle):
     """kappa_block's four columns of replicas 0..m-1 against the oracles on
     their full spectra lams, replica by replica, so an error that cancels in
     the mean shows; then that estimate_kappas takes its kappas from the
-    column means.  hess_oracle(lam, poly) is the Hessian norm's oracle."""
+    column means, and that those match the oracles' to TOL.
+    hess_oracle(lam, poly) is the Hessian norm's oracle."""
     poly = config.poly
     quartic, squared, hess4, traces = harness._replica_blocks(config, kappa_block, width=4)
+    oracle = {"quartic": [], "squared": [], "hess4": [], "traces": []}
     for r, lam in enumerate(lams):
-        assert close(traces[r], trace_polynomial(lam, poly), trace_scale(lam, poly))
+        trace = trace_polynomial(lam, poly)
+        assert close(traces[r], trace, trace_scale(lam, poly))
         # an error e in each |g_k| moves sum g^4 by at most 4 e sum |g|^3,
         # and (sum g^2)^2 by at most 4 e sum g^2 sum |g|; TOL more for the sums
         g = np.abs(gradient_trace_polynomial(lam, poly))
@@ -87,10 +90,16 @@ def check_kappa_columns(config, lams, hess_oracle):
         assert abs(squared[r] - s2**2) <= 4 * e * s2 * np.sum(g) + TOL * s2**2
         hess = hess_oracle(lam, poly)
         assert close(hess4[r] ** 0.25, hess, 1.0 + hess)
+        for key, value in zip(oracle, (s4, s2**2, hess**4, trace)):
+            oracle[key].append(value)
     est = estimate_kappas(config)
     assert (est.kappa0_hat, est.kappa1_hat, est.kappa2_hat, est.sigma2_hat) == (
         math.sqrt(quartic.mean()), float(squared.mean()) ** 0.25,
         float(hess4.mean()) ** 0.25, traces.var(ddof=1))
+    assert est.kappa0_hat == pytest.approx(math.sqrt(np.mean(oracle["quartic"])), rel=TOL)
+    assert est.kappa1_hat == pytest.approx(np.mean(oracle["squared"]) ** 0.25, rel=TOL)
+    assert est.kappa2_hat == pytest.approx(np.mean(oracle["hess4"]) ** 0.25, rel=TOL)
+    assert est.sigma2_hat == pytest.approx(np.var(oracle["traces"], ddof=1), rel=TOL)
 
 
 def check_against_per_replica_oracles(n, poly, spec, seed, rows, m):

@@ -301,16 +301,25 @@ class TestSimulateCommand:
         assert captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("coefficient", ["1e160", "1e-200"])
+    # tv-bound reports the limiting variance beside the bound, so it refuses
+    # it before the Monte Carlo runs too; its refusal below the float range
+    # is a row of TestTvBoundCommand::test_kappas_beyond_float_range_refused
+    @pytest.mark.parametrize("command, coefficient", [
+        ("simulate", "1e160"), ("simulate", "1e-200"), ("tv-bound", "1e160"),
+    ], ids=["1e160", "1e-200", "tv-bound-1e160"])
     def test_limiting_variance_refused_before_any_replica(self, tmp_path, capsys,
-                                                          monkeypatch, coefficient):
+                                                          monkeypatch, command,
+                                                          coefficient):
         def no_replicas(*args):
             raise AssertionError("a replica ran before the target was checked")
 
         monkeypatch.setattr(harness, "_replica_blocks", no_replicas)
-        assert main(["--out", str(tmp_path), "simulate", "--n", "64",
+        assert main(["--out", str(tmp_path), command, "--n", "64",
                      "--poly", f"0,0,{coefficient}", "--m", "50"]) == 2
-        assert capsys.readouterr().err.startswith("error: the limiting variance")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the limiting variance")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_required_flag(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "simulate", "--poly", "0,0,1"]) == 2
@@ -389,22 +398,6 @@ class TestTvBoundCommand:
         assert stein["tv_bound"] > 0
         assert stein["sigma2_target_scaled"] == pytest.approx(64 * 2.0)
         assert doc["experiment"] is None
-
-    @pytest.mark.parametrize("coefficient", ["1e155", "1e-200"])
-    def test_limiting_variance_refused_before_any_replica(self, tmp_path, capsys,
-                                                          monkeypatch, coefficient):
-        # summary.json reports the limiting variance beside the bound, so
-        # it is refused before the Monte Carlo runs, as simulate refuses it
-        def no_replicas(*args):
-            raise AssertionError("a replica ran before the target was checked")
-
-        monkeypatch.setattr(harness, "_replica_blocks", no_replicas)
-        assert main(["--out", str(tmp_path), "tv-bound", "--n", "4096",
-                     "--poly", f"0,0,{coefficient}", "--m", "20000"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: the limiting variance")
-        assert captured.out == ""
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("coefficient, message", [
         pytest.param(coefficient, f"{kappa} {reason}", id=coefficient)
