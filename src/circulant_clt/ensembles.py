@@ -27,12 +27,8 @@ word 2 the block and words 0-1 advance within a draw, so no two
 substreams overlap, within a run or across sizes.  One generator call
 fills a whole block, and replica r is row r mod block_rows(n) of block
 r // block_rows(n).  Each draw consumes its stream in order, so a run
-of m replicas gives the first m replicas of any longer run.  The
-harness hands blocks out in order to whichever worker is free, and a
-worker builds one generator (:func:`worker_generator`), which
-:func:`draw_rows` moves to each block's counter [0, 0, block, n], with
-Philox's 4-word output buffer emptied, before it draws: exactly what a
-fresh generator at that counter would draw.
+of m replicas gives the first m replicas of any longer run.  The key,
+:func:`stream_key`, is derived once per run and shared by every block.
 """
 
 from __future__ import annotations
@@ -96,34 +92,28 @@ def block_rows(n: int) -> int:
     return max(BLOCK_VALUES // n, 1)
 
 
-def worker_generator(master_seed: int) -> np.random.Generator:
-    """A worker's Philox generator, keyed by the master seed; :func:`draw_rows`
-    moves it to each block it draws."""
-    key = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def stream_key(master_seed: int) -> np.ndarray:
+    """The Philox key of every block's stream: the two 64-bit words
+    SeedSequence(master_seed) generates."""
+    return np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
 
 
-def draw_rows(spec: EnsembleSpec, rng: np.random.Generator, block: int,
+def draw_rows(spec: EnsembleSpec, key: np.ndarray, block: int,
               out: np.ndarray) -> np.ndarray:
     """Fill out with the leading rows of block `block` at n = out.shape[1]
-    of the stream of rng, a :func:`worker_generator`.
+    of the stream keyed by key, a :func:`stream_key`.
 
-    rng moves to the block's counter [0, 0, block, n] with Philox's 4-word
-    output buffer emptied, so a draw that stopped inside a buffer leaves no
-    trace, and one call of it fills out in row-major order: a short block
-    takes the leading rows of a full one.  Gaussian rows come from
+    The block's generator is Philox at counter [0, 0, block, n], and one
+    call of it fills out in row-major order: a short block takes the
+    leading rows of a full one.  Gaussian rows come from
     ``standard_normal``; uniform rows are sqrt(3)*(2U - 1) for standard
     uniforms U from ``random``; Rademacher rows are 2B - 1 for the bits B
     of the block's ``random_raw`` words, least significant bit first,
     mapped to signs in int8 and cast to float once.
     """
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    state["state"]["counter"][:] = (0, 0, block, out.shape[1])
-    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-    bitgen.state = state
+    rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, block, out.shape[1]]))
     if spec.family == "rademacher":
-        words = bitgen.random_raw(-(-out.size // 64)).astype("<u8", copy=False)
+        words = rng.bit_generator.random_raw(-(-out.size // 64)).astype("<u8", copy=False)
         bits = np.unpackbits(words.view(np.uint8), count=out.size, bitorder="little")
         signs = bits.view(np.int8)
         signs *= 2

@@ -47,7 +47,7 @@ from .circulant import (
     trace_block,
 )
 from .combinatorics import limiting_variance
-from .ensembles import EnsembleSpec, block_rows, draw_rows, worker_generator
+from .ensembles import EnsembleSpec, block_rows, draw_rows, stream_key
 
 
 class SmoothnessRequiredError(ValueError):
@@ -163,28 +163,26 @@ def _replica_blocks(
     block_rows(n) replicas and run on a pool of worker_count threads,
     capped by the block count and available_cpus().  The blocks are
     handed out in order, one at a time, to whichever worker asks next.
-    The split and its twiddle table are made once, here, for every worker.
-    Each worker builds its buffers and one generator, which
-    ensembles.draw_rows moves to the start of each block it takes.
+    The split, its twiddle table and the stream key are made once, here,
+    for every worker; a worker builds only its buffers.
     """
     n, m = config.n, config.m
     rows = block_rows(n)
     starts = range(0, m, rows)
-    split = four_step(n)
+    split, key = four_step(n), stream_key(config.master_seed)
     out = np.empty((width, m))
     cursor, cursor_lock = iter(starts), threading.Lock()
 
     @np.errstate(over="ignore", invalid="ignore")  # the records refuse inf and nan
     def run_blocks(_worker: int) -> None:
         bufs = BlockBuffers(min(rows, m), split)
-        rng = worker_generator(config.master_seed)
         while True:
             with cursor_lock:
                 lo = next(cursor, None)
             if lo is None:
                 return
             k = min(lo + rows, m) - lo
-            block = draw_rows(config.ensemble, rng, lo // rows, bufs.inputs(k))
+            block = draw_rows(config.ensemble, key, lo // rows, bufs.inputs(k))
             lam = half_spectrum(block, bufs)
             out[:, lo : lo + k] = fn(lam, config.poly, bufs)
 
@@ -278,7 +276,8 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
     (circulant.kappa_block).  sigma2_hat is the empirical variance of g, so
     all four describe the same function.
     """
-    limiting_variance(config.poly)  # reported with the bound: refused before any replica runs
+    # reported with the bound, so refused before any replica runs
+    _require_finite(sigma2_target_scaled=config.n * float(limiting_variance(config.poly)))
     if not config.ensemble.is_smooth:
         raise SmoothnessRequiredError(
             f"the total-variation bound requires a symmetric smooth ensemble "

@@ -41,14 +41,6 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "Philox output buffer kept when a generator moves to a block",
-        "ensembles.py",
-        "    state.update(buffer_pos=4, has_uint32=0, uinteger=0)\n",
-        "",
-        ("tests/test_ensembles.py::TestRandomStream::"
-         "test_moved_generator_draws_each_block_afresh",),
-    ),
-    Mutant(
         "W scaled by 1.05",
         "harness.py",
         "w = (traces - t_bar) / math.sqrt(config.n)",
@@ -180,12 +172,18 @@ MUTANTS = (
         ("tests/test_circulant.py::TestTracePolynomial::test_dense_oracle_n64",),
     ),
     Mutant(
-        "worker-dependent seed",
+        "n dropped from the block counter",
+        "ensembles.py",
+        "counter=[0, 0, block, out.shape[1]]",
+        "counter=[0, 0, block, 0]",
+        ("tests/test_ensembles.py::TestSampling::test_sizes_share_no_inputs",),
+    ),
+    Mutant(
+        "block index read as the block's first replica",
         "harness.py",
-        "rng = worker_generator(config.master_seed)",
-        "rng = worker_generator(config.master_seed + _worker)",
-        ("tests/test_harness.py::TestBlockCursor::"
-         "test_a_slow_block_holds_back_no_other",),
+        "draw_rows(config.ensemble, key, lo // rows, bufs.inputs(k))",
+        "draw_rows(config.ensemble, key, lo, bufs.inputs(k))",
+        ("tests/test_golden.py::test_digests_match_golden_json",),
     ),
     Mutant(
         "seed range < 2**64 read as <= 2**64 in ExperimentConfig",
@@ -291,9 +289,19 @@ MUTANTS = (
     Mutant(
         "tv-bound runs its replicas before the limiting variance is checked",
         "harness.py",
-        "    limiting_variance(config.poly)  # reported with the bound: "
-        "refused before any replica runs\n",
+        "    _require_finite(sigma2_target_scaled=config.n * "
+        "float(limiting_variance(config.poly)))\n",
         "",
+        ("tests/test_cli.py::TestSimulateCommand::"
+         "test_limiting_variance_refused_before_any_replica",),
+    ),
+    # the limiting variance still checked, but not n times it
+    Mutant(
+        "tv-bound runs its replicas before sigma2_target_scaled is checked",
+        "harness.py",
+        "_require_finite(sigma2_target_scaled=config.n * "
+        "float(limiting_variance(config.poly)))",
+        "limiting_variance(config.poly)",
         ("tests/test_cli.py::TestSimulateCommand::"
          "test_limiting_variance_refused_before_any_replica",),
     ),

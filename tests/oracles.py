@@ -5,8 +5,8 @@ The package runs one route: a block of replicas drawn by
 spectrum.  The routes here recompute the same quantities another way for
 the tests to compare against:
 
-* a fresh generator per block at the counter README gives, in place of a
-  worker's generator moved from block to block (:func:`documented_generator`);
+* each block's generator built from README's definition, key and counter
+  alike, apart from ``ensembles.stream_key`` (:func:`documented_generator`);
 * one replica at a time on its full spectrum lambda = n * ifft(X / sqrt(n))
   (:func:`trace_polynomial`, :func:`gradient_trace_polynomial`,
   :func:`hessian_norm`, which materializes the Hessian, and
@@ -54,6 +54,7 @@ from circulant_clt.ensembles import (
     EnsembleSpec,
     block_rows,
     draw_rows,
+    stream_key,
 )
 
 IMAG_TOL = 1e-8
@@ -80,11 +81,9 @@ def documented_generator(master_seed: int, block: int, n: int) -> np.random.Gene
 
 def sample_sequence(spec: EnsembleSpec, n: int, master_seed: int, replica: int) -> np.ndarray:
     """The raw inputs of one replica: row replica mod block_rows(n) of its
-    block's draw from the block's documented generator, drawn up to that
-    row alone."""
+    block's draw, drawn up to that row alone."""
     block, row = divmod(replica, block_rows(n))
-    rng = documented_generator(master_seed, block, n)
-    return draw_rows(spec, rng, block, np.empty((row + 1, n)))[row]
+    return draw_rows(spec, stream_key(master_seed), block, np.empty((row + 1, n)))[row]
 
 
 def smooth_transform_value(spec: EnsembleSpec, z):

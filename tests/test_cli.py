@@ -301,23 +301,30 @@ class TestSimulateCommand:
         assert captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    # tv-bound reports the limiting variance beside the bound, so it refuses
-    # it before the Monte Carlo runs too; its refusal below the float range
-    # is a row of TestTvBoundCommand::test_kappas_beyond_float_range_refused
-    @pytest.mark.parametrize("command, coefficient", [
-        ("simulate", "1e160"), ("simulate", "1e-200"), ("tv-bound", "1e160"),
-    ], ids=["1e160", "1e-200", "tv-bound-1e160"])
+    # tv-bound reports the limiting variance, and n times it, beside the
+    # bound, so it refuses both before the Monte Carlo runs too; its
+    # refusal below the float range is a row of
+    # TestTvBoundCommand::test_kappas_beyond_float_range_refused.  At
+    # 4 x^170, sum_k a_k^2 k! = 16 * 170! ~ 1.16e308 is a float, but 64
+    # times it is not
+    @pytest.mark.parametrize("command, poly, message", [
+        ("simulate", "0,0,1e160", "the limiting variance"),
+        ("simulate", "0,0,1e-200", "the limiting variance"),
+        ("tv-bound", "0,0,1e160", "the limiting variance"),
+        ("tv-bound", ",".join(["0"] * 170 + ["4"]),
+         "sigma2_target_scaled is not finite: it left the float range"),
+    ], ids=["1e160", "1e-200", "tv-bound-1e160", "tv-bound-sigma2_target_scaled"])
     def test_limiting_variance_refused_before_any_replica(self, tmp_path, capsys,
                                                           monkeypatch, command,
-                                                          coefficient):
+                                                          poly, message):
         def no_replicas(*args):
             raise AssertionError("a replica ran before the target was checked")
 
         monkeypatch.setattr(harness, "_replica_blocks", no_replicas)
         assert main(["--out", str(tmp_path), command, "--n", "64",
-                     "--poly", f"0,0,{coefficient}", "--m", "50"]) == 2
+                     "--poly", poly, "--m", "50"]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: the limiting variance")
+        assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 

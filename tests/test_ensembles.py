@@ -10,7 +10,7 @@ from circulant_clt import (
     EnsembleSpec,
     SmoothnessRequiredError,
 )
-from circulant_clt.ensembles import block_rows, draw_rows, worker_generator
+from circulant_clt.ensembles import block_rows, draw_rows, stream_key
 from oracles import documented_generator, sample_sequence, smooth_transform_value
 
 SQRT3 = math.sqrt(3.0)
@@ -59,28 +59,38 @@ class TestSpecConstruction:
 class TestRandomStream:
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     @pytest.mark.parametrize("n", [33, 1000])
-    def test_moved_generator_draws_each_block_afresh(self, spec, n):
-        # one worker's generator, moved by draw_rows from block to block, out
-        # of order and back, draws what the documented generator of each
-        # block draws.  A ragged block of 3 rows at n = 33 or 1000 takes 2 or
-        # 47 raw Rademacher words, and 99 uniform or normal values at n = 33,
-        # so its draw stops inside Philox's 4-word output buffer; the move
-        # must empty it
-        rows = block_rows(n)
-        rng = worker_generator(9)
+    def test_each_block_draws_its_own_stream(self, spec, n):
+        # full and 3-row blocks, out of order and back, each draw what the
+        # documented generator of its block draws.  A ragged block of 3 rows
+        # at n = 33 or 1000 takes 2 or 47 raw Rademacher words, and 99
+        # uniform or normal values at n = 33, so its draw stops inside
+        # Philox's 4-word output buffer, which no later block may read on
+        key, rows = stream_key(9), block_rows(n)
         for b, k in ((5, rows), (2, 3), (5, rows), (0, 3), (2, rows), (1, 1)):
-            moved = draw_rows(spec, rng, b, np.empty((k, n)))
-            fresh = draw_rows(spec, documented_generator(9, b, n), b, np.empty((k, n)))
-            assert np.array_equal(moved, fresh), (b, k)
-            if spec.family == "rademacher" and k == 3:
-                assert rng.bit_generator.state["buffer_pos"] < 4
+            drawn = draw_rows(spec, key, b, np.empty((k, n)))
+            assert np.array_equal(drawn, documented_rows(spec, b, k, n)), (b, k)
+
+
+def documented_rows(spec, b, k, n):
+    """Rows 0..k-1 of block b of a run at size n, seed 9: the leading k * n
+    of the block_rows(n) * n values its documented generator draws."""
+    rng, size = documented_generator(9, b, n), block_rows(n) * n
+    if spec.family == "rademacher":
+        # value i is 2B - 1 for bit i % 64 of raw word i // 64, counted
+        # from the least significant bit
+        words = rng.bit_generator.random_raw(-(-size // 64))
+        bits = [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(k * n)]
+        return np.array([2.0 * bit - 1.0 for bit in bits]).reshape(k, n)
+    if spec.family == "gaussian":
+        return rng.standard_normal(size)[: k * n].reshape(k, n)
+    # sqrt(3) * (2U - 1) for the standard uniforms U of random()
+    return SQRT3 * (2.0 * rng.random(size)[: k * n].reshape(k, n) - 1.0)
 
 
 def pinned_blocks(spec, n):
-    """Blocks 5 and 6 of a run at size n, seed 9, and block 7 cut to 3 rows,
-    each drawn by a fresh worker's generator."""
+    """Blocks 5 and 6 of a run at size n, seed 9, and block 7 cut to 3 rows."""
     rows = block_rows(n)
-    return [(b, draw_rows(spec, worker_generator(9), b, np.empty((k, n))))
+    return [(b, draw_rows(spec, stream_key(9), b, np.empty((k, n))))
             for b, k in ((5, rows), (6, rows), (7, 3))]
 
 
@@ -114,27 +124,18 @@ class TestSampling:
     PIN_SIZES = (33, 150, 1000)
 
     def test_uniform_rows_pin_the_stream(self):
-        # rows are sqrt(3) * (2U - 1) for the standard uniforms U of random()
-        for n in self.PIN_SIZES:
-            for b, block in pinned_blocks(EnsembleSpec("uniform_symmetric"), n):
-                u = documented_generator(9, b, n).random(block_rows(n) * n)[: block.size]
-                assert np.array_equal(block, SQRT3 * (2.0 * u.reshape(block.shape) - 1.0))
+        self.check_pinned(EnsembleSpec("uniform_symmetric"))
 
     def test_gaussian_rows_pin_the_stream(self):
-        for n in self.PIN_SIZES:
-            for b, block in pinned_blocks(EnsembleSpec("gaussian"), n):
-                z = documented_generator(9, b, n).standard_normal(block_rows(n) * n)
-                assert np.array_equal(block, z[: block.size].reshape(block.shape))
+        self.check_pinned(EnsembleSpec("gaussian"))
 
     def test_rademacher_rows_pin_the_stream(self):
-        # value i of a block is 2B - 1 for bit i % 64 of raw word i // 64,
-        # counted from the least significant bit
+        self.check_pinned(EnsembleSpec("rademacher"))
+
+    def check_pinned(self, spec):
         for n in self.PIN_SIZES:
-            for b, block in pinned_blocks(EnsembleSpec("rademacher"), n):
-                words = documented_generator(9, b, n).bit_generator.random_raw(
-                    -(-block_rows(n) * n // 64))
-                bits = [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(block.size)]
-                assert block.ravel().tolist() == [2.0 * bit - 1.0 for bit in bits]
+            for b, block in pinned_blocks(spec, n):
+                assert np.array_equal(block, documented_rows(spec, b, len(block), n))
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     @pytest.mark.parametrize("n", [64, 4096])

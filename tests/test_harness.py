@@ -223,17 +223,17 @@ class TestRunExperiment:
         assert abs(summary.raw_trace_mean - expected) <= 3 * se
 
 
-def recording_moves(monkeypatch):
+def recording_blocks(monkeypatch):
     """Patch the harness's draw_rows to note, per thread, the block it
-    moved to last; return the thread-local record."""
-    moved, draw = threading.local(), harness.draw_rows
+    drew last; return the thread-local record."""
+    drawn, draw = threading.local(), harness.draw_rows
 
-    def recording_draw(spec, rng, block, out):
-        moved.block = block
-        return draw(spec, rng, block, out)
+    def recording_draw(spec, key, block, out):
+        drawn.block = block
+        return draw(spec, key, block, out)
 
     monkeypatch.setattr(harness, "draw_rows", recording_draw)
-    return moved
+    return drawn
 
 
 class TestBlockCursor:
@@ -245,18 +245,18 @@ class TestBlockCursor:
         # the wait could only time out; handed to whichever worker is
         # free, they all run on the other worker
         monkeypatch.setattr(harness, "available_cpus", lambda: 2)
-        moved = recording_moves(monkeypatch)
+        drawn = recording_blocks(monkeypatch)
         n = 4096
         config = make_config(n=n, m=6 * block_rows(n) - 3, master_seed=11,
                              ensemble=EnsembleSpec("uniform_symmetric"), worker_count=2)
         others_ran, lock, ran = threading.Event(), threading.Lock(), []
 
         def slow_first_block(lam, poly, bufs):
-            if moved.block == 0:
+            if drawn.block == 0:
                 assert others_ran.wait(timeout=5), "block 0 waited for blocks behind it"
             else:
                 with lock:
-                    ran.append(moved.block)
+                    ran.append(drawn.block)
                     if len(ran) == 5:
                         others_ran.set()
             return trace_block(lam, poly, bufs)
@@ -280,7 +280,7 @@ class TestBlockCursor:
             return yield_each_line if frame.f_code.co_name == "run_blocks" else None
 
         monkeypatch.setattr(harness, "available_cpus", lambda: 8)
-        moved = recording_moves(monkeypatch)
+        drawn = recording_blocks(monkeypatch)
         n = 1024
         config = make_config(n=n, m=64 * block_rows(n) + 5, poly=POLY_X2_X3, master_seed=5,
                              ensemble=EnsembleSpec("rademacher"), worker_count=8)
@@ -288,7 +288,7 @@ class TestBlockCursor:
 
         def recording_trace(lam, poly, bufs):
             with lock:
-                ran.append(moved.block)
+                ran.append(drawn.block)
             return trace_block(lam, poly, bufs)
 
         runner = threading.Thread(daemon=True, target=lambda: results.append(
