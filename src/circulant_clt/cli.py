@@ -1,6 +1,8 @@
 """Command-line front end: config parsing, study dispatch, CSV/JSON output.
 
 Subcommands: variance, simulate, tv-bound.
+The harness records carry every value a report holds; summary.json is
+their non-array fields, serialized here, and nothing is computed for it.
 Exit codes: 0 success, 2 refusal or a failed allocation, 3 I/O failure.
 A subcommand prints the report it writes, once the file is written.
 
@@ -27,8 +29,7 @@ from . import __version__
 from .circulant import TestPolynomial
 from .combinatorics import limiting_variance
 from .ensembles import EnsembleSpec
-from .harness import (ConfigError, ExperimentConfig, available_cpus, estimate_kappas,
-                      run_clt_experiment)
+from .harness import ConfigError, ExperimentConfig, estimate_kappas, run_clt_experiment
 
 CONFIG_KEYS = frozenset({"n", "poly", "family", "seed", "m", "worker_count"})
 DEFAULT_REPLICAS = 2000
@@ -42,9 +43,10 @@ def parse_config(doc) -> ExperimentConfig:
     """Validate a key-value config document into an ExperimentConfig.
 
     Accepts a JSON string or a mapping.  Unknown keys are rejected;
-    n and poly are required; m defaults to 2000 and worker_count to the
-    CPUs the process may run on.  poly must be a list of numbers, and n, m,
-    seed and worker_count integers; nothing is rounded or split into digits.
+    n and poly are required; m defaults to 2000, and worker_count to
+    ExperimentConfig's default, the CPUs the process may run on.  poly must
+    be a list of numbers, and n, m, seed and worker_count integers; nothing
+    is rounded or split into digits.
     """
     if isinstance(doc, (str, bytes)):
         try:
@@ -61,21 +63,16 @@ def parse_config(doc) -> ExperimentConfig:
     for key in ("n", "poly"):
         if key not in data:
             raise ConfigError(f"missing required config key: {key}")
-    data = {"m": DEFAULT_REPLICAS, "seed": 0, "worker_count": available_cpus(), **data}
+    data = {"m": DEFAULT_REPLICAS, "seed": 0, **data}
     if not isinstance(data["poly"], list):  # TestPolynomial checks each coefficient
         raise ConfigError(f"config key poly must be a list of numbers, "
                           f"not {data['poly']!r}")
     try:
-        poly = TestPolynomial.from_dense(data["poly"])
-        ensemble = EnsembleSpec(data.get("family", "gaussian"))
-        return ExperimentConfig(
-            n=data["n"],
-            m=data["m"],
-            poly=poly,
-            ensemble=ensemble,
-            master_seed=data["seed"],
-            worker_count=data["worker_count"],
-        )
+        # the keys left, n, m and worker_count where given, are field names
+        poly = TestPolynomial.from_dense(data.pop("poly"))
+        ensemble = EnsembleSpec(data.pop("family", "gaussian"))
+        return ExperimentConfig(poly=poly, ensemble=ensemble,
+                                master_seed=data.pop("seed"), **data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -238,20 +235,13 @@ def _put_digits(columns: np.ndarray, values: np.ndarray, widths: np.ndarray) -> 
 
 
 def emit_summary_json(config: ExperimentConfig, summary=None, stein=None) -> str:
-    # each block is every field of its record but the per-replica arrays,
-    # plus the exact target it is read against
+    # each block is every field of its record but the per-replica arrays
+    def block(record):
+        return None if record is None else {
+            k: v for k, v in vars(record).items() if not isinstance(v, np.ndarray)}
+
     doc = {"config": config_echo(config), "version": __version__,
-           "experiment": None, "stein": None}
-    if summary is not None:
-        doc["experiment"] = {k: v for k, v in vars(summary).items()
-                             if k not in ("w_values", "raw_traces")}
-        doc["experiment"]["target_variance_exact"] = str(limiting_variance(config.poly))
-    if stein is not None:
-        # the bound uses the empirical trace variance; the limiting variance
-        # scaled by n is reported alongside for context
-        scaled = config.n * float(limiting_variance(config.poly))
-        doc["stein"] = {**vars(stein), "tv_bound": stein.tv_bound,
-                        "sigma2_target_scaled": scaled}
+           "experiment": block(summary), "stein": block(stein)}
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 

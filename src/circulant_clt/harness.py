@@ -33,7 +33,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -65,6 +65,13 @@ def _require_finite(**values) -> None:
             raise ValueError(f"{name} is not finite: it left the float range")
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one reproducible Monte Carlo run."""
@@ -74,7 +81,8 @@ class ExperimentConfig:
     poly: TestPolynomial
     ensemble: EnsembleSpec
     master_seed: int
-    worker_count: int = 1
+    # looked up when a config is built, so a patched available_cpus applies
+    worker_count: int = field(default_factory=lambda: available_cpus())
 
     def __post_init__(self) -> None:
         # each size, count and seed as a Python int; bool and float refused
@@ -106,10 +114,12 @@ class ExperimentSummary:
     standardized_moments: tuple[float, ...]  # orders 1..4
     ks_distance: float
     target_variance: float
+    target_variance_exact: str  # the exact rational sum_k a_k^2 k!
     wall_time_s: float
 
     def __post_init__(self) -> None:
-        _require_finite(**vars(self))
+        _require_finite(**{k: v for k, v in vars(self).items()
+                           if k != "target_variance_exact"})
         if self.variance_w < 0:
             raise ValueError("empirical variance cannot be negative")
         if not 0.0 <= self.ks_distance <= 1.0:
@@ -126,6 +136,8 @@ class SteinEstimate:
     sigma2_hat: float
     c1: float
     c2: float
+    sigma2_target_scaled: float  # n * sum_k a_k^2 k!, beside sigma2_hat
+    tv_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
         _require_finite(**vars(self))
@@ -133,21 +145,12 @@ class SteinEstimate:
             raise ValueError("kappa estimates must be nonnegative")
         if self.sigma2_hat <= 0:
             raise ValueError("sigma2_hat must be positive")
-
-    @property
-    def tv_bound(self) -> float:
-        """2*sqrt(5) * (c1*c2*kappa0 + c1^3*kappa1*kappa2) / sigma2."""
-        return 2.0 * math.sqrt(5.0) * (
+        # 2*sqrt(5) * (c1*c2*kappa0 + c1^3*kappa1*kappa2) / sigma2
+        object.__setattr__(self, "tv_bound", 2.0 * math.sqrt(5.0) * (
             self.c1 * self.c2 * self.kappa0_hat
             + self.c1**3 * self.kappa1_hat * self.kappa2_hat
-        ) / self.sigma2_hat
-
-
-def available_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        ) / self.sigma2_hat)
+        _require_finite(tv_bound=self.tv_bound)
 
 
 def _replica_blocks(
@@ -248,7 +251,8 @@ def ks_distance(samples, variance: float) -> float:
 def run_clt_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run the replica experiment and summarize the normalized statistic W."""
     t0 = time.perf_counter()
-    target = float(limiting_variance(config.poly))  # refused before any replica runs
+    exact = limiting_variance(config.poly)  # refused before any replica runs
+    target = float(exact)
     traces = _replica_blocks(config, trace_block)[0]
     t_bar = float(traces.mean())
     w = (traces - t_bar) / math.sqrt(config.n)
@@ -262,6 +266,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentSummary:
         standardized_moments=tuple(float(v) for v in standardized_moments(w)),
         ks_distance=ks_distance(w, target),
         target_variance=target,
+        target_variance_exact=str(exact),
         wall_time_s=time.perf_counter() - t0,
     )
 
@@ -277,7 +282,8 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
     all four describe the same function.
     """
     # reported with the bound, so refused before any replica runs
-    _require_finite(sigma2_target_scaled=config.n * float(limiting_variance(config.poly)))
+    sigma2_target_scaled = config.n * float(limiting_variance(config.poly))
+    _require_finite(sigma2_target_scaled=sigma2_target_scaled)
     if not config.ensemble.is_smooth:
         raise SmoothnessRequiredError(
             f"the total-variation bound requires a symmetric smooth ensemble "
@@ -301,4 +307,5 @@ def estimate_kappas(config: ExperimentConfig) -> SteinEstimate:
         sigma2_hat=float(traces.var(ddof=1)),
         c1=config.ensemble.c1,
         c2=config.ensemble.c2,
+        sigma2_target_scaled=sigma2_target_scaled,
     )

@@ -286,11 +286,12 @@ MUTANTS = (
         "w = (traces - t_bar) * (1 / math.sqrt(config.n))",
         ("tests/test_golden.py::test_digests_match_golden_json",),
     ),
+    # the value is then unbound, but a replica runs before it is read
     Mutant(
         "tv-bound runs its replicas before the limiting variance is checked",
         "harness.py",
-        "    _require_finite(sigma2_target_scaled=config.n * "
-        "float(limiting_variance(config.poly)))\n",
+        "    sigma2_target_scaled = config.n * float(limiting_variance(config.poly))\n"
+        "    _require_finite(sigma2_target_scaled=sigma2_target_scaled)\n",
         "",
         ("tests/test_cli.py::TestSimulateCommand::"
          "test_limiting_variance_refused_before_any_replica",),
@@ -299,11 +300,27 @@ MUTANTS = (
     Mutant(
         "tv-bound runs its replicas before sigma2_target_scaled is checked",
         "harness.py",
-        "_require_finite(sigma2_target_scaled=config.n * "
-        "float(limiting_variance(config.poly)))",
-        "limiting_variance(config.poly)",
+        "    _require_finite(sigma2_target_scaled=sigma2_target_scaled)\n",
+        "",
         ("tests/test_cli.py::TestSimulateCommand::"
          "test_limiting_variance_refused_before_any_replica",),
+    ),
+    # the rounded target as a ratio of integers: right wherever sum_k a_k^2 k!
+    # is a float, which a double coefficient's square need not be
+    Mutant(
+        "target_variance_exact taken from the float target",
+        "harness.py",
+        "target_variance_exact=str(exact)",
+        "target_variance_exact=\"%d/%d\" % target.as_integer_ratio()",
+        ("tests/test_cli.py::TestSimulateCommand::"
+         "test_target_variance_exact_is_the_exact_rational",),
+    ),
+    Mutant(
+        "sigma2_target_scaled reported without the factor n",
+        "harness.py",
+        "sigma2_target_scaled = config.n * float(limiting_variance(config.poly))",
+        "sigma2_target_scaled = float(limiting_variance(config.poly))",
+        ("tests/test_cli.py::TestTvBoundCommand::test_reports_all_components",),
     ),
     # the quartic sums of a multi-row block in reverse row order: their mean,
     # and so kappa0_hat, is unchanged

@@ -9,12 +9,14 @@ import math
 import os
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from circulant_clt import ConfigError, cli, harness, run_clt_experiment
+from circulant_clt import (ConfigError, TestPolynomial, cli, estimate_kappas, harness,
+                           limiting_variance, run_clt_experiment)
 from circulant_clt.cli import (
     SAMPLES_CHUNK_ROWS,
     emit_samples_csv,
@@ -192,13 +194,21 @@ class TestEmitters:
         assert np.array_equal(got, summary.raw_traces)
         assert np.array_equal(np.array([float(r["W"]) for r in rows]), summary.w_values)
 
-    def test_json_round_trip_bit_exact(self):
-        config, summary = small_run()
-        fields = json.loads(emit_summary_json(config, summary=summary))["experiment"]
-        assert fields["variance_w"] == summary.variance_w
-        assert fields["ks_distance"] == summary.ks_distance
-        assert fields["raw_trace_mean"] == summary.raw_trace_mean
-        assert tuple(fields["standardized_moments"]) == summary.standardized_moments
+    @pytest.mark.parametrize("block", ["experiment", "stein"])
+    def test_json_round_trip_bit_exact(self, block):
+        # every field but the arrays parses back to its record's value
+        config = parse_config({**MINIMAL, "n": 32, "m": 40})
+        if block == "experiment":
+            record = run_clt_experiment(config)
+            doc = emit_summary_json(config, summary=record)
+        else:
+            record = estimate_kappas(config)
+            doc = emit_summary_json(config, stein=record)
+        fields = json.loads(doc)[block]
+        for name, value in vars(record).items():
+            if not isinstance(value, np.ndarray):
+                got = fields[name]
+                assert (tuple(got) if isinstance(value, tuple) else got) == value, name
 
 
 class TestVarianceCommand:
@@ -240,6 +250,16 @@ class TestSimulateCommand:
         samples = (tmp_path / "samples.csv").read_text()
         assert samples.startswith("replica,raw_trace,W\n")
         assert len(samples.splitlines()) == 51
+
+    def test_target_variance_exact_is_the_exact_rational(self, tmp_path, capsys):
+        # 2 * 0.1^2 of the double 0.1 needs more than 53 bits, so no float,
+        # the target_variance beside it included, spells it
+        assert main(["--out", str(tmp_path), "simulate", "--n", "16",
+                     "--poly", "0,0,0.1", "--m", "10"]) == 0
+        exact = limiting_variance(TestPolynomial.from_dense([0, 0, 0.1]))
+        assert Fraction(float(exact)) != exact
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert Fraction(doc["experiment"]["target_variance_exact"]) == exact
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -452,6 +472,24 @@ def test_summary_json_key_sets(tmp_path, command, experiment, stein):
     assert set(doc["config"]) == {"n", "m", "poly", "family", "seed"}
     assert (doc["experiment"] and set(doc["experiment"])) == experiment
     assert (doc["stein"] and set(doc["stein"])) == stein
+
+
+@pytest.mark.parametrize("command", ["simulate", "tv-bound"])
+def test_limiting_variance_taken_once_per_command(tmp_path, capsys, monkeypatch,
+                                                  command):
+    # the harness takes it before any replica runs and its record carries
+    # it, so the report computes it no second time
+    calls = []
+
+    def counted(poly):
+        calls.append(poly)
+        return limiting_variance(poly)
+
+    for module in (harness, cli):
+        monkeypatch.setattr(module, "limiting_variance", counted)
+    assert main(["--out", str(tmp_path), command, "--n", "64", "--poly", "0,0,1",
+                 "--family", "uniform_symmetric", "--m", "40"]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv, report", [

@@ -148,6 +148,14 @@ class TestRunExperiment:
                                        worker_count=100000))
         assert pool_sizes == [1]
 
+    def test_library_and_config_documents_share_the_worker_default(self, monkeypatch):
+        # the CPU count, looked up when each config is built
+        monkeypatch.setattr(harness, "available_cpus", lambda: 3)
+        library = ExperimentConfig(n=64, m=40, poly=POLY_X2,
+                                   ensemble=EnsembleSpec("gaussian"), master_seed=0)
+        assert library.worker_count == 3
+        assert parse_config({"n": 64, "poly": [0, 0, 1]}).worker_count == 3
+
     @pytest.mark.parametrize("cpu_count, cpus", [(5, 5), (None, 1)])
     def test_cpus_without_affinity(self, monkeypatch, cpu_count, cpus):
         # where the OS reports no affinity set, os.cpu_count() is the bound,
@@ -413,6 +421,12 @@ class TestSteinMachinery:
         assert est.kappa0_hat > 0 and est.kappa1_hat > 0 and est.kappa2_hat > 0
         assert est.sigma2_hat > 0
         assert 0 < est.tv_bound < math.inf
+
+    def test_tv_bound_refused_by_name_when_it_overflows(self):
+        with pytest.raises(ValueError, match="^tv_bound is not finite"):
+            harness.SteinEstimate(kappa0_hat=1.0, kappa1_hat=1e200, kappa2_hat=1e200,
+                                  sigma2_hat=1.0, c1=1.0, c2=0.0,
+                                  sigma2_target_scaled=2.0)
 
     def test_kappa_scaling_with_n(self):
         # kappa0 and kappa1 grow like sqrt(n); their sqrt(n)-ratios stay flat
